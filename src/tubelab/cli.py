@@ -31,9 +31,6 @@ EXIT_FAIL = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 
-KAKEYA_FAMILIES = (xray.DELTA_BALL, xray.K0_DELTAS, xray.K1_SLAB)
-ALL_FAMILIES = witnesses._FAMILIES + KAKEYA_FAMILIES
-
 
 class ConfigError(ValueError):
     pass
@@ -48,7 +45,6 @@ class ExperimentConfig:
     q: str = "2"
     scales: tuple = ()
     grid_n: int = 16
-    mc_samples: int = 20000
     seed: int = None
     output_dir: str = "."
     box_constant: float = 8.0
@@ -81,6 +77,24 @@ def parse_config_text(text: str) -> dict:
     return out
 
 
+def _rational_text(text: str) -> str:
+    """p and q stay text, as the CSV records them, but must parse."""
+    Fraction(text)
+    return text
+
+
+def _scales(text: str) -> tuple:
+    return tuple(float(Fraction(s.strip())) for s in text.split(",") if s.strip())
+
+
+#: config key -> parser of its value text
+_CONFIG_PARSERS = {
+    "family": str, "n": int, "p": _rational_text, "q": _rational_text,
+    "scales": _scales, "grid_n": int, "seed": int, "output_dir": str,
+    "box_constant": float, "tolerance": float,
+}
+
+
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:
         raw = parse_config_text(fh.read())
@@ -92,19 +106,14 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
         raise ConfigError("config missing 'command'")
     cfg = ExperimentConfig(command=command)
     for key, value in raw.items():
-        if key in ("n", "grid_n", "mc_samples", "seed"):
-            setattr(cfg, key, int(value))
-        elif key in ("box_constant", "tolerance"):
-            setattr(cfg, key, float(value))
-        elif key == "scales":
-            parts = [s.strip() for s in str(value).split(",") if s.strip()]
-            cfg.scales = tuple(float(Fraction(s)) for s in parts)
-        elif key in ("family", "p", "q", "output_dir"):
-            setattr(cfg, key, str(value))
-        else:
+        if key not in _CONFIG_PARSERS:
             raise ConfigError(f"unknown config key {key!r}")
+        try:
+            setattr(cfg, key, _CONFIG_PARSERS[key](value))
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from None
     if cfg.command == "sweep":
-        if cfg.family not in ALL_FAMILIES:
+        if cfg.family not in witnesses.FAMILIES:
             raise ConfigError(f"unknown family {cfg.family!r}")
         if not cfg.scales:
             raise ConfigError("sweep needs scales")
@@ -200,22 +209,6 @@ def _format_float(x: float) -> str:
     return repr(float(x))
 
 
-def run_sweep_config(cfg: ExperimentConfig):
-    """(rows, fit_points, slope, predicted) for a sweep config."""
-    p, q = cfg.p_value, cfg.q_value
-    if cfg.family in KAKEYA_FAMILIES:
-        pts, predicted = xray.run_kakeya_sweep(cfg.family, cfg.n, p, q,
-                                               cfg.scales)
-        fit = witnesses.fit_power_law(pts)
-        rows = pts
-    else:
-        fit, rows = witnesses.run_sweep(cfg.family, cfg.n, p, q, cfg.scales,
-                                        grid_n=cfg.grid_n, seed=cfg.seed,
-                                        box_constant=cfg.box_constant)
-        predicted = witnesses.predicted_exponent(cfg.family, cfg.n, p, q)
-    return rows, fit, predicted
-
-
 def _sweep_csv(cfg: ExperimentConfig, rows) -> str:
     lines = ["family,n,p,q,scale,ratio,grid_n,seed"]
     for scale, ratio in rows:
@@ -258,6 +251,7 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
     csv_path = os.path.join(outdir, "sweep.csv")
     summary_path = os.path.join(outdir, "summary.json")
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
+    p, q = cfg.p_value, cfg.q_value
     if check_only:
         # replay the acceptance predicate from the stored CSV
         with open(csv_path, "r", encoding="utf-8") as fh:
@@ -266,31 +260,19 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
         for line in lines[1:]:
             parts = line.split(",")
             rows.append((float(parts[4]), float(parts[5])))
-        if cfg.family == witnesses.C0_MODULATED:
-            fit = witnesses.fit_power_law(sorted((1.0 / s, v) for s, v in rows))
-        else:
-            fit = witnesses.fit_power_law(rows)
-        if cfg.family in KAKEYA_FAMILIES:
-            if cfg.family == xray.DELTA_BALL:
-                predicted = 0.0
-            elif cfg.family == xray.K0_DELTAS:
-                predicted = 2.0 * cfg.n / cfg.p_value - 2.0
-            else:
-                predicted = 2.0 * ((cfg.n - 2) / cfg.q_value
-                                   + 2.0 / cfg.p_value - 1.0)
-        else:
-            predicted = witnesses.predicted_exponent(cfg.family, cfg.n,
-                                                     cfg.p_value, cfg.q_value)
-        summary = _sweep_summary(cfg, fit, predicted)
-        _emit(summary)
-        return EXIT_PASS if summary["pass"] else EXIT_FAIL
-    rows, fit, predicted = run_sweep_config(cfg)
-    summary = _sweep_summary(cfg, fit, predicted)
-    _atomic_write(csv_path, _sweep_csv(cfg, rows))
-    _atomic_write(summary_path, _json_dumps(summary))
-    finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
-    _write_run_record(cfg, outdir, ["sweep.csv", "summary.json"],
-                      {"sweep": summary["pass"]}, started, finished)
+        fit = witnesses.fit_sweep(cfg.family, rows)
+    else:
+        fit, rows = witnesses.run_sweep(cfg.family, cfg.n, p, q, cfg.scales,
+                                        grid_n=cfg.grid_n,
+                                        box_constant=cfg.box_constant)
+    summary = _sweep_summary(
+        cfg, fit, witnesses.predicted_exponent(cfg.family, cfg.n, p, q))
+    if not check_only:
+        _atomic_write(csv_path, _sweep_csv(cfg, rows))
+        _atomic_write(summary_path, _json_dumps(summary))
+        finished = datetime.datetime.now(datetime.timezone.utc).isoformat()
+        _write_run_record(cfg, outdir, ["sweep.csv", "summary.json"],
+                          {"sweep": summary["pass"]}, started, finished)
     _emit(summary)
     return EXIT_PASS if summary["pass"] else EXIT_FAIL
 
@@ -337,14 +319,11 @@ def cmd_witness(args) -> int:
         }
 
     lo, hi = box.bounding_box()
-    family = witnesses.WitnessFamily(
-        kind=args.family, n=args.n, scale=args.scale,
-        parameters={"box_constant": args.box_constant})
     out = {
-        "family": family.kind,
-        "n": family.n,
-        "scale": family.scale,
-        "parameters": family.parameters,
+        "family": args.family,
+        "n": args.n,
+        "scale": args.scale,
+        "parameters": {"box_constant": args.box_constant},
         "f": cap_json(f),
         "g": cap_json(g),
         "box_bounds": [list(map(float, lo)), list(map(float, hi))],
@@ -645,15 +624,15 @@ def main(argv=None) -> int:
             return cmd_verify(args.suite, args.seed if args.seed is not None else 0)
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (ConfigError, expm.ExponentDomainError) as exc:
+    # a failed modulation search is a WitnessError too, so it goes first
+    except (OscillationGuardError, witnesses.ModulationSearchError,
+            MemoryError) as exc:
+        print(f"resource error: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except (ConfigError, expm.ExponentDomainError,
+            witnesses.WitnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except OscillationGuardError as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
-    except (MemoryError,) as exc:
-        print(f"resource error: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
 
 
 if __name__ == "__main__":

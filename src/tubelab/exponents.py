@@ -26,11 +26,6 @@ class ExponentDomainError(ValueError):
     """An exponent operation was called outside its domain of validity."""
 
 
-def parse_rational(text: str) -> Fraction:
-    """Parse 'a/b' or 'a' into an exact rational."""
-    return Fraction(text.strip())
-
-
 def rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 

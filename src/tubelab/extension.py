@@ -238,9 +238,7 @@ class _SlabEvaluator:
         probe[1, -1] = xn_axis[-1]
         _check_guard(cap, phi, probe, grid_n)
         self.x0 = cap.modulation_vector(n)
-        self.separable = (
-            getattr(phi, "tag", "generic") == "quadratic" and cap.density is None
-        )
+        self.separable = _separable_ok(cap, phi)
         axes, self.weight = cap.nodes(grid_n)
         self.y_axes = axes
         if self.separable:

@@ -247,9 +247,6 @@ class NetFunction:
             if v < 0:
                 raise FieldError("net function values must be nonnegative")
 
-    def omega_support(self):
-        return sorted({w for (w, _i) in self.values})
-
     def inner_aggregates(self, inner: str) -> dict:
         """omega_index -> aggregate over bases, in one pass."""
         out = {}
@@ -263,9 +260,6 @@ class NetFunction:
         else:
             raise FieldError(f"unknown inner aggregate {inner!r}")
         return out
-
-    def inner_aggregate(self, omega_index: int, inner: str) -> float:
-        return self.inner_aggregates(inner).get(omega_index, 0.0)
 
     def total(self) -> float:
         return float(sum(self.values.values()))

@@ -1,19 +1,21 @@
 """Extremizing cap families for the product-estimate necessity conditions,
-scale sweeps of their localized norm ratios, and log-log power-law fits.
+the table of every sweepable family (these and the tube configurations of
+xray), the scale sweep of their ratios, and log-log power-law fits.
 
-All families live on the paraboloid-graph parameter domain.  The separated
-caps sit on Q1 = [-3/4,-1/4] x [-1/4,1/4]^{n-2} and its mirror Q2; the
-distinguished plane factor of the construction is realized as the first
-parameter axis, so its dual pair is the (x_1, x_n) plane."""
+The cap families live on the paraboloid-graph parameter domain.  The
+separated caps sit on Q1 = [-3/4,-1/4] x [-1/4,1/4]^{n-2} and its mirror
+Q2; the distinguished plane factor of the construction is realized as the
+first parameter axis, so its dual pair is the (x_1, x_n) plane."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Tuple
 
 import numpy as np
 
+from . import xray
 from .extension import (CapFunction, EllipticPhase, domain_norm_ratio,
                         evaluate_extension, required_grid_n)
 from .fields import Box, CylinderDomain
@@ -23,7 +25,6 @@ C0_MODULATED = "c0-modulated"
 C1_SQUASHED = "c1-squashed"
 C2_STRETCHED = "c2-stretched"
 KNAPP_CLASSIC = "knapp-classic"
-_FAMILIES = (C0_MODULATED, C1_SQUASHED, C2_STRETCHED, KNAPP_CLASSIC)
 
 #: the box constant of the no-cancellation region (exposed as a flag in the CLI)
 DEFAULT_BOX_CONSTANT = 8.0
@@ -68,12 +69,40 @@ class ShearedBox:
         return np.asarray(lo), np.asarray(hi)
 
 
-@dataclass
-class WitnessFamily:
-    kind: str
-    n: int
-    scale: float
-    parameters: dict
+@dataclass(frozen=True)
+class Family:
+    """A sweepable witness family.
+
+    predicted(n, p, q) is the scale exponent of the family's ratio, arranged
+    so that it is >= 0 exactly when the corresponding feasibility condition
+    holds.  Cap families are built by build_witness; tube families come from
+    xray (`tubes`).  The scale is delta, except for the modulated family,
+    whose scale is R and whose fit abscissa is 1/R (`inverse_scale`)."""
+
+    name: str
+    predicted: Callable[[int, float, float], float]
+    tubes: bool = False
+    inverse_scale: bool = False
+
+
+#: every family a sweep can run, by name
+FAMILIES = {fam.name: fam for fam in (
+    Family(C0_MODULATED, lambda n, p, q: (n - 1) - n / q, inverse_scale=True),
+    Family(C1_SQUASHED, lambda n, p, q: 2 * n - (n + 2) / q - 2 * n / p),
+    Family(C2_STRETCHED,
+           lambda n, p, q: 2 * (n - 1) - (n + 2) / q - 2 * (n - 2) / p),
+    Family(KNAPP_CLASSIC,
+           lambda n, p, q: (n - 1) - (n + 1) / q - (n - 1) / p),
+    *(Family(kind, xray.PREDICTED_EXPONENTS[kind], tubes=True)
+      for kind in (xray.DELTA_BALL, xray.K0_DELTAS, xray.K1_SLAB)),
+)}
+
+
+def _family(kind: str) -> Family:
+    try:
+        return FAMILIES[kind]
+    except KeyError:
+        raise WitnessError(f"unknown family {kind!r}") from None
 
 
 @dataclass
@@ -114,18 +143,8 @@ def _cap_support(center1: float, half1: float, n: int, half_rest: float):
 
 
 def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
-    """Scale exponent of the witness ratio, arranged so that the exponent is
-    >= 0 exactly when the corresponding feasibility condition holds.  For the
-    modulated family the scale variable is 1/R; for the rest it is delta."""
-    if kind == C0_MODULATED:
-        return (n - 1) - n / q
-    if kind == C1_SQUASHED:
-        return 2 * n - (n + 2) / q - 2 * n / p
-    if kind == C2_STRETCHED:
-        return 2 * (n - 1) - (n + 2) / q - 2 * (n - 2) / p
-    if kind == KNAPP_CLASSIC:
-        return (n - 1) - (n + 1) / q - (n - 1) / p
-    raise WitnessError(f"unknown family {kind!r}")
+    """Scale exponent of the family's witness ratio (see Family)."""
+    return _family(kind).predicted(n, p, q)
 
 
 def _search_modulation(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
@@ -163,16 +182,14 @@ def _probe_points(domain, n: int, shrink: float = 0.7) -> np.ndarray:
 
 
 def build_witness(kind: str, n: int, scale: float,
-                  box_constant: float = DEFAULT_BOX_CONSTANT,
-                  phi: Optional[EllipticPhase] = None):
+                  box_constant: float = DEFAULT_BOX_CONSTANT):
     """Cap pair and the predicted no-cancellation region for one family.
 
     scale is delta for the cap families and R for the modulated family.
     The single-cap family returns g = None."""
-    if kind not in _FAMILIES:
-        raise WitnessError(f"unknown family {kind!r}")
-    if phi is None:
-        phi = quadratic_phase(n - 1)
+    if _family(kind).tubes:
+        raise WitnessError(f"{kind!r} is a tube family (see xray.kakeya_witness)")
+    phi = quadratic_phase(n - 1)
     C = float(box_constant)
     if kind == C0_MODULATED:
         R = float(scale)
@@ -254,16 +271,14 @@ def build_witness(kind: str, n: int, scale: float,
 
 def witness_ratio(kind: str, n: int, scale: float, p: float, q: float,
                   grid_n: int = 16, grid_refine: int = 1,
-                  box_constant: float = DEFAULT_BOX_CONSTANT,
-                  phi: Optional[EllipticPhase] = None) -> float:
+                  box_constant: float = DEFAULT_BOX_CONSTANT) -> float:
     """The localized product-norm ratio of a witness at one scale.
 
     grid_n floors the quadrature nodes per support axis; the oscillation
     guard raises it further where needed.  grid_refine scales all counts,
     for quadrature-independence checks."""
-    f, g, box = build_witness(kind, n, scale, box_constant=box_constant, phi=phi)
-    if phi is None:
-        phi = quadratic_phase(n - 1)
+    f, g, box = build_witness(kind, n, scale, box_constant=box_constant)
+    phi = quadratic_phase(n - 1)
     ratio, _stats = domain_norm_ratio(f, g, phi, p, q, box,
                                       min_nodes=grid_n, grid_refine=grid_refine)
     return ratio
@@ -281,29 +296,35 @@ def trace_caps(n: int, R: float) -> Tuple[CapFunction, CapFunction]:
 
 
 def run_sweep(kind: str, n: int, p: float, q: float, scales, grid_n: int = 16,
-              grid_refine: int = 1, seed: int = 0,
-              box_constant: float = DEFAULT_BOX_CONSTANT,
-              phi: Optional[EllipticPhase] = None):
-    """Witness ratios across scales plus the log-log fit.
+              grid_refine: int = 1,
+              box_constant: float = DEFAULT_BOX_CONSTANT):
+    """Witness ratios across at least three dyadically spaced scales, for
+    any family in FAMILIES, plus their fit (fit_sweep).
 
-    Returns (fit, rows) where rows are (scale, ratio) in the given scale
-    variable.  For the modulated family the fit abscissa is 1/R, matching
-    the sign convention of predicted_exponent."""
+    Returns (fit, rows) where rows are (scale, ratio) in the family's scale
+    variable.  grid_n, grid_refine and box_constant apply to the cap
+    families only."""
+    fam = _family(kind)
     scales = sorted(float(s) for s in scales)
     if len(scales) < 3:
         raise WitnessError("need at least three scales")
     for a, b in zip(scales, scales[1:]):
         if not math.isclose(b / a, 2.0, rel_tol=1e-9):
             raise WitnessError("scales must be dyadically spaced")
-    rows = []
-    for s in scales:
-        ratio = witness_ratio(kind, n, s, p, q, grid_n=grid_n,
-                              grid_refine=grid_refine,
-                              box_constant=box_constant, phi=phi)
-        rows.append((s, ratio))
-    if kind == C0_MODULATED:
-        fit_pts = sorted((1.0 / s, v) for s, v in rows)
+    if fam.tubes:
+        rows, _predicted = xray.run_kakeya_sweep(kind, n, p, q, scales)
     else:
-        fit_pts = rows
-    fit = fit_power_law(fit_pts)
-    return fit, rows
+        rows = [(s, witness_ratio(kind, n, s, p, q, grid_n=grid_n,
+                                  grid_refine=grid_refine,
+                                  box_constant=box_constant))
+                for s in scales]
+    return fit_sweep(kind, rows), rows
+
+
+def fit_sweep(kind: str, rows) -> PowerLawFit:
+    """The log-log fit of a family's sweep rows (scale, ratio), against
+    1/scale for an inverse-scale family, matching the sign convention of
+    predicted_exponent."""
+    if _family(kind).inverse_scale:
+        rows = sorted((1.0 / s, v) for s, v in rows)
+    return fit_power_law(rows)

@@ -9,6 +9,7 @@ cross-section is resolved by at least four cells.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -215,12 +216,6 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, exponents,
     return norms, inner
 
 
-def _adjoint_product_norm(F: XrayField, G: XrayField, exponent: float,
-                          spacing: float):
-    norms, inner = _adjoint_product_norms(F, G, [exponent], spacing)
-    return norms[exponent], inner
-
-
 def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> KakeyaRatio:
     """|| Xf ||_{L^q_omega L^inf_i} / (delta^{1 - n/p} ||f||_p)."""
     n = f.ndim
@@ -272,11 +267,6 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
     return out
 
 
-def bilinear_kakeya_ratio(F: XrayField, G: XrayField, p: float, q: float,
-                          spacing: Optional[float] = None) -> KakeyaRatio:
-    return bilinear_kakeya_ratios(F, G, [(p, q)], spacing=spacing)[0]
-
-
 @dataclass
 class Prop111Result:
     grid_value: float
@@ -306,7 +296,7 @@ def prop111_constant(F: XrayField, G: XrayField,
     denom = delta ** (2.0 - n) * F.norm_l1l1() * G.norm_l1l1()
     if denom == 0:
         raise XrayError("zero denominator")
-    _norm, inner = _adjoint_product_norm(F, G, 1.0, spacing)
+    _norms, inner = _adjoint_product_norms(F, G, [1.0], spacing)
     pair_sum = 0.0
     for omega1, base1, v1 in F.entries():
         t1 = Tube(tuple(omega1), tuple(base1), delta)
@@ -325,6 +315,25 @@ def prop111_constant(F: XrayField, G: XrayField,
 K0_DELTAS = "k0-deltas"
 K1_SLAB = "k1-slab"
 BUSH = "bush"
+DELTA_BALL = "delta-ball"
+
+#: grid cells per delta across the delta-ball input
+BALL_RESOLUTION = 8
+
+
+def _bush_exponent(n: int, p: float, q: float) -> float:
+    return 2.0 * n / p - 2.0
+
+
+#: kind -> predicted(n, p, q): the delta-exponent the configuration's ratio
+#: should follow, >= 0 exactly when the corresponding feasibility condition
+#: holds.  The delta-ball saturates the delta^{1 - n/p} normalization.
+PREDICTED_EXPONENTS = {
+    K0_DELTAS: _bush_exponent,
+    K1_SLAB: lambda n, p, q: 2.0 * ((n - 2) / q + 2.0 / p - 1.0),
+    BUSH: _bush_exponent,
+    DELTA_BALL: lambda n, p, q: 0.0,
+}
 
 
 def _bush_cover_score(net: DirectionNet, base1, base2) -> int:
@@ -352,9 +361,8 @@ def kakeya_witness(kind: str, n: int, delta: float):
     """The necessity configurations: point-base direction bushes (k0),
     coplanar-direction slabs (k1), and the diagnostic bush.
 
-    Returns (F, G, predicted) where predicted(p, q) is the delta-exponent
-    the bilinear ratio should follow (>= 0 exactly when the corresponding
-    feasibility condition holds).
+    Returns (F, G, predicted) where predicted(p, q) is the kind's entry of
+    PREDICTED_EXPONENTS at this n.
     """
     from .geometry import build_net
 
@@ -384,12 +392,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
             net, np.zeros(net.dim), net.points[i]))
         F = field_from(net.e1_indices, origin_idx)
         G = field_from(net.e2_indices, best)
-
-        def predicted(p, q):
-            return 2.0 * n / p - 2.0
-
-        return F, G, predicted
-    if kind == K1_SLAB:
+    elif kind == K1_SLAB:
         def in_slab(idx):
             pt = net.points[idx]
             return all(abs(pt[a]) <= delta + 1e-12 for a in range(1, net.dim))
@@ -402,34 +405,22 @@ def kakeya_witness(kind: str, n: int, delta: float):
         b2[0] = -0.5
         F = field_from(e1, net.nearest_index(b1))
         G = field_from(e2, net.nearest_index(b2))
-
-        def predicted(p, q):
-            return 2.0 * ((n - 2) / q + 2.0 / p - 1.0)
-
-        return F, G, predicted
-    if kind == BUSH:
+    elif kind == BUSH:
         F = field_from(net.e1_indices, origin_idx)
         G = field_from(net.e2_indices, origin_idx)
-
-        def predicted(p, q):
-            return 2.0 * n / p - 2.0
-
-        return F, G, predicted
-    raise XrayError(f"unknown witness kind {kind!r}")
+    else:
+        raise XrayError(f"unknown witness kind {kind!r}")
+    return F, G, functools.partial(PREDICTED_EXPONENTS[kind], n)
 
 
-DELTA_BALL = "delta-ball"
-
-
-def delta_ball_ratio(n: int, p: float, q: float, delta: float,
-                     resolution: int = 8) -> KakeyaRatio:
+def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> KakeyaRatio:
     """Tube-maximal ratio for the delta-ball input, the sharpness witness
     for the delta^{1 - n/p} normalization."""
     from .geometry import build_net
     from .fields import grid_from_sampler
 
     net = build_net(n, delta)
-    h = delta / resolution
+    h = delta / BALL_RESOLUTION
     pad = delta + 2 * h
 
     def sampler(pts):
@@ -440,32 +431,27 @@ def delta_ball_ratio(n: int, p: float, q: float, delta: float,
     return kakeya_ratio(f, net, p, q)
 
 
-def run_kakeya_sweep(kind: str, n: int, p: float, q: float, deltas,
-                     resolution: int = 8):
+def run_kakeya_sweep(kind: str, n: int, p: float, q: float, deltas):
     """Ratio observations across delta for a witness family, with the
     predicted exponent; fitting is left to the caller (see witnesses)."""
-    rows, preds = run_kakeya_sweep_multi(kind, n, [(p, q)], deltas,
-                                         resolution=resolution)
+    rows, preds = run_kakeya_sweep_multi(kind, n, [(p, q)], deltas)
     return rows[(p, q)], preds[(p, q)]
 
 
-def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas,
-                           resolution: int = 8):
+def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas):
     """Like run_kakeya_sweep for several exponent pairs at once; the witness
     construction and rasterization are shared per delta."""
+    if kind not in PREDICTED_EXPONENTS:
+        raise XrayError(f"unknown witness kind {kind!r}")
     pairs = list(pq_pairs)
     rows = {pq: [] for pq in pairs}
-    preds = {}
     for delta in sorted(deltas):
         if kind == DELTA_BALL:
-            for p, q in pairs:
-                ratio = delta_ball_ratio(n, p, q, delta, resolution=resolution)
-                rows[(p, q)].append((delta, ratio.value))
-                preds[(p, q)] = 0.0
+            ratios = [delta_ball_ratio(n, p, q, delta) for p, q in pairs]
         else:
-            F, G, pred = kakeya_witness(kind, n, delta)
+            F, G, _pred = kakeya_witness(kind, n, delta)
             ratios = bilinear_kakeya_ratios(F, G, pairs)
-            for (p, q), ratio in zip(pairs, ratios):
-                rows[(p, q)].append((delta, ratio.value))
-                preds[(p, q)] = pred(p, q)
+        for pq, ratio in zip(pairs, ratios):
+            rows[pq].append((delta, ratio.value))
+    preds = {(p, q): PREDICTED_EXPONENTS[kind](n, p, q) for p, q in pairs}
     return rows, preds

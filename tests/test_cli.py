@@ -81,10 +81,11 @@ def test_malformed_config_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_USAGE
 
 
-def sweep_config(tmp_path, outdir, scales="1/4, 1/8, 1/16"):
-    path = tmp_path / "c1.cfg"
+def sweep_config(tmp_path, outdir, scales="1/4, 1/8, 1/16",
+                 family="c1-squashed", p="2", q="5/3"):
+    path = tmp_path / f"{family}.cfg"
     path.write_text(
-        "command = sweep\nfamily = c1-squashed\nn = 3\np = 2\nq = 5/3\n"
+        f"command = sweep\nfamily = {family}\nn = 3\np = {p}\nq = {q}\n"
         f"scales = {scales}\nseed = 7\noutput_dir = {outdir}\n")
     return str(path)
 
@@ -120,6 +121,40 @@ def test_sweep_check_replay(tmp_path, capsys):
     code, replay = run_cli(capsys, "sweep", "--config", cfgp, "--check")
     assert code == 0
     assert replay == first
+
+
+@pytest.mark.parametrize("family,p,q,predicted", [
+    ("k0-deltas", "5/2", "10/3", 0.4),
+    ("k1-slab", "5/2", "5", 0.0),
+    ("delta-ball", "5/2", "10/3", 0.0),
+])
+def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
+                                          predicted):
+    cfgp = sweep_config(tmp_path, tmp_path / "r1", family=family, p=p, q=q)
+    code, first = run_cli(capsys, "sweep", "--config", cfgp)
+    replay_code, replay = run_cli(capsys, "sweep", "--config", cfgp, "--check")
+    assert first["predicted"] == pytest.approx(predicted, abs=1e-12)
+    assert replay_code == code
+    assert replay == first
+
+
+@pytest.mark.parametrize("body", [
+    "family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/4, 1/8\n",
+    "family = c1-squashed\np = 2\nq = 5/3\nscales = 1/4, 1/8\n",
+    "family = c1-squashed\nn = three\np = 2\nq = 5/3\n"
+    "scales = 1/4, 1/8, 1/16\n",
+    "family = c1-squashed\nmc_samples = 5\np = 2\nq = 5/3\n"
+    "scales = 1/4, 1/8, 1/16\n",
+], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples"])
+def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
+    outdir = tmp_path / "out"
+    path = tmp_path / "bad.cfg"
+    path.write_text(f"command = sweep\n{body}seed = 1\noutput_dir = {outdir}\n")
+    code = cli.main(["sweep", "--config", str(path)])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not (outdir / "sweep.csv").exists()
 
 
 def test_witness_command(capsys):

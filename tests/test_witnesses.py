@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from tubelab import witnesses as wit
+from tubelab import witnesses as wit, xray
 from tubelab.extension import domain_norm_ratio
 from tubelab.geometry import quadratic_phase
 
@@ -50,6 +50,14 @@ def test_predicted_exponents_at_key_points():
     assert wit.predicted_exponent(wit.C1_SQUASHED, 3, 2, 2) == pytest.approx(0.5)
     # the single-cap family saturates exactly on the scale-critical line
     assert wit.predicted_exponent(wit.KNAPP_CLASSIC, 3, 2, 4) == pytest.approx(0.0)
+    # the tube families: bushes at p = n, slabs at (5/2, 5), and the
+    # delta-ball everywhere
+    assert wit.predicted_exponent(xray.K0_DELTAS, 3, 3, 10 / 3) == pytest.approx(0.0)
+    assert wit.predicted_exponent(xray.K0_DELTAS, 3, 2, 10 / 3) == pytest.approx(1.0)
+    assert wit.predicted_exponent(xray.K1_SLAB, 3, 5 / 2, 5) == pytest.approx(0.0)
+    assert wit.predicted_exponent(xray.DELTA_BALL, 3, 5 / 2, 10 / 3) == 0.0
+    with pytest.raises(wit.WitnessError):
+        wit.predicted_exponent("nonsense", 3, 2, 2)
 
 
 def test_witness_support_measures():
@@ -79,6 +87,8 @@ def test_witness_scale_validation():
         wit.build_witness(wit.C2_STRETCHED, 2, 1 / 8)
     with pytest.raises(wit.WitnessError):
         wit.build_witness("nonsense", 3, 1 / 8)
+    with pytest.raises(wit.WitnessError):
+        wit.build_witness(xray.K0_DELTAS, 3, 1 / 8)
 
 
 def test_witness_ratio_scalar_invariance():
@@ -92,6 +102,10 @@ def test_witness_ratio_scalar_invariance():
 def test_run_sweep_requires_dyadic_scales():
     with pytest.raises(wit.WitnessError):
         wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, [1 / 4, 1 / 8])
+    with pytest.raises(wit.WitnessError):
+        wit.run_sweep(xray.K0_DELTAS, 3, 5 / 2, 10 / 3, [1 / 4, 1 / 8])
+    with pytest.raises(wit.WitnessError):
+        wit.run_sweep(xray.DELTA_BALL, 3, 5 / 2, 10 / 3, [1 / 4, 1 / 8, 1 / 9])
     with pytest.raises(wit.WitnessError):
         wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, [1 / 4, 1 / 8, 1 / 9])
 

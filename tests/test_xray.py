@@ -161,7 +161,7 @@ def test_bilinear_ratio_disjoint_tubes():
     base_far_2 = net.nearest_index([0.9, 0.9])
     F = xray.XrayField(net, delta, NetFunction(net, {(w1, base_far_1): 1.0}))
     G = xray.XrayField(net, delta, NetFunction(net, {(w2, base_far_2): 1.0}))
-    r = xray.bilinear_kakeya_ratio(F, G, 2, 2)
+    r = xray.bilinear_kakeya_ratios(F, G, [(2, 2)])[0]
     assert r.value == 0.0
 
 
@@ -173,7 +173,7 @@ def test_bilinear_ratio_slab_saturation_point_accepted():
     assert q / (q - 1) == pytest.approx(5 / 4)
     delta = 1 / 8
     F, G, predicted = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
-    r = xray.bilinear_kakeya_ratio(F, G, p, q)
+    r = xray.bilinear_kakeya_ratios(F, G, [(p, q)])[0]
     assert r.value > 0
     assert predicted(p, q) == pytest.approx(0.0)
 
@@ -184,7 +184,7 @@ def test_bilinear_ratio_support_enforced():
     w1 = int(net.e1_indices[0])
     F = xray.XrayField(net, delta, NetFunction(net, {(w1, 0): 1.0}))
     with pytest.raises(xray.XrayError):
-        xray.bilinear_kakeya_ratio(F, F, 2, 2)  # F directions are not in E2
+        xray.bilinear_kakeya_ratios(F, F, [(2, 2)])  # F directions are not in E2
 
 
 def test_single_tube_pair_value_matches_rasterization():
