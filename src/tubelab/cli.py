@@ -15,6 +15,7 @@ import argparse
 import dataclasses
 import datetime
 import json
+import math
 import os
 import sys
 import tempfile
@@ -24,7 +25,8 @@ import numpy as np
 
 from . import exponents as expm
 from . import geometry, lemmas, witnesses, xray
-from .extension import OscillationGuardError
+from .extension import ExtensionError, OscillationGuardError
+from .fields import FieldError
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -47,7 +49,7 @@ class ExperimentConfig:
     grid_n: int = 16
     seed: int = None
     output_dir: str = "."
-    box_constant: float = 8.0
+    box_constant: float = witnesses.DEFAULT_BOX_CONSTANT
     tolerance: float = 0.15
 
     @property
@@ -79,7 +81,7 @@ def parse_config_text(text: str) -> dict:
 
 def _rational_text(text: str) -> str:
     """p and q stay text, as the CSV records them, but must parse."""
-    Fraction(text)
+    float(Fraction(text))
     return text
 
 
@@ -95,9 +97,26 @@ _CONFIG_PARSERS = {
 }
 
 
+def _read_text(path: str) -> str:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from None
+
+
+def _check_ranges(cfg: ExperimentConfig):
+    if cfg.n < 2:
+        raise ConfigError(f"bad value for 'n': {cfg.n} (need n >= 2)")
+    for key, values in (("p", [cfg.p_value]), ("q", [cfg.q_value]),
+                        ("scales", cfg.scales)):
+        if not all(0 < v < math.inf for v in values):
+            raise ConfigError(f"bad value for {key!r}: need positive finite values")
+
+
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        raw = parse_config_text(fh.read())
+    raw = parse_config_text(_read_text(path))
     if overrides:
         raw.update({k: v for k, v in overrides.items() if v is not None})
     try:
@@ -110,8 +129,9 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
             raise ConfigError(f"unknown config key {key!r}")
         try:
             setattr(cfg, key, _CONFIG_PARSERS[key](value))
-        except (ValueError, ZeroDivisionError):
+        except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(f"bad value for {key!r}: {value!r}") from None
+    _check_ranges(cfg)
     if cfg.command == "sweep":
         if cfg.family not in witnesses.FAMILIES:
             raise ConfigError(f"unknown family {cfg.family!r}")
@@ -254,12 +274,12 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
     p, q = cfg.p_value, cfg.q_value
     if check_only:
         # replay the acceptance predicate from the stored CSV
-        with open(csv_path, "r", encoding="utf-8") as fh:
-            lines = fh.read().strip().splitlines()
-        rows = []
-        for line in lines[1:]:
-            parts = line.split(",")
-            rows.append((float(parts[4]), float(parts[5])))
+        lines = _read_text(csv_path).strip().splitlines()
+        try:
+            rows = [(float(parts[4]), float(parts[5]))
+                    for parts in (line.split(",") for line in lines[1:])]
+        except (IndexError, ValueError):
+            raise ConfigError(f"malformed rows in {csv_path}") from None
         fit = witnesses.fit_sweep(cfg.family, rows)
     else:
         fit, rows = witnesses.run_sweep(cfg.family, cfg.n, p, q, cfg.scales,
@@ -547,7 +567,6 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--config", default=None)
     common.add_argument("--output-dir", default=None)
     common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--threads", type=int, default=None)
     common.add_argument("--tolerance", type=float, default=None)
 
     ap = argparse.ArgumentParser(prog="tubelab", parents=[common])
@@ -580,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     wt.add_argument("--family", required=True)
     wt.add_argument("--n", type=int, default=3)
     wt.add_argument("--scale", type=float, required=True)
-    wt.add_argument("--box-constant", type=float, default=8.0)
+    wt.add_argument("--box-constant", type=float,
+                    default=witnesses.DEFAULT_BOX_CONSTANT)
     wt.add_argument("--dump-dir", default=None)
 
     vf = sub.add_parser("verify")
@@ -594,14 +614,6 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
-    if args.threads is not None and args.threads > 0:
-        os.environ["OMP_NUM_THREADS"] = str(args.threads)
-        try:
-            import threadpoolctl
-
-            threadpoolctl.threadpool_limits(limits=args.threads)
-        except ImportError:
-            pass  # the environment hint above still reaches fresh pools
     try:
         if args.command == "exponents":
             return cmd_exponents(args)
@@ -624,13 +636,14 @@ def main(argv=None) -> int:
             return cmd_verify(args.suite, args.seed if args.seed is not None else 0)
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
-    # a failed modulation search is a WitnessError too, so it goes first
+    # these subclass WitnessError and ExtensionError, so they go first
     except (OscillationGuardError, witnesses.ModulationSearchError,
             MemoryError) as exc:
         print(f"resource error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (ConfigError, expm.ExponentDomainError,
-            witnesses.WitnessError) as exc:
+    except (ConfigError, expm.ExponentDomainError, witnesses.WitnessError,
+            geometry.GeometryError, FieldError, xray.XrayError,
+            ExtensionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -191,6 +191,8 @@ def build_witness(kind: str, n: int, scale: float,
         raise WitnessError(f"{kind!r} is a tube family (see xray.kakeya_witness)")
     phi = quadratic_phase(n - 1)
     C = float(box_constant)
+    if not 0 < C < math.inf:
+        raise WitnessError("need a positive finite box_constant")
     if kind == C0_MODULATED:
         R = float(scale)
         if R < 4:

@@ -33,10 +33,13 @@ class XrayField:
         if abs(self.delta - self.net.delta) > 1e-12:
             raise XrayError("delta does not match the net")
 
-    def entries(self):
-        """(omega point, base point, value) triples."""
-        pts = self.net.points
-        return [(pts[w], pts[i], v) for (w, i), v in sorted(self.values.values.items())]
+    def tubes(self):
+        """(directions, bases, values) as arrays, one row per tube in
+        (omega index, base index) order."""
+        keys = sorted(self.values.values)
+        w, i = np.array(keys, dtype=int).reshape(-1, 2).T
+        vals = np.array([self.values.values[k] for k in keys], dtype=float)
+        return self.net.points[w], self.net.points[i], vals
 
     def norm_l1l1(self) -> float:
         """L^1_omega L^1_i with the normalized direction measure."""
@@ -93,6 +96,8 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     if n - 1 != net.dim:
         raise XrayError("grid dimension does not match net")
     centers = f.centers()
+    if np.any(np.imag(f.samples) != 0):
+        raise XrayError("X takes real input; the samples have imaginary parts")
     vals = np.real(f.samples).reshape(-1)
     live = np.abs(f.samples.reshape(-1)) > 0
     centers, vals = centers[live], vals[live]
@@ -119,31 +124,29 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     return XrayField(net, delta, NetFunction(net, out))
 
 
-def _slab_rasterize(entries, delta, x_axes, yn, out):
-    """Add value * chi_tube to `out` on the x-grid at height yn."""
-    steps = [ax[1] - ax[0] if len(ax) > 1 else 1.0 for ax in x_axes]
-    for omega, base, value in entries:
-        center = base + yn * omega
-        sel = []
-        okay = True
-        for a, ax in enumerate(x_axes):
-            lo = int(np.searchsorted(ax, center[a] - delta - 1e-12))
-            hi = int(np.searchsorted(ax, center[a] + delta + 1e-12))
-            if lo >= hi:
-                okay = False
-                break
-            sel.append((lo, hi))
-        if not okay:
-            continue
-        local = [x_axes[a][lo:hi] - center[a] for a, (lo, hi) in enumerate(sel)]
-        if len(local) == 1:
-            mask = local[0] ** 2 <= delta**2
-            out[sel[0][0]:sel[0][1]][mask] += value
-        else:
-            d2 = local[0][:, None] ** 2 + local[1][None, :] ** 2
-            mask = d2 <= delta**2
-            block = out[sel[0][0]:sel[0][1], sel[1][0]:sel[1][1]]
-            block[mask] += value
+def _slab_rasterize(tubes, delta, x_axes, yn):
+    """Sum of value * chi_tube on the x-grid at height yn.  All tubes are
+    tested at once on their searchsorted windows (padded to the widest) by
+    cell center; bincount adds each cell's values in tube order."""
+    omegas, bases, values = tubes
+    centers = bases + yn * omegas
+    d = len(x_axes)
+    inside, d2, flat = True, 0.0, 0
+    for a, ax in enumerate(x_axes):
+        lo = np.searchsorted(ax, centers[:, a] - delta - 1e-12)
+        hi = np.searchsorted(ax, centers[:, a] + delta + 1e-12)
+        idx = lo[:, None] + np.arange((hi - lo).max(initial=0))
+        shape = (len(values),) + (1,) * a + (idx.shape[1],) + (1,) * (d - 1 - a)
+        inside = inside & (idx < hi[:, None]).reshape(shape)
+        idx = np.minimum(idx, len(ax) - 1)
+        d2 = d2 + ((ax[idx] - centers[:, a, None]) ** 2).reshape(shape)
+        flat = flat * len(ax) + idx.reshape(shape)
+    inside = inside & (d2 <= delta**2)
+    dims = tuple(len(ax) for ax in x_axes)
+    weights = np.broadcast_to(values.reshape((-1,) + (1,) * d), inside.shape)
+    return np.bincount(np.broadcast_to(flat, inside.shape)[inside],
+                       weights=weights[inside],
+                       minlength=math.prod(dims)).reshape(dims)
 
 
 def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
@@ -153,35 +156,26 @@ def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     n = grid.ndim
     if n - 1 != g.net.dim:
         raise XrayError("grid dimension does not match net")
-    entries = g.entries()
+    tubes = g.tubes()
     x_axes = [grid.axis_centers(a) for a in range(n - 1)]
     yn_axis = grid.axis_centers(n - 1)
     out = np.zeros(grid.dims, dtype=float)
     for s, yn in enumerate(yn_axis):
-        if abs(yn) > 1.0:
-            continue
-        _slab_rasterize(entries, g.delta, x_axes, yn, out[..., s])
+        if abs(yn) <= 1.0:
+            out[..., s] = _slab_rasterize(tubes, g.delta, x_axes, yn)
     return GridFunction(grid.dims, grid.origin, grid.spacing, out)
-
-
-def _tube_union_box(field: XrayField, pad: float):
-    lo = np.full(field.net.dim, np.inf)
-    hi = np.full(field.net.dim, -np.inf)
-    for omega, base, _v in field.entries():
-        lo = np.minimum(lo, base - np.abs(omega) - field.delta)
-        hi = np.maximum(hi, base + np.abs(omega) + field.delta)
-    return lo - pad, hi + pad
 
 
 def _adjoint_product_norms(F: XrayField, G: XrayField, exponents,
                            spacing: float):
     """|| X*F . X*G ||_s for each requested s, over a grid covering both
-    tube unions, streamed one height slab at a time; also returns the
-    plain inner product integral.  s = inf gives the sup."""
+    tube unions, streamed one height slab at a time.  s = inf gives the
+    sup; s = 1 the plain inner product integral."""
     delta = F.delta
-    lo1, hi1 = _tube_union_box(F, spacing)
-    lo2, hi2 = _tube_union_box(G, spacing)
-    lo, hi = np.minimum(lo1, lo2), np.maximum(hi1, hi2)
+    tubes_f, tubes_g = F.tubes(), G.tubes()
+    omegas, bases, _ = (np.concatenate(ab) for ab in zip(tubes_f, tubes_g))
+    lo = (bases - np.abs(omegas) - delta).min(axis=0, initial=np.inf) - spacing
+    hi = (bases + np.abs(omegas) + delta).max(axis=0, initial=-np.inf) + spacing
     x_axes = []
     for a in range(F.net.dim):
         m = int(math.ceil((hi[a] - lo[a]) / spacing))
@@ -189,31 +183,21 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, exponents,
     m_n = int(math.ceil(2.0 / spacing))
     yn_axis = -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n)
     cellvol = spacing ** F.net.dim * (2.0 / m_n)
-    ent_f, ent_g = F.entries(), G.entries()
-    shape = tuple(len(ax) for ax in x_axes)
     exponents = list(exponents)
     totals = {s: 0.0 for s in exponents}
     sup = 0.0
-    inner = 0.0
-    xf = np.zeros(shape)
-    xg = np.zeros(shape)
     for yn in yn_axis:
-        xf.fill(0.0)
-        xg.fill(0.0)
-        _slab_rasterize(ent_f, delta, x_axes, yn, xf)
-        _slab_rasterize(ent_g, delta, x_axes, yn, xg)
-        prod = xf * xg
+        prod = (_slab_rasterize(tubes_f, delta, x_axes, yn)
+                * _slab_rasterize(tubes_g, delta, x_axes, yn))
         mx = float(prod.max(initial=0.0))
         sup = max(sup, mx)
         if mx > 0:
             pos = prod[prod > 0]
-            inner += float(np.sum(pos)) * cellvol
             for s in exponents:
                 if s != np.inf:
                     totals[s] += float(np.sum(pos**s)) * cellvol
-    norms = {s: (sup if s == np.inf else totals[s] ** (1.0 / s))
-             for s in exponents}
-    return norms, inner
+    return {s: (sup if s == np.inf else totals[s] ** (1.0 / s))
+            for s in exponents}
 
 
 def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> KakeyaRatio:
@@ -229,10 +213,9 @@ def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> Kake
 
 
 def _check_support(field: XrayField, allowed: np.ndarray, name: str):
-    allowed_set = set(int(a) for a in allowed)
-    for (w, _i) in field.values.values:
-        if w not in allowed_set:
-            raise XrayError(f"{name} has direction support outside its set")
+    omega_indices = [w for w, _i in field.values.values]
+    if not np.isin(omega_indices, allowed).all():
+        raise XrayError(f"{name} has direction support outside its set")
 
 
 def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
@@ -253,7 +236,7 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
     exps = {}
     for p, q in pairs:
         exps[(p, q)] = np.inf if p == 1 else (p / (p - 1)) / 2
-    norms, _inner = _adjoint_product_norms(F, G, set(exps.values()), spacing)
+    norms = _adjoint_product_norms(F, G, set(exps.values()), spacing)
     out = []
     for p, q in pairs:
         q_prime = np.inf if q == 1 else q / (q - 1)
@@ -296,15 +279,16 @@ def prop111_constant(F: XrayField, G: XrayField,
     denom = delta ** (2.0 - n) * F.norm_l1l1() * G.norm_l1l1()
     if denom == 0:
         raise XrayError("zero denominator")
-    _norms, inner = _adjoint_product_norms(F, G, [1.0], spacing)
+    inner = _adjoint_product_norms(F, G, [1.0], spacing)[1.0]
     pair_sum = 0.0
-    for omega1, base1, v1 in F.entries():
+    tubes_g = list(zip(*G.tubes()))
+    for omega1, base1, v1 in zip(*F.tubes()):
         t1 = Tube(tuple(omega1), tuple(base1), delta)
-        for omega2, base2, v2 in G.entries():
+        for omega2, base2, v2 in tubes_g:
             t2 = Tube(tuple(omega2), tuple(base2), delta)
             vol = tube_intersection_exact(t1, t2, n)
             if vol > 0:
-                pair_sum += v1 * v2 * vol
+                pair_sum += float(v1 * v2 * vol)
     return Prop111Result(grid_value=inner / denom, pair_value=pair_sum / denom,
                          delta=delta)
 

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tubelab import cli
+from tubelab import cli, witnesses
 
 
 def run_cli(capsys, *argv):
@@ -145,7 +150,12 @@ def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
     "scales = 1/4, 1/8, 1/16\n",
     "family = c1-squashed\nmc_samples = 5\np = 2\nq = 5/3\n"
     "scales = 1/4, 1/8, 1/16\n",
-], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples"])
+    "family = c1-squashed\np = 0\nq = 5/3\nscales = 1/4, 1/8, 1/16\n",
+    "family = delta-ball\np = 2\nq = -1\nscales = 1/4, 1/8, 1/16\n",
+    "family = k0-deltas\nn = 1\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n",
+    "family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/2, 1, 2\n",
+], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples",
+        "p-zero", "q-negative", "n-one", "k0-delta-above-quarter"])
 def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
     outdir = tmp_path / "out"
     path = tmp_path / "bad.cfg"
@@ -155,6 +165,20 @@ def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (outdir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--config", "missing.cfg"],
+    ["--config", "c1-squashed.cfg", "--check"],
+], ids=["missing-config", "check-without-csv"])
+def test_sweep_unreadable_input_exit_usage(tmp_path, capsys, monkeypatch,
+                                           args):
+    monkeypatch.chdir(tmp_path)
+    sweep_config(tmp_path, tmp_path / "never-written")
+    code = cli.main(["sweep", *args])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith("error: cannot read ") and "Traceback" not in err
 
 
 def test_witness_command(capsys):
@@ -197,3 +221,76 @@ def test_region_command_alias(capsys):
     verts = [tuple((v[0]["num"], v[0]["den"], v[1]["num"], v[1]["den"]))
              for v in out["vertices"]]
     assert (1, 3, 1, 3) in verts
+
+
+# Value pools for the fuzzed sweep configs: valid values, then malformed,
+# out-of-range and unknown ones.  The valid dimensions and scales are the
+# cheap ones (n = 2, the coarsest dyadic scales), so that the configs that
+# do run stay fast.
+_FUZZ_VALID = {
+    "family": sorted(witnesses.FAMILIES),
+    "n": ["2"],
+    "p": ["2", "5/2", "1", "4"],
+    "q": ["2", "10/3", "1", "5"],
+    "scales": ["1/4, 1/8, 1/16", "4, 8, 16"],
+}
+_NUMBERS = ["0", "-1", "1/0", "x", "", "1e400", "1e-400", "nan", "inf"]
+_FUZZ_OTHER = {
+    "command": ["verify", ""],
+    "family": ["nonsense", ""],
+    "n": ["1", "0", "-2", "three", "2.5", ""],
+    "p": _NUMBERS,
+    "q": _NUMBERS,
+    "scales": ["1/2, 1, 2", "1/4, 1/8", "1/4, 1/6, 1/16", "0, 1/8, 1/16",
+               "-1/4, -1/8, -1/16", "1/4,, x", "inf, 1/8, 1/16", ""],
+    "grid_n": ["0", "-4", "x", "4"],
+    "seed": ["-1", "x", ""],
+    "box_constant": ["0", "-1", "nan", "x", "1e-9", "1e9"],
+    "tolerance": ["-1", "nan", "inf", "x"],
+    "mc_samples": ["5"],
+    "bogus": ["1"],
+}
+_FUZZ_LINES = st.one_of(
+    st.sampled_from(sorted(_FUZZ_OTHER)).flatmap(
+        lambda key: st.sampled_from(_FUZZ_VALID.get(key, [])
+                                    + _FUZZ_OTHER[key]).map(
+            lambda value: f"{key} = {value}")),
+    st.sampled_from(["no equals sign", "# comment", "= 3", ""]),
+)
+_FUZZ_FLAGS = [["--check"], ["--seed", "3"], ["--seed", "x"],
+               ["--tolerance", "0.2"], ["--tolerance", "nan"],
+               ["--output-dir", "out2"], ["--config", "missing.cfg"],
+               ["--threads", "1"], ["-h"]]
+
+
+@settings(max_examples=200, deadline=None)
+@given(base=st.fixed_dictionaries({key: st.sampled_from(values)
+                                   for key, values in _FUZZ_VALID.items()}),
+       lines=st.lists(_FUZZ_LINES, max_size=4),
+       flags=st.lists(st.sampled_from(_FUZZ_FLAGS), max_size=3),
+       with_config=st.sampled_from([True, True, True, False]))
+def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config):
+    """Random config text and argv end in a documented exit code, never in
+    an escaping exception."""
+    # a valid line per sweep key makes a runnable config likely; the random
+    # lines after it may override any of them
+    text = "\n".join(["command = sweep", "seed = 1"]
+                     + [f"{key} = {value}" for key, value in base.items()]
+                     + lines + ["output_dir = out"])
+    argv = (["sweep"] + (["--config", "sweep.cfg"] if with_config else [])
+            + [token for flag in flags for token in flag])
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            with open("sweep.cfg", "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+        finally:
+            os.chdir(cwd)
+    assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_USAGE,
+                    cli.EXIT_RESOURCE)
+    assert "Traceback" not in err.getvalue()

@@ -57,6 +57,20 @@ def test_transform_guard():
         xray.xray_transform(f, net)
 
 
+def test_transform_rejects_imaginary_input():
+    from tubelab.fields import GridFunction
+
+    delta = 1 / 8
+    net = build_net(2, delta)
+    f = ball_function(2, delta)  # real values stored as complex
+    assert xray.kakeya_ratio(f, net, 2, 2).value > 0
+    imaginary = GridFunction(f.dims, f.origin, f.spacing, 1j * f.samples)
+    with pytest.raises(xray.XrayError):
+        xray.xray_transform(imaginary, net)
+    with pytest.raises(xray.XrayError):
+        xray.kakeya_ratio(imaginary, net, 2, 2)
+
+
 def test_transform_ball_witness_band():
     delta = 1 / 8
     n = 3
@@ -72,19 +86,49 @@ def test_transform_ball_witness_band():
     assert hi / lo <= 4.0
 
 
-def test_adjoint_single_tube_indicator():
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_single_tube_indicator(n):
     delta = 1 / 8
-    net = build_net(2, delta)
+    net = build_net(n, delta)
     w_idx, i_idx = 3, 5
     g = xray.XrayField(net, delta, NetFunction(net, {(w_idx, i_idx): 1.0}))
-    grid = box_function(2, delta, half=1.5)
+    grid = box_function(n, delta, half=1.5)
     out = xray.xray_adjoint(g, grid)
     vals = np.unique(out.samples)
     assert set(np.round(vals, 12)).issubset({0.0, 1.0})
     tube = Tube(tuple(net.points[w_idx]), tuple(net.points[i_idx]), delta)
     centers = grid.centers()
     inside = tube.contains(centers)
+    assert inside.any()
     assert np.array_equal(out.samples.reshape(-1) > 0.5, inside)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_weighted_tubes_partly_off_grid(n):
+    # one tube through the grid, one crossing its edge, one wholly outside
+    delta = 1 / 8
+    net = build_net(n, delta)
+    half = 0.6
+    m = int(math.ceil(2 * half / (delta / 4)))
+    grid = grid_from_sampler(lambda P: np.zeros(P.shape[0], dtype=complex),
+                             [-half] * n, [half] * n, [m] * n)
+    centers = grid.centers()
+
+    def point(x0):
+        return net.nearest_index([x0] + [0.0] * (n - 2))
+
+    through = (point(0.25), point(0.0))
+    edge = (point(-0.125), point(half))
+    outside = (point(0.0), point(-1.0))
+    vals = {through: 0.5, edge: 2.0, outside: 3.25}
+    g = xray.XrayField(net, delta, NetFunction(net, vals))
+    out = xray.xray_adjoint(g, grid)
+    hits = {key: Tube(tuple(net.points[key[0]]), tuple(net.points[key[1]]),
+                      delta).contains(centers) for key in vals}
+    assert hits[through].any() and hits[edge].any()
+    assert not hits[outside].any()
+    expect = sum(v * hits[key] for key, v in sorted(vals.items()))
+    assert np.allclose(out.samples.reshape(-1), expect, rtol=0, atol=1e-12)
 
 
 def test_adjoint_bush_counts_directions():
