@@ -110,9 +110,11 @@ def _check_ranges(cfg: ExperimentConfig):
     if cfg.n < 2:
         raise ConfigError(f"bad value for 'n': {cfg.n} (need n >= 2)")
     for key, values in (("p", [cfg.p_value]), ("q", [cfg.q_value]),
-                        ("scales", cfg.scales)):
+                        ("scales", cfg.scales), ("box_constant", [cfg.box_constant])):
         if not all(0 < v < math.inf for v in values):
             raise ConfigError(f"bad value for {key!r}: need positive finite values")
+    if not 0 <= cfg.tolerance < math.inf:
+        raise ConfigError("bad value for 'tolerance': need a non-negative finite value")
 
 
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
@@ -142,18 +144,22 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
     return cfg
 
 
-def _atomic_write(path: str, data: str):
+def _atomic_write(path: str, data):
+    """Write text or bytes to path through a temporary file beside it."""
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(data)
-        os.chmod(tmp, 0o644)
-        os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(data.encode("utf-8") if isinstance(data, str) else data)
+            os.chmod(tmp, 0o644)
+            os.replace(tmp, path)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
 
 
 def _json_dumps(obj) -> str:
@@ -317,10 +323,7 @@ def _dump_witness_field(cap, box, outdir: str, stem: str):
 
     grid = grid_from_sampler(sampler, lo, hi, [17] * len(lo))
     raw, sidecar = grid.to_binary()
-    bin_path = os.path.join(outdir, f"{stem}.bin")
-    os.makedirs(outdir, exist_ok=True)
-    with open(bin_path, "wb") as fh:
-        fh.write(raw)
+    _atomic_write(os.path.join(outdir, f"{stem}.bin"), raw)
     _atomic_write(os.path.join(outdir, f"{stem}.json"), _json_dumps(sidecar))
     return [f"{stem}.bin", f"{stem}.json"]
 

@@ -2,10 +2,11 @@
 evaluation, bilinear norm ratios over localized domains, the annulus
 reformulation, and the rotational-curvature determinant.
 
-All quadrature is midpoint rule on the cap's support box.  Grid evaluation
-is organized as matrix products (one complex GEMM per axis or per slab);
-for the quadratic phase with box caps the integral factors per axis, which
-is what makes large-scale sweeps affordable.
+All quadrature is midpoint rule on the cap's support box, held by one
+_CapQuadrature per cap for both scattered points and domain-grid slabs.
+Slab evaluation is organized as matrix products (one complex GEMM per axis
+or two per slab); for the quadratic phase with box caps the integral factors
+per axis, which is what makes large-scale sweeps affordable.
 """
 
 from __future__ import annotations
@@ -93,13 +94,14 @@ class CapFunction:
             return np.full(pts.shape[0], self.amplitude, dtype=complex)
         return self.amplitude * np.asarray(self.density(pts), dtype=complex)
 
-    def norm_lp(self, p: float, grid_n: int = 64) -> float:
-        """||f||_p; exact for unit densities (modulation has modulus one)."""
+    def norm_lp(self, p: float) -> float:
+        """||f||_p; exact for unit densities (modulation has modulus one),
+        64 midpoint nodes per axis otherwise."""
         if self.density is None:
             if p == np.inf:
                 return abs(self.amplitude)
             return abs(self.amplitude) * self.measure ** (1.0 / p)
-        axes, weight = self.nodes(grid_n)
+        axes, weight = self.nodes(64)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         vals = np.abs(self.density_values(mesh))
         if p == np.inf:
@@ -151,6 +153,12 @@ def required_grid_n(cap: CapFunction, phi: EllipticPhase, points,
 
 def _check_guard(cap: CapFunction, phi: EllipticPhase, points, grid_counts):
     counts = np.broadcast_to(np.asarray(grid_counts, dtype=int), (cap.dim,))
+    if int(counts.max()) > MAX_GRID_NODES:
+        raise OscillationGuardError(
+            f"quadrature needs {counts.tolist()} nodes per support axis, "
+            f"above the {MAX_GRID_NODES} cap; shrink the scale range or "
+            f"raise the box constant"
+        )
     _freq_axes, freq_global = _frequency_bounds(cap, phi, points)
     for a in range(cap.dim):
         h = (cap.support_hi[a] - cap.support_lo[a]) / counts[a]
@@ -161,124 +169,88 @@ def _check_guard(cap: CapFunction, phi: EllipticPhase, points, grid_counts):
             )
 
 
-def _separable_ok(f: CapFunction, phi: EllipticPhase) -> bool:
-    return getattr(phi, "tag", "generic") == "quadratic" and f.density is None
+class _CapQuadrature:
+    """Midpoint quadrature of the extension integral of one cap, with
+    grid_n nodes (an int or per-axis counts) checked against the node cap
+    and the oscillation guard at `points`.
+
+    The modulation x0 enters only as the point shift x -> x + x0.  For the
+    quadratic phase with a plain density the tensor sum factors per axis
+    and is evaluated that way; otherwise the node mesh carries Phi and the
+    weighted density."""
+
+    def __init__(self, cap: CapFunction, phi: EllipticPhase, points, grid_n):
+        _check_guard(cap, phi, points, grid_n)
+        self.cap = cap
+        self.y_axes, weight = cap.nodes(grid_n)
+        self.steps = [(hi - lo) / len(y) for lo, hi, y in
+                      zip(cap.support_lo, cap.support_hi, self.y_axes)]
+        self.x0 = cap.modulation_vector(cap.dim + 1)
+        self.separable = (getattr(phi, "tag", "generic") == "quadratic"
+                          and cap.density is None)
+        if not self.separable:
+            self.mesh = np.stack(np.meshgrid(*self.y_axes, indexing="ij"),
+                                 axis=-1).reshape(-1, cap.dim)
+            self.phase_vals = phi(self.mesh)
+            self.dens = cap.density_values(self.mesh) * weight
+
+    def at_points(self, pts: np.ndarray) -> np.ndarray:
+        """Field values at scattered points (m, n)."""
+        eff = pts + self.x0
+        if self.separable:
+            out = np.full(pts.shape[0], self.cap.amplitude, dtype=complex)
+            for a, (y, h) in enumerate(zip(self.y_axes, self.steps)):
+                phase = np.outer(eff[:, a], y) + 0.5 * np.outer(eff[:, -1], y * y)
+                out *= np.exp(-TWO_PI * 1j * phase).sum(axis=1) * h
+            return out
+        out = np.empty(pts.shape[0], dtype=complex)
+        chunk = max(1, (1 << 23) // max(1, self.mesh.shape[0]))
+        for s in range(0, pts.shape[0], chunk):
+            blk = eff[s:s + chunk]
+            ph = blk[:, :-1] @ self.mesh.T + np.outer(blk[:, -1], self.phase_vals)
+            out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ self.dens
+        return out
+
+    def slabs(self, x_axes, xn_axis):
+        """slab(s): the field on the x-grid at x_n = xn_axis[s], from one
+        GEMM per axis (separable) or two per slab (one for n = 2)."""
+        osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
+               for a, y in enumerate(self.y_axes)]
+        tau = xn_axis + self.x0[-1]
+        if self.separable:
+            factors = [o @ (np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y)) * h).T
+                       for o, y, h in zip(osc, self.y_axes, self.steps)]
+            factors[0] = factors[0] * self.cap.amplitude  # (P_a, P_n) each
+
+            def slab(s):
+                out = factors[0][:, s]
+                for fac in factors[1:]:
+                    out = np.multiply.outer(out, fac[:, s])
+                return out
+            return slab
+        shape = tuple(len(y) for y in self.y_axes)
+        dens, phase_vals = self.dens.reshape(shape), self.phase_vals.reshape(shape)
+
+        def slab(s):
+            w = dens * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
+            return osc[0] @ w if len(osc) == 1 else osc[0] @ w @ osc[1].T
+        return slab
 
 
 def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     """Midpoint-quadrature values of the extension integral at each point:
-    integral over the support of e^{-2 pi i (x_ . y + x_n Phi(y))} f(y) dy.
-
-    grid_n may be an int or per-axis counts.  For the quadratic phase with
-    a plain density the tensor sum factors per axis and is evaluated that
-    way; the result is the same midpoint sum."""
+    integral over the support of e^{-2 pi i (x_ . y + x_n Phi(y))} f(y) dy,
+    with grid_n nodes (an int or per-axis counts)."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    if n - 1 != f.dim:
+    if pts.shape[1] - 1 != f.dim:
         raise ExtensionError("point dimension does not match cap dimension")
-    _check_guard(f, phi, pts, grid_n)
-    axes, weight = f.nodes(grid_n)
-    x0 = f.modulation_vector(n)
-    if _separable_ok(f, phi):
-        eff = pts + x0
-        out = np.full(pts.shape[0], f.amplitude, dtype=complex)
-        for a, y in enumerate(axes):
-            h = (f.support_hi[a] - f.support_lo[a]) / len(y)
-            phase = np.outer(eff[:, a], y) + 0.5 * np.outer(eff[:, -1], y * y)
-            out *= np.exp(-TWO_PI * 1j * phase).sum(axis=1) * h
-        return out
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, f.dim)
-    phase_vals = phi(mesh)
-    dens = f.density_values(mesh) * weight
-    if np.any(x0):
-        dens = dens * np.exp(-TWO_PI * 1j * (mesh @ x0[:-1] + phase_vals * x0[-1]))
-    out = np.empty(pts.shape[0], dtype=complex)
-    chunk = max(1, (1 << 23) // max(1, mesh.shape[0]))
-    for s in range(0, pts.shape[0], chunk):
-        blk = pts[s:s + chunk]
-        ph = blk[:, :-1] @ mesh.T + np.outer(blk[:, -1], phase_vals)
-        out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ dens
-    return out
-
-
-# ---------------------------------------------------------------------------
-# grid evaluation
-#
-# The evaluation domain is gridded at DOMAIN_SPACING; the extension field is
-# produced one x_n slab at a time.  _SlabEvaluator hides the three paths:
-# separable (quadratic phase, per-axis GEMMs), n=2 (single GEMM), and the
-# generic n=3 path (two GEMMs per slab).
+    return _CapQuadrature(f, phi, pts, grid_n).at_points(pts)
 
 
 def _axis_cover(lo: float, hi: float, spacing: float) -> np.ndarray:
     count = max(1, int(math.ceil((hi - lo) / spacing - 1e-12)))
     start = 0.5 * (lo + hi) - 0.5 * count * spacing + 0.5 * spacing
     return start + spacing * np.arange(count)
-
-
-class _SlabEvaluator:
-    def __init__(self, cap: CapFunction, phi: EllipticPhase, x_axes, xn_axis,
-                 grid_n: int):
-        counts = np.broadcast_to(np.asarray(grid_n, dtype=int), (cap.dim,))
-        if int(counts.max()) > MAX_GRID_NODES:
-            raise OscillationGuardError(
-                f"quadrature needs {counts.tolist()} nodes per support axis, "
-                f"above the {MAX_GRID_NODES} cap; shrink the scale range or "
-                f"raise the box constant"
-            )
-        self.cap = cap
-        self.phi = phi
-        self.x_axes = x_axes
-        self.xn_axis = xn_axis
-        n = len(x_axes) + 1
-        probe = np.zeros((2, n))
-        probe[0, :-1] = [a[0] for a in x_axes]
-        probe[1, :-1] = [a[-1] for a in x_axes]
-        probe[0, -1] = xn_axis[0]
-        probe[1, -1] = xn_axis[-1]
-        _check_guard(cap, phi, probe, grid_n)
-        self.x0 = cap.modulation_vector(n)
-        self.separable = _separable_ok(cap, phi)
-        axes, self.weight = cap.nodes(grid_n)
-        self.y_axes = axes
-        if self.separable:
-            tau = xn_axis + self.x0[-1]
-            self.factors = []
-            for a, y in enumerate(axes):
-                xi = x_axes[a] + self.x0[a]
-                osc = np.exp(-TWO_PI * 1j * np.outer(xi, y))
-                chirp = np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y))
-                h = (cap.support_hi[a] - cap.support_lo[a]) / len(y)
-                self.factors.append(osc @ (chirp * h).T)  # (P_a, P_n)
-            self.factors[0] = self.factors[0] * cap.amplitude
-        else:
-            mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-            flat = mesh.reshape(-1, cap.dim)
-            self.mesh_shape = mesh.shape[:-1]
-            self.phase_vals = phi(flat).reshape(self.mesh_shape)
-            dens = cap.density_values(flat).reshape(self.mesh_shape)
-            if np.any(self.x0[:-1]):
-                dens = dens * np.exp(
-                    -TWO_PI * 1j * (flat @ self.x0[:-1]).reshape(self.mesh_shape)
-                )
-            self.dens = dens * self.weight
-            self.osc = [
-                np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], axes[a]))
-                for a in range(cap.dim)
-            ]
-
-    def slab(self, s: int) -> np.ndarray:
-        """Extension field on the x-grid at x_n = xn_axis[s]."""
-        if self.separable:
-            out = self.factors[0][:, s]
-            for fac in self.factors[1:]:
-                out = np.multiply.outer(out, fac[:, s])
-            return out
-        tau = self.xn_axis[s] + self.x0[-1]
-        w = self.dens * np.exp(-TWO_PI * 1j * tau * self.phase_vals)
-        if self.cap.dim == 1:
-            return self.osc[0] @ w
-        return self.osc[0] @ w @ self.osc[1].T
 
 
 @dataclass
@@ -296,20 +268,19 @@ class LocalizedRatio:
 
 def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
                       phi: EllipticPhase, p: float, q: float, domain,
-                      grid_n=None, spacing: float = DOMAIN_SPACING,
                       min_nodes: int = 16, grid_refine: int = 1):
     """||E f . E g||_{L^q(domain)} / (||f||_p ||g||_p)  (linear when g is None).
 
-    The domain is sampled on a fixed grid of the given spacing; cells whose
-    centers fall in the domain contribute with full measure.  Quadrature
-    node counts are sized per axis from the oscillation guard unless grid_n
-    is given explicitly.  Returns (ratio, stats) with field amplitude
-    statistics for diagnostics.
+    The domain is sampled on a fixed grid of spacing DOMAIN_SPACING; cells
+    whose centers fall in the domain contribute with full measure.
+    Quadrature node counts are sized per axis from the oscillation guard
+    (at least min_nodes, times grid_refine).  Returns (ratio, stats) with
+    field amplitude statistics for diagnostics.
     """
     lo, hi = domain.bounding_box()
     n = len(lo)
-    x_axes = [_axis_cover(lo[a], hi[a], spacing) for a in range(n - 1)]
-    xn_axis = _axis_cover(lo[n - 1], hi[n - 1], spacing)
+    x_axes = [_axis_cover(lo[a], hi[a], DOMAIN_SPACING) for a in range(n - 1)]
+    xn_axis = _axis_cover(lo[n - 1], hi[n - 1], DOMAIN_SPACING)
     cells = int(np.prod([len(a) for a in x_axes])) * len(xn_axis)
     if cells > MAX_DOMAIN_CELLS:
         raise OscillationGuardError(
@@ -319,17 +290,13 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     corner_pts = np.array([[a[0] for a in x_axes] + [xn_axis[0]],
                            [a[-1] for a in x_axes] + [xn_axis[-1]]])
     caps = [f] if g is None else [f, g]
-    if grid_n is None:
-        counts = [grid_refine * required_grid_counts(c, phi, corner_pts,
-                                                     min_nodes=min_nodes)
-                  for c in caps]
-    else:
-        counts = [np.broadcast_to(np.asarray(grid_n, dtype=int), (c.dim,))
-                  for c in caps]
-    evals = [_SlabEvaluator(c, phi, x_axes, xn_axis, cnt)
+    counts = [grid_refine * required_grid_counts(c, phi, corner_pts,
+                                                 min_nodes=min_nodes)
+              for c in caps]
+    slabs = [_CapQuadrature(c, phi, corner_pts, cnt).slabs(x_axes, xn_axis)
              for c, cnt in zip(caps, counts)]
 
-    cellvol = spacing**n
+    cellvol = DOMAIN_SPACING**n
     mesh_x = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1)
     flat_x = mesh_x.reshape(-1, n - 1)
     total = 0.0
@@ -343,9 +310,9 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         if not np.any(mask):
             continue
         masked_cells += int(np.count_nonzero(mask))
-        prod = evals[0].slab(s).reshape(-1)[mask]
+        prod = slabs[0](s).reshape(-1)[mask]
         if g is not None:
-            prod = prod * evals[1].slab(s).reshape(-1)[mask]
+            prod = prod * slabs[1](s).reshape(-1)[mask]
         mags = np.abs(prod)
         sup = max(sup, float(mags.max()))
         if q == np.inf:
@@ -365,21 +332,19 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
 
 
 def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,
-                p: float, q: float, R: float, grid_n=None,
-                separation: float = 0.5) -> LocalizedRatio:
-    """Localized estimate ratio over the ball B(0, R)."""
+                p: float, q: float, R: float) -> LocalizedRatio:
+    """Localized estimate ratio over the ball B(0, R); a bilinear pair
+    must have supports at least 1/2 apart."""
     if R < 1:
         raise ExtensionError("need R >= 1")
     bilinear = g is not None
     if bilinear:
         gap = _support_gap(f, g)
-        if gap < separation - 1e-9:
-            raise ExtensionError(
-                f"cap supports separated by {gap} < required {separation}"
-            )
+        if gap < 0.5 - 1e-9:
+            raise ExtensionError(f"cap supports separated by {gap} < required 0.5")
     n = f.dim + 1
     ratio, _stats = domain_norm_ratio(
-        f, g, phi, p, q, Ball(center=(0.0,) * n, radius=float(R)), grid_n=grid_n
+        f, g, phi, p, q, Ball(center=(0.0,) * n, radius=float(R))
     )
     return LocalizedRatio(p=p, q=q, R=float(R), value=ratio, bilinear=bilinear)
 
@@ -396,24 +361,22 @@ def _support_gap(f: CapFunction, g: CapFunction) -> float:
 
 
 def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
-                  R: float, phi: EllipticPhase = None,
-                  thickness_constant: float = 4.0) -> float:
+                  R: float) -> float:
     """|| fhat ghat ||_{L^p(B(0,R))} normalized by R^{-1/p'} ||f||_p per factor.
 
-    Inputs must be supported on the thickened graphs
-    A^R = {(x_, Phi(x_) + t): |t| <= thickness_constant / R}.
+    Inputs must be supported on the thickened graphs of the quadratic phase
+    A^R = {(x_, Phi(x_) + t): |t| <= 4 / R}.
     """
     from .geometry import quadratic_phase
 
-    if phi is None:
-        phi = quadratic_phase(f_annulus.ndim - 1)
+    phi = quadratic_phase(f_annulus.ndim - 1)
     for u in (f_annulus, g_annulus):
         centers = u.centers()
         live = np.abs(u.samples).reshape(-1) > 0
         if np.any(live):
             pts = centers[live]
             dev = np.abs(pts[:, -1] - phi(pts[:, :-1]))
-            if float(dev.max()) > thickness_constant / R + 1e-9:
+            if float(dev.max()) > 4.0 / R + 1e-9:
                 raise ExtensionError("input not supported on the R^{-1} graph annulus")
     norm_f = lp_norm(f_annulus, p)
     norm_g = lp_norm(g_annulus, p)
@@ -452,13 +415,13 @@ def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
 # rotational curvature
 
 
-def rotational_curvature(phi: EllipticPhase, y, w, step: float = 1e-5) -> float:
+def rotational_curvature(phi: EllipticPhase, y, w) -> float:
     """Bordered determinant det [[phi, phi_y], [phi_w, phi_yw]] for the
     defining function phi(y, w) = Phi(y) - Phi(y-w) - Phi(w).
 
     First derivatives come from the phase gradient; the mixed block
     phi_yw = Hess Phi(y-w) is formed by central differences of the gradient
-    at the given step.
+    at step 1e-5.
     """
     y = np.asarray(y, dtype=float).reshape(1, -1)
     w = np.asarray(w, dtype=float).reshape(1, -1)
@@ -467,6 +430,7 @@ def rotational_curvature(phi: EllipticPhase, y, w, step: float = 1e-5) -> float:
     phi_y = (phi.grad(y) - phi.grad(y - w))[0]
     phi_w = (phi.grad(y - w) - phi.grad(w))[0]
     u = y - w
+    step = 1e-5
     hess = np.empty((d, d))
     for a in range(d):
         e = np.zeros((1, d))

@@ -120,13 +120,21 @@ class PowerLawFit:
             raise WitnessError("scales must be strictly increasing")
 
 
-def fit_power_law(points) -> PowerLawFit:
-    """Least-squares line through (log2 scale, log2 value)."""
+def _log_log_points(points):
+    """The points sorted by scale; every scale and value must be positive
+    and finite."""
     pts = sorted((float(s), float(v)) for s, v in points)
     if len(pts) < 2:
         raise WitnessError("need at least two points")
-    if any(v <= 0 for _s, v in pts):
-        raise WitnessError("values must be positive for a log-log fit")
+    if not all(0 < x < math.inf for pt in pts for x in pt):
+        raise WitnessError("scales and values must be positive and finite "
+                           "for a log-log fit")
+    return pts
+
+
+def fit_power_law(points) -> PowerLawFit:
+    """Least-squares line through (log2 scale, log2 value)."""
+    pts = _log_log_points(points)
     xs = np.log2([s for s, _v in pts])
     ys = np.log2([v for _s, v in pts])
     slope, intercept = np.polyfit(xs, ys, 1)
@@ -328,5 +336,5 @@ def fit_sweep(kind: str, rows) -> PowerLawFit:
     1/scale for an inverse-scale family, matching the sign convention of
     predicted_exponent."""
     if _family(kind).inverse_scale:
-        rows = sorted((1.0 / s, v) for s, v in rows)
+        rows = sorted((1.0 / s, v) for s, v in _log_log_points(rows))
     return fit_power_law(rows)

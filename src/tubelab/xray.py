@@ -233,21 +233,19 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
         spacing = delta / 4
     _check_spacing([spacing], delta)
     pairs = list(pq_pairs)
-    exps = {}
+    exps, denoms = {}, {}
     for p, q in pairs:
         exps[(p, q)] = np.inf if p == 1 else (p / (p - 1)) / 2
-    norms = _adjoint_product_norms(F, G, set(exps.values()), spacing)
-    out = []
-    for p, q in pairs:
         q_prime = np.inf if q == 1 else q / (q - 1)
         norm_f = mixed_norm(F.values, q_prime, SUM_I)
         norm_g = mixed_norm(G.values, q_prime, SUM_I)
         if norm_f == 0 or norm_g == 0:
             raise XrayError("zero denominator")
-        denom = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
-        out.append(KakeyaRatio(p=p, q=q, delta=delta,
-                               value=norms[exps[(p, q)]] / denom, bilinear=True))
-    return out
+        denoms[(p, q)] = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
+    norms = _adjoint_product_norms(F, G, set(exps.values()), spacing)
+    return [KakeyaRatio(p=p, q=q, delta=delta,
+                        value=norms[exps[(p, q)]] / denoms[(p, q)], bilinear=True)
+            for p, q in pairs]
 
 
 @dataclass

@@ -154,8 +154,12 @@ def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
     "family = delta-ball\np = 2\nq = -1\nscales = 1/4, 1/8, 1/16\n",
     "family = k0-deltas\nn = 1\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n",
     "family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/2, 1, 2\n",
+    "family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\ntolerance = nan\n",
+    "family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n"
+    "box_constant = nan\n",
 ], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples",
-        "p-zero", "q-negative", "n-one", "k0-delta-above-quarter"])
+        "p-zero", "q-negative", "n-one", "k0-delta-above-quarter",
+        "tolerance-nan", "box-constant-nan-tube-family"])
 def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
     outdir = tmp_path / "out"
     path = tmp_path / "bad.cfg"
@@ -179,6 +183,40 @@ def test_sweep_unreadable_input_exit_usage(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: cannot read ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("row", [
+    "0.125,nan", "0.125,inf", "inf,1.5", "0.0,1.5", "-0.125,1.5",
+], ids=["nan-ratio", "inf-ratio", "inf-scale", "zero-scale", "negative-scale"])
+@pytest.mark.parametrize("family", ["c1-squashed", "c0-modulated"])
+def test_sweep_check_non_finite_rows_exit_usage(tmp_path, capsys, family, row):
+    outdir = tmp_path / "r1"
+    outdir.mkdir()
+    (outdir / "sweep.csv").write_text(
+        "family,n,p,q,scale,ratio,grid_n,seed\n"
+        + "".join(f"{family},3,2,5/3,{r},16,7\n"
+                  for r in ("0.25,1.0", row, "0.0625,4.0")))
+    cfgp = sweep_config(tmp_path, outdir, family=family)
+    code = cli.main(["sweep", "--config", cfgp, "--check"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "finite" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--config", "{cfg}"],
+    ["witness", "--family", "c1-squashed", "--n", "2", "--scale", "0.25",
+     "--dump-dir", "{blocker}/dump"],
+], ids=["sweep-output-dir", "witness-dump-dir"])
+def test_write_errors_exit_usage(tmp_path, capsys, argv):
+    blocker = tmp_path / "a-regular-file"
+    blocker.write_text("")
+    cfgp = sweep_config(tmp_path, blocker)
+    code = cli.main([a.format(cfg=cfgp, blocker=blocker) for a in argv])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err.startswith(f"error: cannot write {blocker}") and "Traceback" not in err
+    assert blocker.read_text() == ""
 
 
 def test_witness_command(capsys):
@@ -257,10 +295,22 @@ _FUZZ_LINES = st.one_of(
             lambda value: f"{key} = {value}")),
     st.sampled_from(["no equals sign", "# comment", "= 3", ""]),
 )
+_CSV_FIELDS = ["0.25", "0.125", "0.0625", "8.0", "16.0", "1.5", "nan", "inf",
+               "-inf", "0", "-1", "x", ""]
+_CSV_ROWS = st.one_of(
+    st.tuples(st.sampled_from(sorted(witnesses.FAMILIES)),
+              st.sampled_from(_CSV_FIELDS), st.sampled_from(_CSV_FIELDS)).map(
+        lambda t: f"{t[0]},2,2,2,{t[1]},{t[2]},16,1"),
+    st.sampled_from(["malformed", "1,2,3", "", ",,,,,,,"]),
+)
 _FUZZ_FLAGS = [["--check"], ["--seed", "3"], ["--seed", "x"],
                ["--tolerance", "0.2"], ["--tolerance", "nan"],
                ["--output-dir", "out2"], ["--config", "missing.cfg"],
                ["--threads", "1"], ["-h"]]
+
+
+def _reject_constant(name):
+    raise AssertionError(f"non-standard JSON constant {name} in the output")
 
 
 @settings(max_examples=200, deadline=None)
@@ -268,10 +318,13 @@ _FUZZ_FLAGS = [["--check"], ["--seed", "3"], ["--seed", "x"],
                                    for key, values in _FUZZ_VALID.items()}),
        lines=st.lists(_FUZZ_LINES, max_size=4),
        flags=st.lists(st.sampled_from(_FUZZ_FLAGS), max_size=3),
-       with_config=st.sampled_from([True, True, True, False]))
-def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config):
-    """Random config text and argv end in a documented exit code, never in
-    an escaping exception."""
+       with_config=st.sampled_from([True, True, True, False]),
+       csv_rows=st.lists(_CSV_ROWS, max_size=5))
+def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config,
+                                       csv_rows):
+    """Random config text, argv and (under --check) stored sweep.csv rows end
+    in a documented exit code, never in an escaping exception, and any JSON
+    printed is standard JSON (no NaN or Infinity)."""
     # a valid line per sweep key makes a runnable config likely; the random
     # lines after it may override any of them
     text = "\n".join(["command = sweep", "seed = 1"]
@@ -285,8 +338,15 @@ def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config):
         try:
             with open("sweep.cfg", "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), \
+            if "--check" in argv:
+                outdir = "out2" if "out2" in argv else "out"
+                os.mkdir(outdir)
+                with open(os.path.join(outdir, "sweep.csv"), "w",
+                          encoding="utf-8") as fh:
+                    fh.write("\n".join(["family,n,p,q,scale,ratio,grid_n,seed"]
+                                       + csv_rows) + "\n")
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
                     contextlib.redirect_stderr(err):
                 code = cli.main(argv)
         finally:
@@ -294,3 +354,5 @@ def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config):
     assert code in (cli.EXIT_PASS, cli.EXIT_FAIL, cli.EXIT_USAGE,
                     cli.EXIT_RESOURCE)
     assert "Traceback" not in err.getvalue()
+    if out.getvalue().strip() and "-h" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -5,12 +5,17 @@ import pytest
 
 from tubelab import extension as ext
 from tubelab import witnesses
-from tubelab.fields import Ball, grid_from_sampler
-from tubelab.geometry import perturbed_phase, quadratic_phase
+from tubelab.fields import Ball, Box, grid_from_sampler
+from tubelab.geometry import EllipticPhase, perturbed_phase, quadratic_phase
 
 
 PHI2 = quadratic_phase(1)
 PHI3 = quadratic_phase(2)
+# a tagless clone of PHI3: the same phase, evaluated on the generic route
+GENERIC_QUADRATIC = EllipticPhase(
+    evaluator=lambda p: 0.5 * np.sum(p * p, axis=-1),
+    gradient=lambda p: p.copy(),
+    bound_A=2.0, smoothness_N=100, eps0=0.0, dim=2)
 
 
 def test_full_cap_at_origin_gives_measure():
@@ -90,18 +95,53 @@ def test_oscillation_guard_raises_with_required_size():
 def test_separable_path_matches_generic():
     # same midpoint sum, factored; compare against a tagless clone of the
     # quadratic phase which takes the generic route
-    from tubelab.geometry import EllipticPhase
-
-    generic_quadratic = EllipticPhase(
-        evaluator=lambda p: 0.5 * np.sum(p * p, axis=-1),
-        gradient=lambda p: p.copy(),
-        bound_A=2.0, smoothness_N=100, eps0=0.0, dim=2)
     f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.5, 0.0, 1.0))
     pts = np.array([[0.3, -0.2, 1.0], [2.0, 0.5, 3.5], [0.0, 0.0, 0.0]])
     gn = ext.required_grid_n(f, PHI3, pts)
     va = ext.evaluate_extension(f, PHI3, pts, gn)
-    vb = ext.evaluate_extension(f, generic_quadratic, pts, gn)
+    vb = ext.evaluate_extension(f, GENERIC_QUADRATIC, pts, gn)
     assert np.max(np.abs(va - vb)) < 1e-10
+
+
+@pytest.mark.parametrize("q", [1, 2, np.inf])
+def test_domain_norm_ratio_modulated_separable_matches_generic(q):
+    # the modulation is a shift of the evaluation point on both routes, so
+    # the factored and the generic slab fields give the same norms
+    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.5, -0.3, 1.0))
+    box = Box((-2.0, -2.0, 0.0), (2.0, 2.0, 3.0))
+    ra, sa = ext.domain_norm_ratio(f, None, PHI3, 2, q, box)
+    rb, sb = ext.domain_norm_ratio(f, None, GENERIC_QUADRATIC, 2, q, box)
+    assert sa["grid_counts"] == sb["grid_counts"]
+    assert rb == pytest.approx(ra, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi", [PHI3, GENERIC_QUADRATIC, perturbed_phase(2, 0.05)],
+                         ids=["separable", "tagless-quadratic", "perturbed"])
+@pytest.mark.parametrize("cap", [
+    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
+    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.5, -0.3, 1.0)),
+    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(-0.4, 0.2, -0.5),
+                    density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+], ids=["plain", "modulated", "modulated-density"])
+def test_grid_slabs_match_scattered_points(cap, phi):
+    # the domain-grid slabs and the scattered-point values are the same
+    # midpoint sum at the same points
+    x_axes = [np.linspace(-1.5, 1.0, 6), np.linspace(-0.5, 1.5, 5)]
+    xn_axis = np.linspace(0.25, 2.5, 4)
+    corners = np.array([[-1.5, -0.5, 0.25], [1.0, 1.5, 2.5]])
+    gn = ext.required_grid_counts(cap, phi, corners)
+    slab = ext._CapQuadrature(cap, phi, corners, gn).slabs(x_axes, xn_axis)
+    mesh = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, 2)
+    for s, xn in enumerate(xn_axis):
+        pts = np.concatenate([mesh, np.full((len(mesh), 1), xn)], axis=1)
+        want = ext.evaluate_extension(cap, phi, pts, gn)
+        assert np.max(np.abs(slab(s).reshape(-1) - want)) < 1e-12
+
+
+def test_node_cap_applies_to_scattered_points():
+    f = ext.CapFunction((-1, -1), (1, 1))
+    with pytest.raises(ext.OscillationGuardError, match="cap"):
+        ext.evaluate_extension(f, PHI3, [[0, 0, 0]], ext.MAX_GRID_NODES + 1)
 
 
 def test_parabolic_rescaling_covariance():

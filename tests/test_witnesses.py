@@ -36,6 +36,20 @@ def test_fit_power_law_validation():
         wit.fit_power_law([(1, 1), (2, -1)])
 
 
+@pytest.mark.parametrize("points", [
+    [(1, 1), (2, math.nan), (4, 2)],
+    [(1, 1), (2, math.inf), (4, 2)],
+    [(1, 1), (math.inf, 2), (4, 2)],
+    [(0, 1), (2, 2), (4, 2)],
+    [(-1, 1), (2, 2), (4, 2)],
+], ids=["nan-value", "inf-value", "inf-scale", "zero-scale", "negative-scale"])
+def test_fit_rejects_non_finite_and_non_positive_points(points):
+    with pytest.raises(wit.WitnessError, match="positive and finite"):
+        wit.fit_power_law(points)
+    with pytest.raises(wit.WitnessError, match="positive and finite"):
+        wit.fit_sweep(wit.C0_MODULATED, points)  # inverts the scales first
+
+
 def test_synthetic_sweep_slope():
     pts = [(s, s**0.5) for s in (1 / 8, 1 / 4, 1 / 2)]
     fit = wit.fit_power_law(pts)

@@ -231,6 +231,18 @@ def test_bilinear_ratio_support_enforced():
         xray.bilinear_kakeya_ratios(F, F, [(2, 2)])  # F directions are not in E2
 
 
+@pytest.mark.parametrize("one_empty", [True, False], ids=["one-empty", "both-empty"])
+def test_bilinear_ratio_empty_fields_zero_denominator(one_empty):
+    delta = 1 / 8
+    net = build_net(3, delta)
+    w2 = int(net.e2_indices[0])
+    F = xray.XrayField(net, delta, NetFunction(net, {}))
+    G = xray.XrayField(net, delta, NetFunction(
+        net, {(w2, 0): 1.0} if one_empty else {}))
+    with pytest.raises(xray.XrayError, match="zero denominator"):
+        xray.bilinear_kakeya_ratios(F, G, [(2, 2)])
+
+
 def test_single_tube_pair_value_matches_rasterization():
     delta = 1 / 8
     net = build_net(3, delta)
