@@ -188,6 +188,8 @@ def _frac_str(x: Fraction) -> str:
 def cmd_exponents(args) -> int:
     sub = args.subcommand
     if sub == "lemma-alpha":
+        if args.alpha is None:
+            raise ConfigError("lemma-alpha needs --alpha")
         q_tilde, ratio = expm.lemma_alpha(_frac(args.p), _frac(args.q),
                                           _frac(args.alpha), args.n)
         _emit({"q_tilde": _frac_str(q_tilde), "ratio": _frac_str(ratio),
@@ -199,14 +201,18 @@ def cmd_exponents(args) -> int:
             out["iterates"] = [_frac_str(a) for a in iters]
         _emit(out)
     elif sub == "region":
-        _emit(expm.region(args.kind, args.n).to_json())
+        _emit(expm.region(args.kind or expm.BILINEAR_RESTRICTION,
+                          args.n).to_json())
     elif sub == "sharp-line":
         _emit({"p": _frac_str(expm.sharp_line(args.n, _frac(args.q)))})
     elif sub == "interpolate":
-        e1 = expm.EstimatePoint(1 / _frac(args.p1), 1 / _frac(args.q1),
-                                kind=args.kind)
-        e2 = expm.EstimatePoint(1 / _frac(args.p2), 1 / _frac(args.q2),
-                                kind=args.kind)
+        try:
+            inv = [1 / _frac(t) for t in (args.p1, args.q1, args.p2, args.q2)]
+        except ZeroDivisionError:
+            raise ConfigError("interpolate needs nonzero exponents") from None
+        kind = args.kind or expm.LINEAR
+        e1 = expm.EstimatePoint(inv[0], inv[1], kind=kind)
+        e2 = expm.EstimatePoint(inv[2], inv[3], kind=kind)
         mid = expm.interpolate(e1, e2, _frac(args.theta))
         _emit(mid.to_json())
     elif sub == "x-imply":
@@ -546,6 +552,8 @@ SUITES = {"lemmas": _suite_lemmas, "geometry": _suite_geometry,
 
 
 def cmd_verify(suite: str, seed: int) -> int:
+    if seed < 0:
+        raise ConfigError(f"bad seed {seed}: need a non-negative integer")
     if suite == "all":
         names = list(SUITES)
     elif suite in SUITES:
@@ -583,7 +591,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--q", default="2")
     ex.add_argument("--alpha", default=None)
     ex.add_argument("--steps", type=int, default=30)
-    ex.add_argument("--kind", default=expm.BILINEAR_RESTRICTION)
+    ex.add_argument("--kind", default=None)
     ex.add_argument("--p1", default="2")
     ex.add_argument("--q1", default="2")
     ex.add_argument("--p2", default="2")
@@ -592,7 +600,7 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--p-tilde", dest="p_tilde", default="2")
 
     rg = sub.add_parser("region")
-    rg.add_argument("--kind", default=expm.BILINEAR_RESTRICTION)
+    rg.add_argument("--kind", default=None)
     rg.add_argument("--n", type=int, default=3)
 
     sw = sub.add_parser("sweep")
@@ -618,11 +626,10 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command == "exponents":
-            return cmd_exponents(args)
         if args.command == "region":
-            _emit(expm.region(args.kind, args.n).to_json())
-            return EXIT_PASS
+            args.subcommand = "region"
+        if args.command in ("exponents", "region"):
+            return cmd_exponents(args)
         if args.command == "sweep":
             if not args.config:
                 raise ConfigError("sweep needs --config")
@@ -646,7 +653,7 @@ def main(argv=None) -> int:
         return EXIT_RESOURCE
     except (ConfigError, expm.ExponentDomainError, witnesses.WitnessError,
             geometry.GeometryError, FieldError, xray.XrayError,
-            ExtensionError) as exc:
+            ExtensionError, lemmas.LemmaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

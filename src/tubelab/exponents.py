@@ -30,6 +30,11 @@ def rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
 
 
+def _check_dimension(n: int):
+    if n < 2:
+        raise ExponentDomainError(f"need n >= 2, got n = {n}")
+
+
 def conjugate(p: Fraction) -> Fraction:
     """Holder conjugate p' = p/(p-1)."""
     if p <= 1:
@@ -46,14 +51,14 @@ class EstimatePoint:
 
     def __post_init__(self):
         if self.kind not in _KINDS:
-            raise ValueError(f"unknown estimate kind {self.kind!r}")
+            raise ExponentDomainError(f"unknown estimate kind {self.kind!r}")
         if not (0 <= self.inv_p <= 1 and 0 <= self.inv_q <= 1):
-            raise ValueError("estimate point must lie in the unit square")
+            raise ExponentDomainError("estimate point must lie in the unit square")
         if self.alpha is not None:
             if self.kind not in _LOCALIZED_KINDS:
-                raise ValueError(f"alpha not allowed for kind {self.kind!r}")
+                raise ExponentDomainError(f"alpha not allowed for kind {self.kind!r}")
             if self.alpha < 0:
-                raise ValueError("alpha must be nonnegative")
+                raise ExponentDomainError("alpha must be nonnegative")
 
     @property
     def p(self) -> Fraction:
@@ -85,7 +90,7 @@ class Halfplane:
 
     def __post_init__(self):
         if self.a == 0 and self.b == 0:
-            raise ValueError("degenerate halfplane")
+            raise ExponentDomainError("degenerate halfplane")
 
     def admits(self, x: Fraction, y: Fraction, closure: bool = True) -> bool:
         lhs = self.a * x + self.b * y
@@ -123,6 +128,7 @@ class Region:
 
 def sharp_line(n: int, q: Fraction) -> Fraction:
     """The p with p' = ((n-1)/(n+1)) q, scale-critical for dimension n."""
+    _check_dimension(n)
     q = Fraction(q)
     p_prime = Fraction(n - 1, n + 1) * q
     if p_prime <= 1:
@@ -134,10 +140,8 @@ def sharp_line(n: int, q: Fraction) -> Fraction:
 
 def sharp_line_inverse(n: int, p: Fraction) -> Fraction:
     """The q paired with p on the scale-critical line."""
-    p = Fraction(p)
-    if p <= 1:
-        raise ExponentDomainError("need p > 1")
-    return Fraction(n + 1, n - 1) * conjugate(p)
+    _check_dimension(n)
+    return Fraction(n + 1, n - 1) * conjugate(Fraction(p))
 
 
 RESTRICTION = "restriction-conjecture"
@@ -150,8 +154,7 @@ def region(kind: str, n: int) -> Region:
 
     Accepts the full kind names or the same without the -conjecture suffix.
     """
-    if n < 2:
-        raise ExponentDomainError("need n >= 2")
+    _check_dimension(n)
     if not kind.endswith("-conjecture"):
         kind = kind + "-conjecture"
     F = Fraction
@@ -274,6 +277,7 @@ def lemma_alpha(p: Fraction, q: Fraction, alpha: Fraction, n: int):
     2 + q/((n+1)/2 - alpha q), and the supremum of q-tilde/p-tilde,
     1 + (q/p)/((n+1)/2 - alpha q).  The p-tilde bound is q_tilde/ratio.
     """
+    _check_dimension(n)
     p, q, alpha = Fraction(p), Fraction(q), Fraction(alpha)
     if p <= 0 or q <= 0:
         raise ExponentDomainError("need p, q > 0")
@@ -306,8 +310,7 @@ def bootstrap_iterate(alpha0: Fraction, steps: int) -> list:
 
 def modest_threshold(n: int) -> Fraction:
     """Smallest p with a symmetric bilinear L^2 product estimate: 4n/(3n-2)."""
-    if n < 2:
-        raise ExponentDomainError("need n >= 2")
+    _check_dimension(n)
     return Fraction(4 * n, 3 * n - 2)
 
 
@@ -318,6 +321,7 @@ def whitney_exponent_check(n: int, p: Fraction, p_tilde: Fraction, q: Fraction):
     inequality families behind the close-pair summation argument, and returns
     (feasible, epsilon) with epsilon the largest admissible decay rate.
     """
+    _check_dimension(n)
     p, p_tilde, q = Fraction(p), Fraction(p_tilde), Fraction(q)
     zero = Fraction(0)
     if not (1 < p_tilde < p):

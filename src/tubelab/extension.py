@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import Ball, GridFunction, lp_norm
+from .fields import Ball, GridFunction, LpAccumulator, lp, lp_norm
 from .geometry import EllipticPhase
 
 TWO_PI = 2.0 * math.pi
@@ -98,15 +98,10 @@ class CapFunction:
         """||f||_p; exact for unit densities (modulation has modulus one),
         64 midpoint nodes per axis otherwise."""
         if self.density is None:
-            if p == np.inf:
-                return abs(self.amplitude)
-            return abs(self.amplitude) * self.measure ** (1.0 / p)
+            return lp([abs(self.amplitude)], p, self.measure)
         axes, weight = self.nodes(64)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        vals = np.abs(self.density_values(mesh))
-        if p == np.inf:
-            return float(vals.max())
-        return float((np.sum(vals**p) * weight) ** (1.0 / p))
+        return lp(np.abs(self.density_values(mesh)), p, weight)
 
 
 def _max_abs_gradient(phi: EllipticPhase, cap: CapFunction, per_axis: int = 5):
@@ -277,6 +272,11 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     (at least min_nodes, times grid_refine).  Returns (ratio, stats) with
     field amplitude statistics for diagnostics.
     """
+    acc = LpAccumulator([q])
+    caps = [f] if g is None else [f, g]
+    denom = math.prod(c.norm_lp(p) for c in caps)
+    if denom == 0:
+        raise ExtensionError("zero denominator: ||f||_p ||g||_p = 0")
     lo, hi = domain.bounding_box()
     n = len(lo)
     x_axes = [_axis_cover(lo[a], hi[a], DOMAIN_SPACING) for a in range(n - 1)]
@@ -289,7 +289,6 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         )
     corner_pts = np.array([[a[0] for a in x_axes] + [xn_axis[0]],
                            [a[-1] for a in x_axes] + [xn_axis[-1]]])
-    caps = [f] if g is None else [f, g]
     counts = [grid_refine * required_grid_counts(c, phi, corner_pts,
                                                  min_nodes=min_nodes)
               for c in caps]
@@ -299,8 +298,6 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     cellvol = DOMAIN_SPACING**n
     mesh_x = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1)
     flat_x = mesh_x.reshape(-1, n - 1)
-    total = 0.0
-    sup = 0.0
     masked_cells = 0
     for s in range(len(xn_axis)):
         pts = np.concatenate(
@@ -313,22 +310,12 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         prod = slabs[0](s).reshape(-1)[mask]
         if g is not None:
             prod = prod * slabs[1](s).reshape(-1)[mask]
-        mags = np.abs(prod)
-        sup = max(sup, float(mags.max()))
-        if q == np.inf:
-            continue
-        total += float(np.sum(mags**q))
+        acc.add(np.abs(prod))
     if masked_cells == 0:
         raise ExtensionError("domain contains no grid cells")
-    numerator = sup if q == np.inf else (total * cellvol) ** (1.0 / q)
-    denom = f.norm_lp(p)
-    if g is not None:
-        denom *= g.norm_lp(p)
-    if denom == 0:
-        raise ExtensionError("zero denominator: ||f||_p ||g||_p = 0")
-    stats = {"sup": sup, "cells": masked_cells,
+    stats = {"sup": acc.sup, "cells": masked_cells,
              "grid_counts": [c.tolist() for c in counts]}
-    return numerator / denom, stats
+    return acc.norm(q, cellvol) / denom, stats
 
 
 def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,
@@ -401,11 +388,7 @@ def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
             ) @ vals
         return out
 
-    prod = np.abs(hat(f_annulus) * hat(g_annulus))
-    if p == np.inf:
-        numerator = float(prod.max())
-    else:
-        numerator = float((np.sum(prod**p) * DOMAIN_SPACING**n) ** (1.0 / p))
+    numerator = lp(np.abs(hat(f_annulus) * hat(g_annulus)), p, DOMAIN_SPACING**n)
     inv_p_prime = 1.0 - 1.0 / p
     denom = (R**-inv_p_prime * norm_f) * (R**-inv_p_prime * norm_g)
     return numerator / denom

@@ -21,6 +21,41 @@ class FieldError(ValueError):
     pass
 
 
+class LpAccumulator:
+    """Running sup and sums of v^s over chunks of nonnegative values, for a
+    set of exponents s in (0, inf]; any other exponent is refused here.
+
+    norm(s, weight) is (weight * sum v^s)^{1/s}, or the sup at s = inf."""
+
+    def __init__(self, exponents):
+        exponents = list(exponents)
+        for s in exponents:
+            if not 0 < s <= np.inf:
+                raise FieldError(f"Lp exponent {s} outside (0, inf]")
+        self.sup = 0.0
+        self.sums = {s: 0.0 for s in exponents if s != np.inf}
+
+    def add(self, values) -> "LpAccumulator":
+        values = np.asarray(values, dtype=float)
+        self.sup = float(values.max(initial=self.sup))
+        for s in self.sums:
+            self.sums[s] += float(np.sum(values**s))
+        return self
+
+    def norm(self, s: float, weight: float = 1.0) -> float:
+        return self.sup if s == np.inf else float((self.sums[s] * weight) ** (1.0 / s))
+
+
+def lp(values, s: float, weight: float = 1.0) -> float:
+    """(weight * sum v^s)^{1/s} of one chunk of nonnegative values."""
+    return LpAccumulator([s]).add(values).norm(s, weight)
+
+
+def conjugate(s: float) -> float:
+    """Hoelder conjugate s/(s-1), with 1' = inf and inf' = 1 (< 0 for s < 1)."""
+    return 1.0 if s == np.inf else np.inf if s == 1 else s / (s - 1)
+
+
 # ---------------------------------------------------------------------------
 # domains
 
@@ -38,10 +73,6 @@ class Box:
 
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
-
-    @property
-    def volume(self) -> float:
-        return float(np.prod(np.asarray(self.hi) - np.asarray(self.lo)))
 
 
 @dataclass(frozen=True)
@@ -194,18 +225,13 @@ def lp_norm(u: GridFunction, p: float, domain=None) -> float:
 
     p = inf takes the max; p < 1 uses the same formula (a quasi-norm).
     """
-    if domain is None:
-        vals = np.abs(u.samples).reshape(-1)
-    else:
+    vals = np.abs(u.samples).reshape(-1)
+    if domain is not None:
         mask = domain.contains(u.centers())
         if not np.any(mask):
             raise FieldError("domain does not intersect the grid")
-        vals = np.abs(u.samples).reshape(-1)[mask]
-    if p == np.inf:
-        return float(vals.max())
-    if p <= 0:
-        raise FieldError("need p > 0")
-    return float((np.sum(vals**p) * u.cell_measure) ** (1.0 / p))
+        vals = vals[mask]
+    return lp(vals, p, u.cell_measure)
 
 
 #: refusal threshold for refinement allocations
@@ -281,13 +307,5 @@ def mixed_norm(g: NetFunction, outer_q: float, inner: str = SUP_I) -> float:
     Directions carry the normalized measure delta^{n-1}; bases carry
     counting measure.  outer_q = inf takes max over directions.
     """
-    dim = g.net.dim
-    weight = g.net.delta**dim
     aggs = list(g.inner_aggregates(inner).values())
-    if not aggs:
-        return 0.0
-    if outer_q == np.inf:
-        return float(max(aggs))
-    if outer_q <= 0:
-        raise FieldError("need outer_q > 0")
-    return float((sum(a**outer_q for a in aggs) * weight) ** (1.0 / outer_q))
+    return lp(aggs, outer_q, g.net.delta**g.net.dim)

@@ -180,10 +180,6 @@ class EllipticPhase:
             return _fd_jacobian(self.gradient, pts)
         return _fd_hessian(self.evaluator, pts)
 
-    def max_gradient_norm(self, samples_per_axis: int = 9) -> float:
-        g = self.grad(_sample_grid(self.dim, samples_per_axis))
-        return float(np.max(np.linalg.norm(g, axis=-1)))
-
     def validate(self, samples_per_axis: int = 9, tol: float = 1e-6):
         """Check the defining properties on a sample grid; raise on failure."""
         zero = np.zeros((1, self.dim))

@@ -15,7 +15,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .fields import GridFunction, lp_norm
+from .fields import GridFunction, conjugate, lp, lp_norm
 from .geometry import DyadicCube
 
 
@@ -71,9 +71,6 @@ class OmegaSet:
 
     def intersect_complement(self, other_mask: np.ndarray) -> "OmegaSet":
         return OmegaSet(self.n, self.resolution_j, self.mask & ~other_mask)
-
-    def subset_of(self, other: "OmegaSet") -> bool:
-        return bool(np.all(~self.mask | other.mask))
 
 
 def random_omega_set(n: int, resolution_j: int, seed: int,
@@ -135,6 +132,8 @@ def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float,
     Pieces are synthesized on a periodic grid (integer frequencies, raised
     cosine taper times random Gaussian coefficients), so disjoint support is
     exact and the p = 2 case is Plancherel on the nose."""
+    if not p >= 1:
+        raise LemmaError(f"need p >= 1, got p = {p}")
     if not rects:
         raise LemmaError("need at least one rectangle")
     if not _rects_doubled_disjoint(rects):
@@ -164,17 +163,11 @@ def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float,
     pieces = [synth(r) for r in rects]
     total = np.sum(pieces, axis=0)
 
-    def norm(u):
-        vals = np.abs(u).reshape(-1)
-        if p == np.inf:
-            return float(vals.max())
-        return float((np.sum(vals**p) * cell) ** (1.0 / p))
-
-    p_star = min(p, p / (p - 1)) if p not in (1, np.inf) else 1.0
-    denom = sum(norm(u) ** p_star for u in pieces) ** (1.0 / p_star)
+    p_star = min(p, conjugate(p))
+    denom = lp([lp(np.abs(u).reshape(-1), p, cell) for u in pieces], p_star)
     if denom == 0:
         raise LemmaError("degenerate random draw")
-    return norm(total) / denom
+    return lp(np.abs(total).reshape(-1), p, cell) / denom
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +215,7 @@ def young_check(a, p: float, fs: Optional[List[GridFunction]] = None,
     if p < 1:
         raise LemmaError("need p >= 1")
     a = np.abs(np.asarray(a, dtype=float))
-    lhs = float(np.sum(a**p) ** (1.0 / p)) if p != np.inf else float(a.max())
+    lhs = lp(a, p)
     seq_ok = lhs <= float(np.sum(a)) * (1 + 1e-12) + 1e-300
     func_ok = True
     if fs:
@@ -233,7 +226,7 @@ def young_check(a, p: float, fs: Optional[List[GridFunction]] = None,
             total = total + f.samples
         combined = GridFunction(fs[0].dims, fs[0].origin, fs[0].spacing, total)
         lhs_f = lp_norm(combined, q)
-        rhs_f = float(sum(lp_norm(f, q) ** q for f in fs) ** (1.0 / q))
+        rhs_f = lp([lp_norm(f, q) for f in fs], q)
         func_ok = lhs_f <= rhs_f * (1 + 1e-12)
     return seq_ok, func_ok
 
@@ -364,10 +357,6 @@ def cz_decompose(omega: OmegaSet, thresholds: Dict[int, Fraction]) -> CZDecompos
 class XrNormResult:
     value: float          # truncated at the grid resolution
     tail_fourth: float    # exact tail of the fourth power beyond it
-
-    @property
-    def value_with_tail(self) -> float:
-        return (self.value**4 + self.tail_fourth) ** 0.25
 
 
 def xr_norm(omega: OmegaSet, r: float) -> XrNormResult:

@@ -197,6 +197,10 @@ def build_witness(kind: str, n: int, scale: float,
     The single-cap family returns g = None."""
     if _family(kind).tubes:
         raise WitnessError(f"{kind!r} is a tube family (see xray.kakeya_witness)")
+    if n < 2:
+        raise WitnessError("need n >= 2")
+    if not 0 < scale < math.inf:
+        raise WitnessError("need a positive finite scale")
     phi = quadratic_phase(n - 1)
     C = float(box_constant)
     if not 0 < C < math.inf:
@@ -231,6 +235,9 @@ def build_witness(kind: str, n: int, scale: float,
     delta = float(scale)
     if delta > 0.25:
         raise WitnessError("need delta <= 1/4")
+    if not 1.0 / C / delta / delta < math.inf:
+        raise WitnessError("delta too small: the region side "
+                           "1/(box_constant delta^2) overflows")
     if kind == C1_SQUASHED:
         lo1, hi1 = _cap_support(-CAP_CENTER, delta**2, n, delta)
         lo2, hi2 = _cap_support(+CAP_CENTER, delta**2, n, delta)

@@ -16,7 +16,8 @@ from typing import Optional
 
 import numpy as np
 
-from .fields import GridFunction, NetFunction, SUM_I, SUP_I, lp_norm, mixed_norm
+from .fields import (GridFunction, LpAccumulator, NetFunction, SUM_I, SUP_I,
+                     conjugate, lp_norm, mixed_norm)
 from .geometry import DirectionNet, Tube, tube_intersection_exact
 
 class XrayError(ValueError):
@@ -166,11 +167,11 @@ def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     return GridFunction(grid.dims, grid.origin, grid.spacing, out)
 
 
-def _adjoint_product_norms(F: XrayField, G: XrayField, exponents,
+def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
                            spacing: float):
-    """|| X*F . X*G ||_s for each requested s, over a grid covering both
-    tube unions, streamed one height slab at a time.  s = inf gives the
-    sup; s = 1 the plain inner product integral."""
+    """|| X*F . X*G ||_s for each exponent s of acc, over a grid covering
+    both tube unions, streamed one height slab at a time into acc.  s = inf
+    gives the sup; s = 1 the plain inner product integral."""
     delta = F.delta
     tubes_f, tubes_g = F.tubes(), G.tubes()
     omegas, bases, _ = (np.concatenate(ab) for ab in zip(tubes_f, tubes_g))
@@ -183,21 +184,12 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, exponents,
     m_n = int(math.ceil(2.0 / spacing))
     yn_axis = -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n)
     cellvol = spacing ** F.net.dim * (2.0 / m_n)
-    exponents = list(exponents)
-    totals = {s: 0.0 for s in exponents}
-    sup = 0.0
     for yn in yn_axis:
         prod = (_slab_rasterize(tubes_f, delta, x_axes, yn)
                 * _slab_rasterize(tubes_g, delta, x_axes, yn))
-        mx = float(prod.max(initial=0.0))
-        sup = max(sup, mx)
-        if mx > 0:
-            pos = prod[prod > 0]
-            for s in exponents:
-                if s != np.inf:
-                    totals[s] += float(np.sum(pos**s)) * cellvol
-    return {s: (sup if s == np.inf else totals[s] ** (1.0 / s))
-            for s in exponents}
+        if prod.max(initial=0.0) > 0:
+            acc.add(prod[prod > 0])
+    return {s: acc.norm(s, cellvol) for s in [*acc.sums, np.inf]}
 
 
 def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> KakeyaRatio:
@@ -233,16 +225,17 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
         spacing = delta / 4
     _check_spacing([spacing], delta)
     pairs = list(pq_pairs)
-    exps, denoms = {}, {}
+    exps = {(p, q): conjugate(p) / 2 for p, q in pairs}
+    acc = LpAccumulator(exps.values())
+    denoms = {}
     for p, q in pairs:
-        exps[(p, q)] = np.inf if p == 1 else (p / (p - 1)) / 2
-        q_prime = np.inf if q == 1 else q / (q - 1)
+        q_prime = conjugate(q)
         norm_f = mixed_norm(F.values, q_prime, SUM_I)
         norm_g = mixed_norm(G.values, q_prime, SUM_I)
         if norm_f == 0 or norm_g == 0:
             raise XrayError("zero denominator")
         denoms[(p, q)] = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
-    norms = _adjoint_product_norms(F, G, set(exps.values()), spacing)
+    norms = _adjoint_product_norms(F, G, acc, spacing)
     return [KakeyaRatio(p=p, q=q, delta=delta,
                         value=norms[exps[(p, q)]] / denoms[(p, q)], bilinear=True)
             for p, q in pairs]
@@ -277,7 +270,7 @@ def prop111_constant(F: XrayField, G: XrayField,
     denom = delta ** (2.0 - n) * F.norm_l1l1() * G.norm_l1l1()
     if denom == 0:
         raise XrayError("zero denominator")
-    inner = _adjoint_product_norms(F, G, [1.0], spacing)[1.0]
+    inner = _adjoint_product_norms(F, G, LpAccumulator([1.0]), spacing)[1.0]
     pair_sum = 0.0
     tubes_g = list(zip(*G.tubes()))
     for omega1, base1, v1 in zip(*F.tubes()):

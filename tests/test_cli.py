@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelab import cli, witnesses
+from tubelab import cli, exponents, witnesses
 
 
 def run_cli(capsys, *argv):
@@ -219,6 +219,36 @@ def test_write_errors_exit_usage(tmp_path, capsys, argv):
     assert blocker.read_text() == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--family", "knapp-classic", "--n", "2", "--scale", "nan"],
+    ["witness", "--family", "c0-modulated", "--n", "2", "--scale", "inf"],
+    ["witness", "--family", "knapp-classic", "--n", "1", "--scale", "0.25"],
+    ["witness", "--family", "knapp-classic", "--n", "2", "--scale", "1e-12",
+     "--box-constant", "1e-300"],
+    ["exponents", "interpolate", "--p1", "0"],
+    ["exponents", "interpolate", "--p1", "1/3"],
+    ["exponents", "interpolate", "--kind", "nonsense"],
+    ["verify", "--suite", "lemmas", "--seed", "-1"],
+], ids=["witness-scale-nan", "witness-c0-scale-inf", "witness-n-one",
+        "witness-region-overflow", "interpolate-p1-zero",
+        "interpolate-p1-third", "interpolate-unknown-kind",
+        "verify-negative-seed"])
+def test_non_sweep_input_errors_exit_usage(capsys, argv):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+def test_interpolate_default_kind_is_linear(capsys):
+    code, out = run_cli(capsys, "exponents", "interpolate", "--p1", "1",
+                        "--q1", "1", "--p2", "2", "--q2", "2")
+    assert code == cli.EXIT_PASS
+    assert out["kind"] == exponents.LINEAR
+    assert (out["inv_p"], out["inv_q"]) == ({"num": 3, "den": 4},
+                                            {"num": 3, "den": 4})
+
+
 def test_witness_command(capsys):
     code, out = run_cli(capsys, "witness", "--family", "c1-squashed",
                         "--n", "3", "--scale", "0.125")
@@ -355,4 +385,72 @@ def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config,
                     cli.EXIT_RESOURCE)
     assert "Traceback" not in err.getvalue()
     if out.getvalue().strip() and "-h" not in argv:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+
+
+# Value pools for the fuzzed non-sweep argv: random rationals and the
+# special values, random kinds (estimate kinds, region kinds, unknown).
+_FUZZ_RATIONALS = st.one_of(
+    st.fractions(min_value=-8, max_value=8, max_denominator=12).map(str),
+    st.sampled_from(["0", "-1", "1/0", "nan", "inf", "-inf", "x", ""]),
+)
+_FUZZ_KINDS = st.sampled_from([
+    exponents.LINEAR, exponents.BILINEAR, exponents.KAKEYA,
+    exponents.KAKEYA_BILINEAR, exponents.RESTRICTION,
+    exponents.BILINEAR_RESTRICTION, exponents.KAKEYA_BILINEAR_REGION,
+    "restriction", "bilinear-restriction", "kakeya-bilinear", "nonsense", ""])
+_FUZZ_DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"])
+_EXPONENT_SUBCOMMANDS = ["lemma-alpha", "bootstrap", "region", "sharp-line",
+                         "interpolate", "x-imply", "modest", "table1",
+                         "whitney-check", "nonsense"]
+_EXPONENT_OPTIONS = {
+    "--n": _FUZZ_DIMS,
+    "--steps": st.sampled_from(["-3", "0", "5", "40", "x"]),
+    "--kind": _FUZZ_KINDS,
+    **{flag: _FUZZ_RATIONALS for flag in (
+        "--p", "--q", "--alpha", "--p1", "--q1", "--p2", "--q2", "--theta",
+        "--p-tilde")},
+}
+# witness scales stay at delta <= 1/4 on the two families that need no
+# modulation search, so every built witness is cheap
+_FUZZ_SCALES = st.one_of(
+    st.floats(min_value=0.0, max_value=0.25).map(repr),
+    st.sampled_from(["0", "-1", "1/0", "1/8", "nan", "inf", "-inf", "x"]),
+)
+_FUZZ_BOX_CONSTANTS = st.one_of(
+    st.floats(min_value=1e-300, max_value=1e300).map(repr),
+    st.sampled_from(["0", "-1", "nan", "inf", "x"]),
+)
+
+
+def _options(pool: dict):
+    return st.dictionaries(st.sampled_from(sorted(pool)), st.just(None)).flatmap(
+        lambda keys: st.fixed_dictionaries({k: pool[k] for k in keys}))
+
+
+_NON_SWEEP_ARGV = st.one_of(
+    st.tuples(st.sampled_from(_EXPONENT_SUBCOMMANDS),
+              _options(_EXPONENT_OPTIONS)).map(
+        lambda t: ["exponents", t[0]] + [x for kv in t[1].items() for x in kv]),
+    _options({"--kind": _FUZZ_KINDS, "--n": _FUZZ_DIMS}).map(
+        lambda o: ["region"] + [x for kv in o.items() for x in kv]),
+    st.tuples(st.sampled_from(["knapp-classic", "c1-squashed"]), _FUZZ_DIMS,
+              _FUZZ_SCALES, _options({"--box-constant": _FUZZ_BOX_CONSTANTS})).map(
+        lambda t: ["witness", "--family", t[0], "--n", t[1], "--scale", t[2]]
+        + [x for kv in t[3].items() for x in kv]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_NON_SWEEP_ARGV)
+def test_fuzzed_non_sweep_argv_exit_codes(argv):
+    """Random argv for every exponents subcommand, region and witness ends
+    in exit 0, 2 or 3, never in an escaping exception, and any JSON printed
+    is standard JSON (no NaN or Infinity)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (cli.EXIT_PASS, cli.EXIT_USAGE, cli.EXIT_RESOURCE)
+    assert "Traceback" not in err.getvalue()
+    if out.getvalue().strip():
         json.loads(out.getvalue(), parse_constant=_reject_constant)

@@ -248,6 +248,34 @@ def test_estimate_point_validation():
     assert pt.alpha == F(1, 4)
 
 
+@pytest.mark.parametrize("make", [
+    lambda: ex.EstimatePoint(F(3, 2), F(1, 2), ex.LINEAR),
+    lambda: ex.EstimatePoint(F(1, 2), F(1, 2), "nonsense"),
+    lambda: ex.EstimatePoint(F(1, 2), F(1, 2), ex.KAKEYA, alpha=F(1, 4)),
+    lambda: ex.EstimatePoint(F(1, 2), F(1, 2), ex.LINEAR, alpha=F(-1)),
+    lambda: ex.Halfplane(F(0), F(0), F(1)),
+], ids=["outside-square", "unknown-kind", "alpha-on-kakeya",
+        "negative-alpha", "degenerate-halfplane"])
+def test_estimate_point_and_halfplane_raise_domain_errors(make):
+    with pytest.raises(ex.ExponentDomainError):
+        make()
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: ex.region(ex.BILINEAR_RESTRICTION, n),
+    lambda n: ex.modest_threshold(n),
+    lambda n: ex.sharp_line(n, F(5)),
+    lambda n: ex.sharp_line_inverse(n, F(2)),
+    lambda n: ex.lemma_alpha(F(2), F(2), F(0), n),
+    lambda n: ex.whitney_exponent_check(n, F(3), F(2), F(0)),
+], ids=["region", "modest", "sharp-line", "sharp-line-inverse",
+        "lemma-alpha", "whitney-check"])
+@pytest.mark.parametrize("n", [-1, 0, 1])
+def test_dimension_below_two_refused(call, n):
+    with pytest.raises(ex.ExponentDomainError):
+        call(n)
+
+
 def test_json_serialization():
     r = ex.region(ex.BILINEAR_RESTRICTION, 3)
     blob = r.to_json()

@@ -182,3 +182,79 @@ def test_netfunction_validation():
         fields.NetFunction(net, {(100, 0): 1.0})
     with pytest.raises(fields.FieldError):
         fields.NetFunction(net, {(0, 0): -1.0})
+
+
+def test_lp_accumulator_matches_one_pass_reference():
+    rng = np.random.default_rng(11)
+    chunks = [rng.random(rng.integers(0, 40)) for _ in range(6)]
+    acc = fields.LpAccumulator([0.5, 1, 3, np.inf])
+    for chunk in chunks:
+        acc.add(chunk)
+    allv = np.concatenate(chunks)
+    for s in (0.5, 1, 3):
+        ref = (np.sum(allv**s) * 0.25) ** (1 / s)
+        assert acc.norm(s, 0.25) == pytest.approx(ref, rel=1e-13)
+    assert acc.norm(np.inf, 0.25) == allv.max()
+
+
+@pytest.mark.parametrize("s", [0, -1, -0.0, -np.inf, math.nan])
+def test_lp_accumulator_refuses_exponents_outside_domain(s):
+    with pytest.raises(fields.FieldError):
+        fields.LpAccumulator([2, s])
+
+
+def _lp_entry_points():
+    """(id, call) for every Lp entry point at an exponent outside (0, inf];
+    each of these returned a number or raised ZeroDivisionError before the
+    reduction refused such exponents."""
+    from tubelab import extension, lemmas, witnesses, xray
+    from tubelab.geometry import quadratic_phase
+
+    cap = extension.CapFunction((-1.0, -1.0), (1.0, 1.0))
+    dense = extension.CapFunction((-0.5,), (0.5,),
+                                  density=lambda y: 1.0 + y[:, 0] ** 2)
+    f, g = witnesses.trace_caps(3, 4)
+    phi = quadratic_phase(2)
+    empty = fields.NetFunction(build_net(2, 1 / 8), {})
+    F, G, _pred = xray.kakeya_witness(xray.K1_SLAB, 2, 1 / 8)
+    u = unit_box_function(m=4)
+    rects = [lemmas.FreqRect((c,), (2,)) for c in (-20, 0, 20)]
+
+    def annulus(s):
+        dot = fields.GridFunction((1, 1), (0.0, 0.0), (0.1, 0.1),
+                                  np.ones((1, 1), dtype=complex))
+        return extension.annulus_ratio(dot, dot, s, 2.0)
+
+    return [
+        ("norm_lp-zero", lambda: cap.norm_lp(0)),
+        ("norm_lp-negative", lambda: cap.norm_lp(-1)),
+        ("norm_lp-density-negative", lambda: dense.norm_lp(-1)),
+        ("local_ratio-q-zero", lambda: extension.local_ratio(f, g, phi, 2, 0, 4)),
+        ("local_ratio-q-negative",
+         lambda: extension.local_ratio(f, g, phi, 2, -1, 4)),
+        ("local_ratio-p-zero", lambda: extension.local_ratio(f, g, phi, 0, 1, 4)),
+        ("mixed_norm-empty-zero", lambda: fields.mixed_norm(empty, 0)),
+        ("mixed_norm-empty-negative",
+         lambda: fields.mixed_norm(empty, -1, fields.SUM_I)),
+        ("lp_norm-nan", lambda: fields.lp_norm(u, math.nan)),
+        ("annulus-nan", lambda: annulus(math.nan)),
+        ("kakeya_ratio-q-nan",
+         lambda: xray.delta_ball_ratio(2, 2, math.nan, 1 / 4)),
+        ("bilinear-p-half", lambda: xray.bilinear_kakeya_ratios(F, G, [(0.5, 2)])),
+        ("bilinear-p-zero", lambda: xray.bilinear_kakeya_ratios(F, G, [(0, 2)])),
+        ("bilinear-q-nan",
+         lambda: xray.bilinear_kakeya_ratios(F, G, [(2, math.nan)])),
+        ("quasi-p-half",
+         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0.5, grid_m=64)),
+        ("quasi-p-zero",
+         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0, grid_m=64)),
+        ("young-sequence-nan", lambda: lemmas.young_check([1.0, 2.0], math.nan)),
+    ]
+
+
+@pytest.mark.parametrize("case", _lp_entry_points(), ids=lambda c: c[0])
+def test_lp_entry_points_refuse_exponents_outside_domain(case):
+    from tubelab.lemmas import LemmaError
+
+    with pytest.raises((fields.FieldError, LemmaError)):
+        case[1]()

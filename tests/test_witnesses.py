@@ -103,6 +103,17 @@ def test_witness_scale_validation():
         wit.build_witness("nonsense", 3, 1 / 8)
     with pytest.raises(wit.WitnessError):
         wit.build_witness(xray.K0_DELTAS, 3, 1 / 8)
+    for kind, n, scale in ((wit.KNAPP_CLASSIC, 2, math.nan),
+                           (wit.C1_SQUASHED, 3, -math.inf),
+                           (wit.C0_MODULATED, 2, math.inf),
+                           (wit.C0_MODULATED, 2, math.nan),
+                           (wit.KNAPP_CLASSIC, 1, 1 / 4),
+                           (wit.C1_SQUASHED, 0, 1 / 4)):
+        with pytest.raises(wit.WitnessError):
+            wit.build_witness(kind, n, scale)
+    # the region's side 1/(box_constant delta^2) would overflow
+    with pytest.raises(wit.WitnessError):
+        wit.build_witness(wit.KNAPP_CLASSIC, 2, 1e-12, box_constant=1e-300)
 
 
 def test_witness_ratio_scalar_invariance():
