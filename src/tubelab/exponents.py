@@ -11,6 +11,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
+from . import TubelabError
+
 Rational = Fraction
 
 LINEAR = "linear"
@@ -22,7 +24,7 @@ _KINDS = (LINEAR, BILINEAR, KAKEYA, KAKEYA_BILINEAR)
 _LOCALIZED_KINDS = (LINEAR, BILINEAR)
 
 
-class ExponentDomainError(ValueError):
+class ExponentDomainError(TubelabError):
     """An exponent operation was called outside its domain of validity."""
 
 
@@ -417,7 +419,5 @@ def table1_catalog() -> list:
     return rows
 
 
-def catalog_to_json(rows=None) -> list:
-    if rows is None:
-        rows = table1_catalog()
-    return [r.to_json() for r in rows]
+def catalog_to_json() -> list:
+    return [r.to_json() for r in table1_catalog()]

@@ -17,6 +17,7 @@ from typing import Optional
 
 import numpy as np
 
+from . import TubelabError
 from .fields import Ball, GridFunction, LpAccumulator, lp, lp_norm
 from .geometry import EllipticPhase
 
@@ -31,12 +32,14 @@ MAX_GRID_NODES = 1 << 17
 MAX_DOMAIN_CELLS = 1 << 28
 
 
-class ExtensionError(ValueError):
+class ExtensionError(TubelabError):
     pass
 
 
 class OscillationGuardError(ExtensionError):
     """Grid too coarse to resolve the integrand oscillation."""
+
+    exit_code = 3
 
 
 @dataclass
@@ -129,13 +132,18 @@ def _frequency_bounds(cap: CapFunction, phi: EllipticPhase, points):
 
 def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
                          min_nodes: int = 16) -> np.ndarray:
-    """Per-axis node counts so every cell sees at most a quarter period."""
+    """Per-axis node counts so every cell sees at most a quarter period; a
+    count above MAX_GRID_NODES raises OscillationGuardError."""
     freq_axes, freq_global = _frequency_bounds(cap, phi, points)
     counts = np.empty(cap.dim, dtype=int)
     for a in range(cap.dim):
         length = cap.support_hi[a] - cap.support_lo[a]
-        freq = max(freq_axes[a], freq_global)
-        counts[a] = max(min_nodes, int(math.ceil(4.0 * length * freq)))
+        need = 4.0 * length * float(max(freq_axes[a], freq_global))
+        if not need <= MAX_GRID_NODES:
+            raise OscillationGuardError(
+                f"quadrature needs {need:.3g} nodes on support axis {a}, above "
+                f"the {MAX_GRID_NODES} cap; shrink the scale range")
+        counts[a] = max(min_nodes, int(math.ceil(need)))
     return counts
 
 

@@ -8,16 +8,16 @@ weighting; refinement control is resample_check's job).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
+from . import TubelabError
 from .geometry import DirectionNet
 
 
-class FieldError(ValueError):
+class FieldError(TubelabError):
     pass
 
 
@@ -30,8 +30,7 @@ class LpAccumulator:
     def __init__(self, exponents):
         exponents = list(exponents)
         for s in exponents:
-            if not 0 < s <= np.inf:
-                raise FieldError(f"Lp exponent {s} outside (0, inf]")
+            check_exponent(s)
         self.sup = 0.0
         self.sums = {s: 0.0 for s in exponents if s != np.inf}
 
@@ -44,6 +43,12 @@ class LpAccumulator:
 
     def norm(self, s: float, weight: float = 1.0) -> float:
         return self.sup if s == np.inf else float((self.sums[s] * weight) ** (1.0 / s))
+
+
+def check_exponent(s: float):
+    """Refuse an Lp exponent outside (0, inf]."""
+    if not 0 < s <= np.inf:
+        raise FieldError(f"Lp exponent {s} outside (0, inf]")
 
 
 def lp(values, s: float, weight: float = 1.0) -> float:
@@ -113,20 +118,12 @@ class CylinderDomain:
 
     def bounding_box(self):
         dim = 2 + len(self.rest_lo)
-        lo = np.empty(dim)
-        hi = np.empty(dim)
-        rest = iter(range(len(self.rest_lo)))
-        for ax in range(dim):
-            if ax == self.disc_axes[0]:
-                lo[ax] = self.disc_center[0] - self.disc_radius
-                hi[ax] = self.disc_center[0] + self.disc_radius
-            elif ax == self.disc_axes[1]:
-                lo[ax] = self.disc_center[1] - self.disc_radius
-                hi[ax] = self.disc_center[1] + self.disc_radius
-            else:
-                k = next(rest)
-                lo[ax] = self.rest_lo[k]
-                hi[ax] = self.rest_hi[k]
+        rest = [ax for ax in range(dim) if ax not in self.disc_axes]
+        lo, hi = np.empty(dim), np.empty(dim)
+        lo[rest], hi[rest] = self.rest_lo, self.rest_hi
+        disc = list(self.disc_axes)
+        lo[disc] = np.subtract(self.disc_center, self.disc_radius)
+        hi[disc] = np.add(self.disc_center, self.disc_radius)
         return lo, hi
 
 
@@ -258,47 +255,46 @@ SUP_I = "sup_i"
 SUM_I = "sum_i"
 
 
-@dataclass
 class NetFunction:
-    """Finitely-supported nonnegative values on net x net."""
+    """Finitely-supported nonnegative values on net x net, given as a
+    {(omega_index, base_index): value} mapping and stored as the integer
+    arrays omega and base, sorted by (omega, base), and the array values."""
 
-    net: DirectionNet
-    values: dict  # (omega_index, base_index) -> float >= 0
+    def __init__(self, net: DirectionNet, mapping: dict):
+        self.net = net
+        keys = np.array(list(mapping), dtype=float).reshape(-1, 2)
+        values = np.fromiter(mapping.values(), dtype=float, count=len(keys))
+        ok = np.all((keys == np.floor(keys)) & (keys >= 0)
+                    & (keys < len(net.points)), axis=1)
+        ok &= (values >= 0) & (values < np.inf)
+        if not ok.all():
+            k = int(np.argmin(ok))
+            raise FieldError(f"net entry ({keys[k, 0]:g}, {keys[k, 1]:g}) -> "
+                             f"{values[k]}: need integer indices in [0, "
+                             f"{len(net.points)}) and a finite value >= 0")
+        order = np.lexsort(keys.T[::-1])
+        self.omega, self.base = keys[order].astype(int).T
+        self.values = values[order]
 
-    def __post_init__(self):
-        m = len(self.net.points)
-        for (w, i), v in self.values.items():
-            if not (0 <= w < m and 0 <= i < m):
-                raise FieldError(f"net index ({w}, {i}) out of range")
-            if v < 0:
-                raise FieldError("net function values must be nonnegative")
-
-    def inner_aggregates(self, inner: str) -> dict:
-        """omega_index -> aggregate over bases, in one pass."""
-        out = {}
-        if inner == SUP_I:
-            for (w, _i), v in self.values.items():
-                if v > out.get(w, 0.0):
-                    out[w] = v
-        elif inner == SUM_I:
-            for (w, _i), v in self.values.items():
-                out[w] = out.get(w, 0.0) + v
-        else:
+    def inner_aggregates(self, inner: str):
+        """(omega indices that carry a value, sup or sum over their bases),
+        in omega order; sums add in base order."""
+        present = np.unique(self.omega)
+        if inner == SUM_I:
+            return present, np.bincount(self.omega, self.values)[present]
+        if inner != SUP_I:
             raise FieldError(f"unknown inner aggregate {inner!r}")
-        return out
-
-    def total(self) -> float:
-        return float(sum(self.values.values()))
-
-    def scaled(self, c: float) -> "NetFunction":
-        return NetFunction(self.net, {k: c * v for k, v in self.values.items()})
+        sup = np.zeros(len(self.net.points))
+        np.maximum.at(sup, self.omega, self.values)
+        return present, sup[present]
 
     def to_json(self) -> list:
-        return [[int(w), int(i), float(v)] for (w, i), v in sorted(self.values.items())]
+        return [list(entry) for entry in zip(
+            self.omega.tolist(), self.base.tolist(), self.values.tolist())]
 
     @classmethod
     def from_json(cls, net: DirectionNet, items) -> "NetFunction":
-        return cls(net, {(int(w), int(i)): float(v) for w, i, v in items})
+        return cls(net, {(w, i): v for w, i, v in items})
 
 
 def mixed_norm(g: NetFunction, outer_q: float, inner: str = SUP_I) -> float:
@@ -307,5 +303,5 @@ def mixed_norm(g: NetFunction, outer_q: float, inner: str = SUP_I) -> float:
     Directions carry the normalized measure delta^{n-1}; bases carry
     counting measure.  outer_q = inf takes max over directions.
     """
-    aggs = list(g.inner_aggregates(inner).values())
+    _omega, aggs = g.inner_aggregates(inner)
     return lp(aggs, outer_q, g.net.delta**g.net.dim)

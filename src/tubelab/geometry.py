@@ -14,6 +14,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import TubelabError
+
 _BALL_VOLUME = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4 * math.pi / 3}
 
 
@@ -23,7 +25,7 @@ def unit_ball_volume(k: int) -> float:
     return math.pi ** (k / 2) / math.gamma(k / 2 + 1)
 
 
-class GeometryError(ValueError):
+class GeometryError(TubelabError):
     pass
 
 
@@ -404,13 +406,11 @@ class DirectionNet:
         }
 
 
-def build_net(n: int, delta: float, separation: float = 0.5) -> DirectionNet:
+def build_net(n: int, delta: float) -> DirectionNet:
     """Lattice net delta Z^{n-1} cap Q, with E1/E2 the net points inside the
-    sub-cubes of side 1/2 centered at -+ (1/2) e1."""
+    sub-cubes of side 1/2 centered at -+ (1/2) e1, at least 1/2 apart."""
     if not (0 < delta <= 0.25):
         raise GeometryError("need 0 < delta <= 1/4")
-    if not (0 < separation <= 1):
-        raise GeometryError("need 0 < separation <= 1")
     dim = n - 1
     kmax = int(math.floor(1.0 / delta + 1e-9))
     axis = np.arange(-kmax, kmax + 1, dtype=float) * delta
@@ -432,9 +432,9 @@ def build_net(n: int, delta: float, separation: float = 0.5) -> DirectionNet:
     if len(e1) == 0 or len(e2) == 0:
         raise GeometryError(f"delta = {delta} too coarse to populate E1/E2")
     net = DirectionNet(delta=float(delta), points=pts,
-                       e1_indices=e1, e2_indices=e2, separation=float(separation))
+                       e1_indices=e1, e2_indices=e2, separation=0.5)
     gap = np.min(net.e2[:, 0]) - np.max(net.e1[:, 0])
-    if gap < separation - 1e-12:
+    if gap < net.separation - 1e-12:
         raise GeometryError("E1/E2 separation not met")
     return net
 

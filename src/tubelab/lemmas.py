@@ -15,11 +15,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
+from . import TubelabError
 from .fields import GridFunction, conjugate, lp, lp_norm
 from .geometry import DyadicCube
 
 
-class LemmaError(ValueError):
+class LemmaError(TubelabError):
     pass
 
 
@@ -73,23 +74,19 @@ class OmegaSet:
         return OmegaSet(self.n, self.resolution_j, self.mask & ~other_mask)
 
 
-def random_omega_set(n: int, resolution_j: int, seed: int,
-                     style: str = "blocks") -> OmegaSet:
-    """Seeded random dyadic subsets: scattered cells, random boxes, or both."""
+def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
+    """Seeded random dyadic subset: scattered cells joined with random boxes."""
     rng = np.random.default_rng(seed)
     side = 2 ** (resolution_j + 1)
     shape = (side,) * (n - 1)
-    mask = np.zeros(shape, dtype=bool)
-    if style in ("cells", "blocks"):
-        density = rng.uniform(0.005, 0.15)
-        mask |= rng.random(shape) < density
-    if style in ("boxes", "blocks"):
-        for _ in range(rng.integers(1, 5)):
-            corner = rng.integers(0, side, size=n - 1)
-            sizes = rng.integers(1, max(2, side // 3), size=n - 1)
-            sel = tuple(slice(int(c), int(min(side, c + s)))
-                        for c, s in zip(corner, sizes))
-            mask[sel] = True
+    density = rng.uniform(0.005, 0.15)
+    mask = rng.random(shape) < density
+    for _ in range(rng.integers(1, 5)):
+        corner = rng.integers(0, side, size=n - 1)
+        sizes = rng.integers(1, max(2, side // 3), size=n - 1)
+        sel = tuple(slice(int(c), int(min(side, c + s)))
+                    for c, s in zip(corner, sizes))
+        mask[sel] = True
     if not mask.any():
         mask.flat[int(rng.integers(0, mask.size))] = True
     return OmegaSet(n, resolution_j, mask)

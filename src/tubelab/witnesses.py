@@ -15,7 +15,7 @@ from typing import Callable, List, Tuple
 
 import numpy as np
 
-from . import xray
+from . import TubelabError, xray
 from .extension import (CapFunction, EllipticPhase, domain_norm_ratio,
                         evaluate_extension, required_grid_n)
 from .fields import Box, CylinderDomain
@@ -33,12 +33,14 @@ CAP_CENTER = 0.5  # first-axis distance of each cap center from the origin
 CAP_HALF = 0.25
 
 
-class WitnessError(ValueError):
+class WitnessError(TubelabError):
     pass
 
 
 class ModulationSearchError(WitnessError):
     """The phase-shift search failed to reach the predicted amplitude."""
+
+    exit_code = 3
 
 
 @dataclass(frozen=True)
@@ -207,8 +209,8 @@ def build_witness(kind: str, n: int, scale: float,
         raise WitnessError("need a positive finite box_constant")
     if kind == C0_MODULATED:
         R = float(scale)
-        if R < 4:
-            raise WitnessError("need R >= 4")
+        if not (R >= 4 and 8.0 * R < math.inf):  # box at 3R; probes add its bounds
+            raise WitnessError(f"need R >= 4 and 8R finite, got R = {R:g}")
         lo1, hi1 = _cap_support(-CAP_CENTER, CAP_HALF, n, CAP_HALF)
         lo2, hi2 = _cap_support(+CAP_CENTER, CAP_HALF, n, CAP_HALF)
         f = CapFunction(lo1, hi1)

@@ -3,7 +3,10 @@ tube-maximal norm ratios, the inner-product constant, and the necessity
 witness configurations.
 
 Rasterization convention: a grid cell belongs to a tube iff its center does.
-The transform guard requires grid spacing <= delta/4 so the delta-wide
+X, X* and geometry.Tube.contains test it with one expression, evaluated in
+this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
+iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  The
+transform guard requires grid spacing <= delta/4 so the delta-wide
 cross-section is resolved by at least four cells.
 """
 
@@ -16,11 +19,12 @@ from typing import Optional
 
 import numpy as np
 
+from . import TubelabError
 from .fields import (GridFunction, LpAccumulator, NetFunction, SUM_I, SUP_I,
-                     conjugate, lp_norm, mixed_norm)
+                     check_exponent, conjugate, lp_norm, mixed_norm)
 from .geometry import DirectionNet, Tube, tube_intersection_exact
 
-class XrayError(ValueError):
+class XrayError(TubelabError):
     pass
 
 
@@ -37,14 +41,12 @@ class XrayField:
     def tubes(self):
         """(directions, bases, values) as arrays, one row per tube in
         (omega index, base index) order."""
-        keys = sorted(self.values.values)
-        w, i = np.array(keys, dtype=int).reshape(-1, 2).T
-        vals = np.array([self.values.values[k] for k in keys], dtype=float)
-        return self.net.points[w], self.net.points[i], vals
+        v = self.values
+        return self.net.points[v.omega], self.net.points[v.base], v.values
 
     def norm_l1l1(self) -> float:
-        """L^1_omega L^1_i with the normalized direction measure."""
-        return self.net.delta**self.net.dim * self.values.total()
+        """L^1_omega L^1_i with the normalized direction measure, summed in order."""
+        return self.net.delta**self.net.dim * sum(self.values.values.tolist())
 
     def to_json(self) -> dict:
         return {"delta": float(self.delta), "values": self.values.to_json()}
@@ -85,6 +87,15 @@ def _candidate_base_indices(net: DirectionNet, omega: np.ndarray, lo, hi):
     return np.nonzero(ok)[0]
 
 
+def _real_samples(f: GridFunction) -> np.ndarray:
+    """The samples of f, which X needs real, finite and nonnegative."""
+    vals = np.real(f.samples)
+    if np.any(np.imag(f.samples) != 0) or not np.all((vals >= 0) & (vals < np.inf)):
+        raise XrayError("X takes finite nonnegative real input; f has complex, "
+                        "negative or non-finite samples")
+    return vals
+
+
 def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     """X f(omega, i) = delta^{1-n} * (midpoint quadrature of f over the tube).
 
@@ -96,16 +107,10 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     n = f.ndim
     if n - 1 != net.dim:
         raise XrayError("grid dimension does not match net")
-    centers = f.centers()
-    if np.any(np.imag(f.samples) != 0):
-        raise XrayError("X takes real input; the samples have imaginary parts")
-    vals = np.real(f.samples).reshape(-1)
-    live = np.abs(f.samples.reshape(-1)) > 0
-    centers, vals = centers[live], vals[live]
-    if centers.shape[0] == 0:
-        return XrayField(net, delta, NetFunction(net, {}))
-    lo = centers.min(axis=0)
-    hi = centers.max(axis=0)
+    vals = _real_samples(f).reshape(-1)
+    live = vals > 0
+    centers, vals = f.centers()[live], vals[live]
+    lo, hi = centers.min(axis=0, initial=np.inf), centers.max(axis=0, initial=-np.inf)
     keep_t = np.abs(centers[:, -1]) <= 1.0
     centers, vals = centers[keep_t], vals[keep_t]
     scale = delta ** (1 - n) * f.cell_measure
@@ -113,24 +118,24 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     x_, yn = centers[:, :-1], centers[:, -1]
     for w_idx, omega in enumerate(net.points):
         cand = _candidate_base_indices(net, omega, lo, hi)
-        if cand.size == 0:
-            continue
         c = x_ - yn[:, None] * omega[None, :]
         dev = c[:, None, :] - net.points[cand][None, :, :]
         inside = (np.sum(dev * dev, axis=2) <= delta**2).astype(float)
         sums = inside.T @ vals
-        for k, i_idx in enumerate(cand):
-            if sums[k] != 0.0:
-                out[(w_idx, int(i_idx))] = float(sums[k] * scale)
+        hit = np.nonzero(sums)[0]
+        out.update(zip(zip([w_idx] * len(hit), cand[hit].tolist()),
+                       (sums[hit] * scale).tolist()))
     return XrayField(net, delta, NetFunction(net, out))
 
 
 def _slab_rasterize(tubes, delta, x_axes, yn):
     """Sum of value * chi_tube on the x-grid at height yn.  All tubes are
     tested at once on their searchsorted windows (padded to the widest) by
-    cell center; bincount adds each cell's values in tube order."""
+    the module's cell-center expression; bincount adds each cell's values in
+    tube order."""
     omegas, bases, values = tubes
-    centers = bases + yn * omegas
+    shifts = yn * omegas
+    centers = bases + shifts
     d = len(x_axes)
     inside, d2, flat = True, 0.0, 0
     for a, ax in enumerate(x_axes):
@@ -140,7 +145,8 @@ def _slab_rasterize(tubes, delta, x_axes, yn):
         shape = (len(values),) + (1,) * a + (idx.shape[1],) + (1,) * (d - 1 - a)
         inside = inside & (idx < hi[:, None]).reshape(shape)
         idx = np.minimum(idx, len(ax) - 1)
-        d2 = d2 + ((ax[idx] - centers[:, a, None]) ** 2).reshape(shape)
+        dev = (ax[idx] - shifts[:, a, None]) - bases[:, a, None]
+        d2 = d2 + (dev**2).reshape(shape)
         flat = flat * len(ax) + idx.reshape(shape)
     inside = inside & (d2 <= delta**2)
     dims = tuple(len(ax) for ax in x_axes)
@@ -193,20 +199,21 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
 
 
 def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> KakeyaRatio:
-    """|| Xf ||_{L^q_omega L^inf_i} / (delta^{1 - n/p} ||f||_p)."""
-    n = f.ndim
+    """|| Xf ||_{L^q_omega L^inf_i} / (delta^{1 - n/p} ||f||_p); q and f
+    are checked before the transform runs."""
+    check_exponent(q)
+    _real_samples(f)
     denom_f = lp_norm(f, p)
     if denom_f == 0:
         raise XrayError("||f||_p = 0")
     xf = xray_transform(f, net)
     num = mixed_norm(xf.values, q, SUP_I)
-    denom = net.delta ** (1.0 - n / p) * denom_f
+    denom = net.delta ** (1.0 - f.ndim / p) * denom_f
     return KakeyaRatio(p=p, q=q, delta=net.delta, value=num / denom, bilinear=False)
 
 
 def _check_support(field: XrayField, allowed: np.ndarray, name: str):
-    omega_indices = [w for w, _i in field.values.values]
-    if not np.isin(omega_indices, allowed).all():
+    if not np.isin(field.values.omega, allowed).all():
         raise XrayError(f"{name} has direction support outside its set")
 
 
@@ -250,9 +257,7 @@ class Prop111Result:
     @property
     def relative_gap(self) -> float:
         ref = max(self.grid_value, self.pair_value)
-        if ref == 0:
-            return 0.0
-        return abs(self.grid_value - self.pair_value) / ref
+        return abs(self.grid_value - self.pair_value) / ref if ref else 0.0
 
 
 def prop111_constant(F: XrayField, G: XrayField,
@@ -346,8 +351,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
 
     def field_from(omega_indices, base_idx):
         return XrayField(net, delta, NetFunction(
-            net, {(int(w), int(base_idx)): 1.0 for w in omega_indices}
-        ))
+            net, dict.fromkeys(((w, base_idx) for w in omega_indices), 1.0)))
 
     if kind == K0_DELTAS:
         # bushes crossing at height ~ 3/4: base separation matching the
@@ -355,31 +359,22 @@ def kakeya_witness(kind: str, n: int, delta: float):
         # Restricting candidates to the 1/8-sublattice keeps the choice
         # identical across the deltas of a sweep.
         coarse = max(delta, 0.125)
-        seed = np.zeros(net.dim)
-        seed[0] = -0.75
-        cands = []
-        for i in range(len(net.points)):
-            pt = net.points[i]
-            on_coarse = all(abs(c / coarse - round(c / coarse)) < 1e-9 for c in pt)
-            if on_coarse and np.linalg.norm(pt - seed) <= 0.3:
-                cands.append(i)
+        seed = [-0.75] + [0.0] * (net.dim - 1)
+        lattice = net.points / coarse
+        on_coarse = np.all(np.abs(lattice - np.round(lattice)) < 1e-9, axis=1)
+        near = np.linalg.norm(net.points - seed, axis=1) <= 0.3
+        cands = np.nonzero(on_coarse & near)[0]
         best = max(cands, key=lambda i: _bush_cover_score(
             net, np.zeros(net.dim), net.points[i]))
         F = field_from(net.e1_indices, origin_idx)
         G = field_from(net.e2_indices, best)
     elif kind == K1_SLAB:
-        def in_slab(idx):
-            pt = net.points[idx]
-            return all(abs(pt[a]) <= delta + 1e-12 for a in range(1, net.dim))
-
-        e1 = [i for i in net.e1_indices if in_slab(i)]
-        e2 = [i for i in net.e2_indices if in_slab(i)]
-        b1 = np.zeros(net.dim)
-        b1[0] = +0.5
-        b2 = np.zeros(net.dim)
-        b2[0] = -0.5
-        F = field_from(e1, net.nearest_index(b1))
-        G = field_from(e2, net.nearest_index(b2))
+        in_slab = np.all(np.abs(net.points[:, 1:]) <= delta + 1e-12, axis=1)
+        e1 = net.e1_indices[in_slab[net.e1_indices]]
+        e2 = net.e2_indices[in_slab[net.e2_indices]]
+        rest = [0.0] * (net.dim - 1)
+        F = field_from(e1, net.nearest_index([+0.5] + rest))
+        G = field_from(e2, net.nearest_index([-0.5] + rest))
     elif kind == BUSH:
         F = field_from(net.e1_indices, origin_idx)
         G = field_from(net.e2_indices, origin_idx)

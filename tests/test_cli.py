@@ -225,12 +225,16 @@ def test_write_errors_exit_usage(tmp_path, capsys, argv):
     ["witness", "--family", "knapp-classic", "--n", "1", "--scale", "0.25"],
     ["witness", "--family", "knapp-classic", "--n", "2", "--scale", "1e-12",
      "--box-constant", "1e-300"],
+    ["witness", "--family", "c0-modulated", "--n", "2", "--scale", "4e307"],
+    ["witness", "--family", "c0-modulated", "--n", "2", "--scale", "1e308"],
     ["exponents", "interpolate", "--p1", "0"],
     ["exponents", "interpolate", "--p1", "1/3"],
     ["exponents", "interpolate", "--kind", "nonsense"],
     ["verify", "--suite", "lemmas", "--seed", "-1"],
 ], ids=["witness-scale-nan", "witness-c0-scale-inf", "witness-n-one",
-        "witness-region-overflow", "interpolate-p1-zero",
+        "witness-region-overflow", "witness-c0-probe-overflow",
+        "witness-c0-centre-overflow",
+        "interpolate-p1-zero",
         "interpolate-p1-third", "interpolate-unknown-kind",
         "verify-negative-seed"])
 def test_non_sweep_input_errors_exit_usage(capsys, argv):
@@ -282,6 +286,39 @@ def test_sweep_resource_guard_exit_code(tmp_path, capsys):
     assert code == cli.EXIT_RESOURCE
 
 
+@pytest.mark.parametrize("argv", [
+    ["witness", "--family", "c0-modulated", "--n", "2", "--scale", "1e200"],
+    ["witness", "--family", "c0-modulated", "--n", "3", "--scale", "2.2e307"],
+    ["sweep", "--config", "{cfg}"],
+], ids=["witness-c0-huge-scale", "witness-c0-largest-scale",
+        "sweep-c0-huge-scales"])
+def test_node_count_overflow_exits_resource(tmp_path, capsys, argv):
+    cfgp = sweep_config(tmp_path, tmp_path / "o", scales="1e200, 2e200, 4e200",
+                        family="c0-modulated", p="2", q="4")
+    code = cli.main([a.format(cfg=cfgp) for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE and captured.out == ""
+    assert captured.err.startswith("resource error: ")
+    assert "Traceback" not in captured.err
+
+
+def test_every_library_error_derives_from_one_base():
+    from tubelab import (TubelabError, extension, fields, geometry, lemmas,
+                         xray)
+
+    modules = (cli, exponents, extension, fields, geometry, lemmas, witnesses,
+               xray)
+    errors = {obj for mod in modules for obj in vars(mod).values()
+              if isinstance(obj, type) and issubclass(obj, Exception)
+              and obj.__module__ == mod.__name__}
+    assert all(issubclass(err, TubelabError) for err in errors)
+    assert {err.__name__: err.exit_code for err in errors} == {
+        "ConfigError": 2, "ExponentDomainError": 2, "ExtensionError": 2,
+        "OscillationGuardError": 3, "FieldError": 2, "GeometryError": 2,
+        "DepthExceededError": 2, "DegenerateInputError": 2, "LemmaError": 2,
+        "WitnessError": 2, "ModulationSearchError": 3, "XrayError": 2}
+
+
 def test_region_command_alias(capsys):
     code, out = run_cli(capsys, "region",
                         "--kind", "kakeya-bilinear-conjecture", "--n", "3")
@@ -302,6 +339,10 @@ _FUZZ_VALID = {
     "q": ["2", "10/3", "1", "5"],
     "scales": ["1/4, 1/8, 1/16", "4, 8, 16"],
 }
+# c0-modulated scales R past the quadrature node cap, up to 1e308 (where
+# the witness box and the later scales of a sweep overflow)
+_C0_HUGE_R = st.floats(min_value=1e100, max_value=1e308)
+_C0_HUGE_SCALES = _C0_HUGE_R.map(lambda r: f"{r!r}, {2 * r!r}, {4 * r!r}")
 _NUMBERS = ["0", "-1", "1/0", "x", "", "1e400", "1e-400", "nan", "inf"]
 _FUZZ_OTHER = {
     "command": ["verify", ""],
@@ -349,14 +390,17 @@ def _reject_constant(name):
        lines=st.lists(_FUZZ_LINES, max_size=4),
        flags=st.lists(st.sampled_from(_FUZZ_FLAGS), max_size=3),
        with_config=st.sampled_from([True, True, True, False]),
-       csv_rows=st.lists(_CSV_ROWS, max_size=5))
+       csv_rows=st.lists(_CSV_ROWS, max_size=5),
+       c0_scales=st.one_of(st.none(), _C0_HUGE_SCALES))
 def test_fuzzed_sweep_input_exit_codes(base, lines, flags, with_config,
-                                       csv_rows):
+                                       csv_rows, c0_scales):
     """Random config text, argv and (under --check) stored sweep.csv rows end
     in a documented exit code, never in an escaping exception, and any JSON
     printed is standard JSON (no NaN or Infinity)."""
     # a valid line per sweep key makes a runnable config likely; the random
     # lines after it may override any of them
+    if c0_scales is not None:
+        base = {**base, "family": "c0-modulated", "scales": c0_scales}
     text = "\n".join(["command = sweep", "seed = 1"]
                      + [f"{key} = {value}" for key, value in base.items()]
                      + lines + ["output_dir = out"])
@@ -438,6 +482,9 @@ _NON_SWEEP_ARGV = st.one_of(
               _FUZZ_SCALES, _options({"--box-constant": _FUZZ_BOX_CONSTANTS})).map(
         lambda t: ["witness", "--family", t[0], "--n", t[1], "--scale", t[2]]
         + [x for kv in t[3].items() for x in kv]),
+    st.tuples(_FUZZ_DIMS, _C0_HUGE_R).map(
+        lambda t: ["witness", "--family", "c0-modulated", "--n", t[0],
+                   "--scale", repr(t[1])]),
 )
 
 

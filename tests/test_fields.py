@@ -173,15 +173,32 @@ def test_netfunction_json_roundtrip():
     g = fields.NetFunction(net, {(1, 2): 0.5, (3, 0): 1.25})
     blob = g.to_json()
     back = fields.NetFunction.from_json(net, blob)
-    assert back.values == g.values
+    for attr in ("omega", "base", "values"):
+        assert np.array_equal(getattr(back, attr), getattr(g, attr))
 
 
 def test_netfunction_validation():
+    net = build_net(2, 1 / 32)  # 65 points, so 40.5 lies inside the range
+    nan, inf = float("nan"), float("inf")
+    for key, value in [((100, 0), 1.0), ((65, 0), 1.0), ((0, -1), 1.0),
+                       ((3, 40.5), 1.0), ((nan, 0), 1.0), ((0, 0), -1.0),
+                       ((0, 0), nan), ((0, 0), inf), ((0, 0), -inf)]:
+        with pytest.raises(fields.FieldError, match="net entry"):
+            fields.NetFunction(net, {(1, 2): 0.5, key: value})
+
+
+def test_netfunction_stores_sorted_arrays():
     net = build_net(2, 1 / 4)
-    with pytest.raises(fields.FieldError):
-        fields.NetFunction(net, {(100, 0): 1.0})
-    with pytest.raises(fields.FieldError):
-        fields.NetFunction(net, {(0, 0): -1.0})
+    g = fields.NetFunction(net, {(3, 0): 1.25, (1, 2): 0.5, (1, 0): 2.0})
+    assert g.omega.tolist() == [1, 1, 3] and g.base.tolist() == [0, 2, 0]
+    assert g.values.tolist() == [2.0, 0.5, 1.25]
+    assert g.to_json() == [[1, 0, 2.0], [1, 2, 0.5], [3, 0, 1.25]]
+    omegas, sums = g.inner_aggregates(fields.SUM_I)
+    assert omegas.tolist() == [1, 3] and sums.tolist() == [2.5, 1.25]
+    assert g.inner_aggregates(fields.SUP_I)[1].tolist() == [2.0, 1.25]
+    empty = fields.NetFunction(net, {})
+    assert len(empty.values) == 0 and empty.to_json() == []
+    assert fields.mixed_norm(empty, 2.0) == 0.0
 
 
 def test_lp_accumulator_matches_one_pass_reference():
