@@ -65,6 +65,7 @@ class ExperimentConfig:
 
 
 def parse_config_text(text: str) -> dict:
+    """{key: (value text, "line <k>")}; a later line overrides an earlier one."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -73,7 +74,7 @@ def parse_config_text(text: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value'")
         key, value = line.split("=", 1)
-        out[key.strip()] = value.strip()
+        out[key.strip()] = (value.strip(), f"line {lineno}")
     return out
 
 
@@ -104,37 +105,43 @@ def _read_text(path: str) -> str:
         raise ConfigError(f"cannot read {path}: {reason}") from None
 
 
-def _check_ranges(cfg: ExperimentConfig):
-    if cfg.n < 2:
-        raise ConfigError(f"bad value for 'n': {cfg.n} (need n >= 2)")
+def _check_ranges(cfg: ExperimentConfig, where: dict):
+    """Refuse out-of-range values; where maps keys to their line or flag."""
+    def check(key, ok, need):
+        if not ok:
+            raise ConfigError(f"{where.get(key, '')}bad value for {key!r}: {need}")
+
+    check("n", cfg.n >= 2, f"{cfg.n} (need n >= 2)")
     for key, values in (("p", [cfg.p_value]), ("q", [cfg.q_value]),
                         ("scales", cfg.scales), ("box_constant", [cfg.box_constant])):
-        if not all(0 < v < math.inf for v in values):
-            raise ConfigError(f"bad value for {key!r}: need positive finite values")
-    if not 0 <= cfg.tolerance < math.inf:
-        raise ConfigError("bad value for 'tolerance': need a non-negative finite value")
+        check(key, all(0 < v < math.inf for v in values),
+              "need positive finite values")
+    check("tolerance", 0 <= cfg.tolerance < math.inf,
+          "need a non-negative finite value")
 
 
 def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
+    """The config at path, its lines overridden by flag values (None: unset)."""
     raw = parse_config_text(_read_text(path))
-    if overrides:
-        raw.update({k: v for k, v in overrides.items() if v is not None})
+    raw.update({key: (value, "--" + key.replace("_", "-"))
+                for key, value in (overrides or {}).items() if value is not None})
     try:
-        command = raw.pop("command")
+        command, _line = raw.pop("command")
     except KeyError:
         raise ConfigError("config missing 'command'")
+    where = {key: f"{at}: " for key, (_value, at) in raw.items()}
     cfg = ExperimentConfig(command=command)
-    for key, value in raw.items():
+    for key, (value, _at) in raw.items():
         if key not in _CONFIG_PARSERS:
-            raise ConfigError(f"unknown config key {key!r}")
+            raise ConfigError(f"{where[key]}unknown config key {key!r}")
         try:
             setattr(cfg, key, _CONFIG_PARSERS[key](value))
         except (ValueError, ZeroDivisionError, OverflowError):
-            raise ConfigError(f"bad value for {key!r}: {value!r}") from None
-    _check_ranges(cfg)
+            raise ConfigError(f"{where[key]}bad value for {key!r}: {value!r}") from None
+    _check_ranges(cfg, where)
     if cfg.command == "sweep":
         if cfg.family not in witnesses.FAMILIES:
-            raise ConfigError(f"unknown family {cfg.family!r}")
+            raise ConfigError(f"{where.get('family', '')}unknown family {cfg.family!r}")
         if not cfg.scales:
             raise ConfigError("sweep needs scales")
         if cfg.seed is None:
@@ -490,7 +497,7 @@ def _suite_xray(seed: int) -> dict:
     worst = 0.0
     for n, delta in ((2, 1 / 8), (2, 1 / 16), (3, 1 / 8)):
         net = geometry.build_net(n, delta)
-        # compact support keeps the transform's tube-candidate loop small
+        # compact support keeps the live cells X splats per direction few
         half = 1.2 if n == 2 else 0.5
         m = int(np.ceil(2 * half / (delta / 4)))
         f = grid_from_sampler(
@@ -570,15 +577,8 @@ def cmd_verify(suite: str, seed: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", default=None)
-    common.add_argument("--output-dir", default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--tolerance", type=float, default=None)
-
-    ap = argparse.ArgumentParser(prog="tubelab", parents=[common])
-    sub = ap.add_subparsers(dest="command", parser_class=lambda **kw:
-                            argparse.ArgumentParser(parents=[common], **kw))
+    ap = argparse.ArgumentParser(prog="tubelab")
+    sub = ap.add_subparsers(dest="command")
 
     ex = sub.add_parser("exponents")
     ex.add_argument("subcommand")
@@ -600,6 +600,10 @@ def build_parser() -> argparse.ArgumentParser:
     rg.add_argument("--n", type=int, default=3)
 
     sw = sub.add_parser("sweep")
+    sw.add_argument("--config", required=True)
+    sw.add_argument("--output-dir", default=None)
+    sw.add_argument("--seed", type=int, default=None)
+    sw.add_argument("--tolerance", type=float, default=None)
     sw.add_argument("--check", action="store_true")
 
     wt = sub.add_parser("witness")
@@ -612,6 +616,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     vf = sub.add_parser("verify")
     vf.add_argument("--suite", default="all")
+    vf.add_argument("--seed", type=int, default=0)
     return ap
 
 
@@ -627,19 +632,14 @@ def main(argv=None) -> int:
         if args.command in ("exponents", "region"):
             return cmd_exponents(args)
         if args.command == "sweep":
-            if not args.config:
-                raise ConfigError("sweep needs --config")
-            overrides = {"output_dir": args.output_dir}
-            if args.seed is not None:
-                overrides["seed"] = str(args.seed)
-            if args.tolerance is not None:
-                overrides["tolerance"] = str(args.tolerance)
-            cfg = load_config(args.config, overrides)
+            cfg = load_config(args.config, {"output_dir": args.output_dir,
+                                            "seed": args.seed,
+                                            "tolerance": args.tolerance})
             return cmd_sweep(cfg, check_only=args.check)
         if args.command == "witness":
             return cmd_witness(args)
         if args.command == "verify":
-            return cmd_verify(args.suite, args.seed if args.seed is not None else 0)
+            return cmd_verify(args.suite, args.seed)
         ap.print_usage(sys.stderr)
         return EXIT_USAGE
     except (TubelabError, MemoryError) as exc:

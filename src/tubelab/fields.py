@@ -8,6 +8,7 @@ weighting; refinement control is resample_check's job).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -262,6 +263,14 @@ class NetFunction:
 
     def __init__(self, net: DirectionNet, mapping: dict):
         self.net = net
+        text_or_bool = (str, bytes, bool, np.bool_)  # float() would parse these
+        parts = itertools.chain(mapping.values(),
+                                itertools.chain.from_iterable(mapping))
+        if any(issubclass(t, text_or_bool) for t in set(map(type, parts))):
+            key, value = next((k, v) for k, v in mapping.items() if any(
+                isinstance(x, text_or_bool) for x in (*k, v)))
+            raise FieldError(f"net entry {key!r} -> {value!r}: need numbers, "
+                             "not strings or bools")
         keys = np.array(list(mapping), dtype=float).reshape(-1, 2)
         values = np.fromiter(mapping.values(), dtype=float, count=len(keys))
         ok = np.all((keys == np.floor(keys)) & (keys >= 0)

@@ -5,9 +5,12 @@ witness configurations.
 Rasterization convention: a grid cell belongs to a tube iff its center does.
 X, X* and geometry.Tube.contains test it with one expression, evaluated in
 this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
-iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  The
-transform guard requires grid spacing <= delta/4 so the delta-wide
-cross-section is resolved by at least four cells.
+iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  X and X*
+run on one disc kernel: X* rasterizes the tube discs of a height slab onto
+the grid, and X splats each cell, per direction, onto the net lattice as the
+disc of bases i within delta of x_ - x_n omega.  The transform guard
+requires grid spacing <= delta/4 so the delta-wide cross-section is
+resolved by at least four cells.
 """
 
 from __future__ import annotations
@@ -72,21 +75,6 @@ def _check_spacing(spacing, delta):
         )
 
 
-def _candidate_base_indices(net: DirectionNet, omega: np.ndarray, lo, hi):
-    """Net points i for which the tube T_omega^i can meet the box [lo, hi]."""
-    pts = net.points
-    t_lo, t_hi = max(-1.0, lo[-1]), min(1.0, hi[-1])
-    if t_lo > t_hi:
-        return np.empty(0, dtype=int)
-    ok = np.ones(len(pts), dtype=bool)
-    for a in range(net.dim):
-        reach = (min(t_lo * omega[a], t_hi * omega[a]),
-                 max(t_lo * omega[a], t_hi * omega[a]))
-        ok &= pts[:, a] >= lo[a] - net.delta - reach[1]
-        ok &= pts[:, a] <= hi[a] + net.delta - reach[0]
-    return np.nonzero(ok)[0]
-
-
 def _real_samples(f: GridFunction) -> np.ndarray:
     """The samples of f, which X needs real, finite and nonnegative."""
     vals = np.real(f.samples)
@@ -99,46 +87,47 @@ def _real_samples(f: GridFunction) -> np.ndarray:
 def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     """X f(omega, i) = delta^{1-n} * (midpoint quadrature of f over the tube).
 
-    Only tubes that can meet the support box of f are evaluated; all other
-    values vanish identically and are left out of the sparse field.
+    For each direction, every live cell splats its value onto the net
+    lattice points within delta of x_ - x_n omega (the disc kernel X* uses);
+    tubes that meet no live cell vanish and are left out of the sparse field.
     """
     delta = net.delta
     _check_spacing(f.spacing, delta)
     n = f.ndim
     if n - 1 != net.dim:
         raise XrayError("grid dimension does not match net")
-    vals = _real_samples(f).reshape(-1)
-    live = vals > 0
-    centers, vals = f.centers()[live], vals[live]
-    lo, hi = centers.min(axis=0, initial=np.inf), centers.max(axis=0, initial=-np.inf)
-    keep_t = np.abs(centers[:, -1]) <= 1.0
-    centers, vals = centers[keep_t], vals[keep_t]
+    axes = [np.unique(net.points[:, a]) for a in range(net.dim)]
+    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    if not np.array_equal(lattice.reshape(-1, net.dim), net.points):
+        raise XrayError("net points are not the full product of their axes "
+                        "in lexicographic order")
+    vals, centers = _real_samples(f).reshape(-1), f.centers()
+    live = (vals > 0) & (np.abs(centers[:, -1]) <= 1.0)
+    x_, yn, vals = centers[live, :-1], centers[live, -1], vals[live]
     scale = delta ** (1 - n) * f.cell_measure
     out = {}
-    x_, yn = centers[:, :-1], centers[:, -1]
+    origin = np.zeros_like(x_)
     for w_idx, omega in enumerate(net.points):
-        cand = _candidate_base_indices(net, omega, lo, hi)
         c = x_ - yn[:, None] * omega[None, :]
-        dev = c[:, None, :] - net.points[cand][None, :, :]
-        inside = (np.sum(dev * dev, axis=2) <= delta**2).astype(float)
-        sums = inside.T @ vals
+        sums = _disc_sums(c, origin, vals, delta, axes).reshape(-1)
         hit = np.nonzero(sums)[0]
-        out.update(zip(zip([w_idx] * len(hit), cand[hit].tolist()),
+        out.update(zip(zip([w_idx] * len(hit), hit.tolist()),
                        (sums[hit] * scale).tolist()))
     return XrayField(net, delta, NetFunction(net, out))
 
 
-def _slab_rasterize(tubes, delta, x_axes, yn):
-    """Sum of value * chi_tube on the x-grid at height yn.  All tubes are
-    tested at once on their searchsorted windows (padded to the widest) by
-    the module's cell-center expression; bincount adds each cell's values in
-    tube order."""
-    omegas, bases, values = tubes
-    shifts = yn * omegas
+def _disc_sums(shifts, bases, values, delta, axes):
+    """sum_k values[k] [sum_a ((g_a - shifts[k, a]) - bases[k, a])^2 <= delta^2]
+    at each point g of the grid spanned by axes.  X* passes, per height y_n,
+    the tubes' shifts y_n omega and bases i over the x-grid; X passes, per
+    direction, the cells' shifts c = x_ - x_n omega and base 0 over the net
+    lattice, where (i - c) - 0 is the exact negation of X's cell test.  All
+    discs are tested at once on their searchsorted windows (padded to the
+    widest); bincount adds each point's values in disc order."""
     centers = bases + shifts
-    d = len(x_axes)
+    d = len(axes)
     inside, d2, flat = True, 0.0, 0
-    for a, ax in enumerate(x_axes):
+    for a, ax in enumerate(axes):
         lo = np.searchsorted(ax, centers[:, a] - delta - 1e-12)
         hi = np.searchsorted(ax, centers[:, a] + delta + 1e-12)
         idx = lo[:, None] + np.arange((hi - lo).max(initial=0))
@@ -149,11 +138,10 @@ def _slab_rasterize(tubes, delta, x_axes, yn):
         d2 = d2 + (dev**2).reshape(shape)
         flat = flat * len(ax) + idx.reshape(shape)
     inside = inside & (d2 <= delta**2)
-    dims = tuple(len(ax) for ax in x_axes)
+    dims = tuple(len(ax) for ax in axes)
     weights = np.broadcast_to(values.reshape((-1,) + (1,) * d), inside.shape)
     return np.bincount(np.broadcast_to(flat, inside.shape)[inside],
-                       weights=weights[inside],
-                       minlength=math.prod(dims)).reshape(dims)
+                       weights[inside], math.prod(dims)).reshape(dims)
 
 
 def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
@@ -163,13 +151,13 @@ def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     n = grid.ndim
     if n - 1 != g.net.dim:
         raise XrayError("grid dimension does not match net")
-    tubes = g.tubes()
+    omegas, bases, values = g.tubes()
     x_axes = [grid.axis_centers(a) for a in range(n - 1)]
     yn_axis = grid.axis_centers(n - 1)
     out = np.zeros(grid.dims, dtype=float)
     for s, yn in enumerate(yn_axis):
         if abs(yn) <= 1.0:
-            out[..., s] = _slab_rasterize(tubes, g.delta, x_axes, yn)
+            out[..., s] = _disc_sums(yn * omegas, bases, values, g.delta, x_axes)
     return GridFunction(grid.dims, grid.origin, grid.spacing, out)
 
 
@@ -191,8 +179,8 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
     yn_axis = -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n)
     cellvol = spacing ** F.net.dim * (2.0 / m_n)
     for yn in yn_axis:
-        prod = (_slab_rasterize(tubes_f, delta, x_axes, yn)
-                * _slab_rasterize(tubes_g, delta, x_axes, yn))
+        prod = np.multiply(*(_disc_sums(yn * om, b, v, delta, x_axes)
+                             for om, b, v in (tubes_f, tubes_g)))
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
     return {s: acc.norm(s, cellvol) for s in [*acc.sums, np.inf]}

@@ -143,24 +143,27 @@ def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
     assert replay == first
 
 
-@pytest.mark.parametrize("body", [
-    "family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/4, 1/8\n",
-    "family = c1-squashed\np = 2\nq = 5/3\nscales = 1/4, 1/8\n",
-    "family = c1-squashed\nn = three\np = 2\nq = 5/3\n"
-    "scales = 1/4, 1/8, 1/16\n",
-    "family = c1-squashed\nmc_samples = 5\np = 2\nq = 5/3\n"
-    "scales = 1/4, 1/8, 1/16\n",
-    "family = c1-squashed\np = 0\nq = 5/3\nscales = 1/4, 1/8, 1/16\n",
-    "family = delta-ball\np = 2\nq = -1\nscales = 1/4, 1/8, 1/16\n",
-    "family = k0-deltas\nn = 1\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n",
-    "family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/2, 1, 2\n",
-    "family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\ntolerance = nan\n",
-    "family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n"
-    "box_constant = nan\n",
+@pytest.mark.parametrize("body,message", [
+    ("family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/4, 1/8\n", None),
+    ("family = c1-squashed\np = 2\nq = 5/3\nscales = 1/4, 1/8\n", None),
+    ("family = c1-squashed\nn = three\np = 2\nq = 5/3\n"
+     "scales = 1/4, 1/8, 1/16\n", "error: line 3: bad value for 'n': 'three'\n"),
+    ("family = c1-squashed\nmc_samples = 5\np = 2\nq = 5/3\n"
+     "scales = 1/4, 1/8, 1/16\n",
+     "error: line 3: unknown config key 'mc_samples'\n"),
+    ("family = c1-squashed\np = 0\nq = 5/3\nscales = 1/4, 1/8, 1/16\n", None),
+    ("family = delta-ball\np = 2\nq = -1\nscales = 1/4, 1/8, 1/16\n", None),
+    ("family = k0-deltas\nn = 1\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n",
+     None),
+    ("family = k0-deltas\np = 5/2\nq = 10/3\nscales = 1/2, 1, 2\n", None),
+    ("family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n"
+     "tolerance = nan\n", None),
+    ("family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n"
+     "box_constant = nan\n", None),
 ], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples",
         "p-zero", "q-negative", "n-one", "k0-delta-above-quarter",
         "tolerance-nan", "box-constant-nan-tube-family"])
-def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
+def test_sweep_input_errors_exit_usage(tmp_path, capsys, body, message):
     outdir = tmp_path / "out"
     path = tmp_path / "bad.cfg"
     path.write_text(f"command = sweep\n{body}seed = 1\noutput_dir = {outdir}\n")
@@ -168,7 +171,51 @@ def test_sweep_input_errors_exit_usage(tmp_path, capsys, body):
     err = capsys.readouterr().err
     assert code == cli.EXIT_USAGE
     assert err.startswith("error: ") and "Traceback" not in err
+    assert message is None or err == message
     assert not (outdir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["--seed", "5", "verify", "--suite", "lemmas"],
+    ["--config", "{cfg}", "sweep"],
+    ["exponents", "modest", "--tolerance", "nan", "--output-dir", "{missing}"],
+    ["verify", "--suite", "lemmas", "--tolerance", "0.2"],
+    ["witness", "--family", "c1-squashed", "--n", "2", "--scale", "0.25",
+     "--seed", "5"],
+], ids=["seed-before-verify", "config-before-sweep", "exponents-sweep-flags",
+        "verify-tolerance", "witness-seed"])
+def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
+    cfgp = sweep_config(tmp_path, tmp_path / "never-written")
+    code = cli.main([a.format(cfg=cfgp, missing=tmp_path / "missing")
+                     for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert not (tmp_path / "never-written").exists()
+
+
+def test_verify_reads_its_seed(capsys, monkeypatch):
+    monkeypatch.setitem(cli.SUITES, "lemmas",
+                        lambda seed: {"probe": {"pass": True, "seed": seed}})
+    code, out = run_cli(capsys, "verify", "--suite", "lemmas", "--seed", "5")
+    assert code == 0 and out["suites"]["lemmas"]["probe"]["seed"] == 5
+    code, out = run_cli(capsys, "verify", "--suite", "lemmas")
+    assert code == 0 and out["suites"]["lemmas"]["probe"]["seed"] == 0
+
+
+def test_sweep_flags_override_config_lines(tmp_path, capsys):
+    cfgp = sweep_config(tmp_path, tmp_path / "from-config")
+    out2 = tmp_path / "from-flag"
+    code, summary = run_cli(capsys, "sweep", "--config", cfgp, "--seed", "5",
+                            "--tolerance", "0.2", "--output-dir", str(out2))
+    assert code == 0 and summary["tolerance"] == 0.2
+    rows = (out2 / "sweep.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3 and all(row.endswith(",5") for row in rows)
+    assert not (tmp_path / "from-config").exists()
+    code = cli.main(["sweep", "--config", cfgp, "--tolerance", "nan"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_USAGE
+    assert err == ("error: --tolerance: bad value for 'tolerance': "
+                   "need a non-negative finite value\n")
 
 
 @pytest.mark.parametrize("args", [
@@ -274,6 +321,15 @@ def test_verify_lemmas_suite_shape(capsys):
                            "xr_norm_monotone"}
     assert all(c["pass"] for c in checks.values())
     assert checks["quasi_orthogonality"]["worst"]["2.0"] <= 1 + 1e-6
+
+
+def test_verify_xray_suite_passes(capsys):
+    code, out = run_cli(capsys, "verify", "--suite", "xray")
+    assert code == 0 and out["pass"]
+    checks = out["suites"]["xray"]
+    assert set(checks) == {"adjoint_identity", "tube_cover", "prop111_crossing"}
+    assert all(c["pass"] for c in checks.values())
+    assert checks["adjoint_identity"]["worst_gap"] <= 1e-12
 
 
 def test_sweep_resource_guard_exit_code(tmp_path, capsys):

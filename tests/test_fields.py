@@ -182,9 +182,17 @@ def test_netfunction_validation():
     nan, inf = float("nan"), float("inf")
     for key, value in [((100, 0), 1.0), ((65, 0), 1.0), ((0, -1), 1.0),
                        ((3, 40.5), 1.0), ((nan, 0), 1.0), ((0, 0), -1.0),
-                       ((0, 0), nan), ((0, 0), inf), ((0, 0), -inf)]:
+                       ((0, 0), nan), ((0, 0), inf), ((0, 0), -inf),
+                       (("3", "4"), "0.5"), ((3, 4), "0.5"), (("3", 4), 0.5),
+                       ((3, b"4"), 0.5), ((True, 4), 0.5), ((3, 4), True),
+                       ((3, np.bool_(True)), 0.5), ((3, 4), np.True_)]:
         with pytest.raises(fields.FieldError, match="net entry"):
             fields.NetFunction(net, {(1, 2): 0.5, key: value})
+    # Python and numpy integers and floats are numbers
+    g = fields.NetFunction(net, {(np.int64(3), 4.0): np.float32(0.5),
+                                 (1, np.uint8(2)): 1})
+    assert g.omega.tolist() == [1, 3] and g.base.tolist() == [2, 4]
+    assert g.values.tolist() == [1.0, 0.5]
 
 
 def test_netfunction_stores_sorted_arrays():

@@ -1,10 +1,13 @@
+import dataclasses
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from tubelab import xray
-from tubelab.fields import NetFunction, SUM_I, grid_from_sampler, mixed_norm
+from tubelab.fields import (GridFunction, NetFunction, SUM_I, grid_from_sampler,
+                            mixed_norm)
 from tubelab.geometry import Tube, build_net, tube_intersection_exact, unit_ball_volume
 from tubelab.witnesses import fit_power_law
 
@@ -86,6 +89,72 @@ def test_transform_ball_witness_band():
     # the through-tube captures most of the ball: ~ (4 pi / 3) delta
     assert lo >= 1.0 * delta and hi <= 5.0 * delta
     assert hi / lo <= 4.0
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transform_matches_tube_contains(n):
+    # random nonnegative f on an offset grid of non-dyadic spacing, with
+    # mass at |x_n| > 1 and beyond the reach |x_a| <= 2 + delta of any tube
+    delta = 1 / 8 if n == 2 else 1 / 4
+    net = build_net(n, delta)
+    rng = np.random.default_rng(7 + n)
+    h = 0.9 * delta / 4
+    dims = (int(5.0 / h),) * (n - 1) + (int(2.6 / h),)
+    origin = (-2.5 + 0.37 * h,) * (n - 1) + (-1.3 + 0.21 * h,)
+    live = rng.random(dims) < (1.0 if n == 2 else 0.01)
+    f = GridFunction(dims, origin, (h,) * n, live * rng.uniform(0.1, 2.0, dims))
+    xv = xray.xray_transform(f, net).values
+    got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
+    centers = f.centers()[live.reshape(-1)]
+    weights = f.samples.reshape(-1)[live.reshape(-1)]
+    assert (np.abs(centers[:, -1]) > 1).any()
+    assert (np.abs(centers[:, 0]) > 2 + delta).any()
+    scale = delta ** (1 - n) * f.cell_measure
+    expect = {}
+    for w, omega in enumerate(net.points):
+        for i, base in enumerate(net.points):
+            inside = Tube(tuple(omega), tuple(base), delta).contains(centers)
+            if inside.any():
+                expect[(w, i)] = scale * np.sum(weights[inside])
+    assert got.keys() == expect.keys()
+    assert all(abs(got[key] - v) <= 1e-12 * v for key, v in expect.items())
+
+
+def test_transform_refuses_a_net_that_is_not_a_product_lattice():
+    # a point left out, the order reversed, a point moved off the lattice
+    delta = 1 / 8
+    net = build_net(3, delta)
+    f = ball_function(3, delta)
+    moved = net.points.copy()
+    moved[5, 0] += delta / 2
+    for points in (net.points[1:], net.points[::-1], moved):
+        with pytest.raises(xray.XrayError, match="product"):
+            xray.xray_transform(f, dataclasses.replace(net, points=points))
+
+
+# (n, delta) -> (entries, SHA-256 of the little-endian omega, base and values
+# bytes) of the delta-ball transform.  The input is 0/1, so each value is an
+# exact cell count times one scale: the bytes do not depend on summation
+# order or BLAS, and a rewrite of the transform kernel must reproduce them.
+DELTA_BALL_TRANSFORM_BYTES = {
+    (2, 1 / 8): (79, "7ff30bd59de4b7ca9ee8693675b26c53"
+                     "872c3bcd6a4b3312d4069e1fcd99f248"),
+    (2, 1 / 16): (151, "5b0bb248059954b15bf4c62d740d6fef"
+                       "07a82ff460f162667ae2ba12c971c77d"),
+    (3, 1 / 8): (4049, "f05457dda3a62e044c126e0c2b2cf126"
+                       "d24eb7555bae784511f5894500a072b5"),
+    (3, 1 / 16): (14945, "e29bc8838d8a1c45d0576214aabba15d"
+                         "ecffc4e96f9f54c59c6c541067995924"),
+}
+
+
+@pytest.mark.parametrize("n, delta", sorted(DELTA_BALL_TRANSFORM_BYTES))
+def test_delta_ball_transform_bytes_are_pinned(n, delta):
+    xv = xray.xray_transform(ball_function(n, delta), build_net(n, delta)).values
+    digest = hashlib.sha256()
+    for arr, dtype in ((xv.omega, "<i8"), (xv.base, "<i8"), (xv.values, "<f8")):
+        digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
+    assert (len(xv.values), digest.hexdigest()) == DELTA_BALL_TRANSFORM_BYTES[(n, delta)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
