@@ -6,11 +6,14 @@ All quadrature is midpoint rule on the cap's support box, held by one
 _CapQuadrature per cap for both scattered points and domain-grid slabs.
 Slab evaluation is organized as matrix products (one complex GEMM per axis
 or two per slab); for the quadratic phase with box caps the integral factors
-per axis, which is what makes large-scale sweeps affordable.
+per axis, so a domain norm sums each grid row of a slab as one run of cells
+(fields.row_intervals) from prefix sums of the row factor, without forming
+the slab; that is what makes large-scale sweeps affordable.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -18,7 +21,8 @@ from typing import Optional
 import numpy as np
 
 from . import TubelabError
-from .fields import Ball, GridFunction, LpAccumulator, lp, lp_norm
+from .fields import (Ball, GridFunction, LpAccumulator, lp, lp_norm,
+                     row_intervals)
 from .geometry import EllipticPhase
 
 TWO_PI = 2.0 * math.pi
@@ -27,7 +31,8 @@ TWO_PI = 2.0 * math.pi
 #: unit-scale frequency box Q x Phi(Q), so this need not shrink with R
 DOMAIN_SPACING = 0.25
 
-#: fail-fast resource caps (quadrature nodes per axis, domain grid cells)
+#: fail-fast resource caps (quadrature nodes per axis; domain rows, or cells
+#: where the slab field is formed whole)
 MAX_GRID_NODES = 1 << 17
 MAX_DOMAIN_CELLS = 1 << 28
 
@@ -189,8 +194,7 @@ class _CapQuadrature:
         self.steps = [(hi - lo) / len(y) for lo, hi, y in
                       zip(cap.support_lo, cap.support_hi, self.y_axes)]
         self.x0 = cap.modulation_vector(cap.dim + 1)
-        self.separable = (getattr(phi, "tag", "generic") == "quadratic"
-                          and cap.density is None)
+        self.separable = _separable(cap, phi)
         if not self.separable:
             self.mesh = np.stack(np.meshgrid(*self.y_axes, indexing="ij"),
                                  axis=-1).reshape(-1, cap.dim)
@@ -214,23 +218,26 @@ class _CapQuadrature:
             out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ self.dens
         return out
 
+    def factors(self, x_axes, xn_axis):
+        """Separable caps: per axis a, the (len(x_axes[a]), len(xn_axis))
+        factor; the field at x_n = xn_axis[s] is the outer product of the
+        factors' columns s.  One GEMM per axis."""
+        tau = xn_axis + self.x0[-1]
+        factors = [np.exp(-TWO_PI * 1j * np.outer(x + x0, y))
+                   @ (np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y)) * h).T
+                   for x, x0, y, h in zip(x_axes, self.x0, self.y_axes, self.steps)]
+        factors[0] = factors[0] * self.cap.amplitude
+        return factors
+
     def slabs(self, x_axes, xn_axis):
-        """slab(s): the field on the x-grid at x_n = xn_axis[s], from one
-        GEMM per axis (separable) or two per slab (one for n = 2)."""
+        """slab(s): the field on the x-grid at x_n = xn_axis[s], from the
+        factors (separable) or two GEMMs per slab (one for n = 2)."""
+        if self.separable:
+            fac = self.factors(x_axes, xn_axis)
+            return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
         osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
                for a, y in enumerate(self.y_axes)]
         tau = xn_axis + self.x0[-1]
-        if self.separable:
-            factors = [o @ (np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y)) * h).T
-                       for o, y, h in zip(osc, self.y_axes, self.steps)]
-            factors[0] = factors[0] * self.cap.amplitude  # (P_a, P_n) each
-
-            def slab(s):
-                out = factors[0][:, s]
-                for fac in factors[1:]:
-                    out = np.multiply.outer(out, fac[:, s])
-                return out
-            return slab
         shape = tuple(len(y) for y in self.y_axes)
         dens, phase_vals = self.dens.reshape(shape), self.phase_vals.reshape(shape)
 
@@ -238,6 +245,11 @@ class _CapQuadrature:
             w = dens * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
             return osc[0] @ w if len(osc) == 1 else osc[0] @ w @ osc[1].T
         return slab
+
+
+def _separable(cap: CapFunction, phi: EllipticPhase) -> bool:
+    """The quadratic phase with a plain density: the integral factors per axis."""
+    return getattr(phi, "tag", "generic") == "quadratic" and cap.density is None
 
 
 def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
@@ -275,10 +287,14 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     """||E f . E g||_{L^q(domain)} / (||f||_p ||g||_p)  (linear when g is None).
 
     The domain is sampled on a fixed grid of spacing DOMAIN_SPACING; cells
-    whose centers fall in the domain contribute with full measure.
-    Quadrature node counts are sized per axis from the oscillation guard
-    (at least min_nodes, times grid_refine).  Returns (ratio, stats) with
-    field amplitude statistics for diagnostics.
+    whose centers fall in the domain contribute with full measure.  A slab
+    meets the convex domain in one run of cells per grid row along its
+    longest x-axis (fields.row_intervals), summed by LpAccumulator.add_rows.
+    With both caps separable a row is its lead factors times the row factor,
+    and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the cells of
+    the slab fields, formed whole.  Quadrature node counts are sized per
+    axis from the oscillation guard (at least min_nodes, times grid_refine).
+    Returns (ratio, stats) with field amplitude statistics for diagnostics.
     """
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
@@ -289,41 +305,57 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     n = len(lo)
     x_axes = [_axis_cover(lo[a], hi[a], DOMAIN_SPACING) for a in range(n - 1)]
     xn_axis = _axis_cover(lo[n - 1], hi[n - 1], DOMAIN_SPACING)
-    cells = int(np.prod([len(a) for a in x_axes])) * len(xn_axis)
-    if cells > MAX_DOMAIN_CELLS:
+    sizes = [len(a) for a in x_axes]
+    row = n - 2 - int(np.argmax(sizes[::-1]))  # the last of the longest axes
+    per_slab = math.prod(sizes) // sizes[row]  # rows per slab
+    separable = all(_separable(c, phi) for c in caps)
+    work = per_slab * len(xn_axis) * (1 if separable else sizes[row])
+    if work > MAX_DOMAIN_CELLS:
         raise OscillationGuardError(
-            f"domain grid of {cells} cells exceeds the {MAX_DOMAIN_CELLS} cap; "
-            f"shrink the scale range or raise the box constant"
+            f"domain grid needs {work} {'rows' if separable else 'cells'}, "
+            f"above the {MAX_DOMAIN_CELLS} cap; shrink the scale range or "
+            f"raise the box constant"
         )
     corner_pts = np.array([[a[0] for a in x_axes] + [xn_axis[0]],
                            [a[-1] for a in x_axes] + [xn_axis[-1]]])
     counts = [grid_refine * required_grid_counts(c, phi, corner_pts,
                                                  min_nodes=min_nodes)
               for c in caps]
-    slabs = [_CapQuadrature(c, phi, corner_pts, cnt).slabs(x_axes, xn_axis)
-             for c, cnt in zip(caps, counts)]
+    quads = [_CapQuadrature(c, phi, corner_pts, cnt) for c, cnt in zip(caps, counts)]
+    if separable:  # per axis, |factor of E f . E g| as (slab, cell)
+        mags = [1.0] * (n - 1)
+        for quad in quads:
+            mags = [m * np.abs(fac.T)
+                    for m, fac in zip(mags, quad.factors(x_axes, xn_axis))]
+        mags = [np.ascontiguousarray(m) for m in mags]
+        block = max(1, (1 << 16) // (per_slab + sizes[row]))  # slabs per block
 
-    cellvol = DOMAIN_SPACING**n
-    mesh_x = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1)
-    flat_x = mesh_x.reshape(-1, n - 1)
-    masked_cells = 0
-    for s in range(len(xn_axis)):
-        pts = np.concatenate(
-            [flat_x, np.full((flat_x.shape[0], 1), xn_axis[s])], axis=1
-        )
-        mask = domain.contains(pts)
-        if not np.any(mask):
-            continue
-        masked_cells += int(np.count_nonzero(mask))
-        prod = slabs[0](s).reshape(-1)[mask]
-        if g is not None:
-            prod = prod * slabs[1](s).reshape(-1)[mask]
-        acc.add(np.abs(prod))
-    if masked_cells == 0:
+        def runs(sl):  # (scale of each row, row vectors, vector of each row)
+            lead = np.ones((len(mags[row][sl]), 1))
+            for a in range(n - 1):
+                if a != row:
+                    lead = (lead[:, :, None] * mags[a][sl, None, :]).reshape(len(lead), -1)
+            return lead.reshape(-1), mags[row][sl], np.arange(lead.size) // per_slab
+    else:
+        slabs = [quad.slabs(x_axes, xn_axis) for quad in quads]
+        block = max(1, (1 << 16) // (per_slab * sizes[row]))
+
+        def runs(sl):
+            field = np.abs([functools.reduce(np.multiply, [slab(s) for slab in slabs])
+                            for s in range(len(xn_axis))[sl]])
+            vals = np.moveaxis(field, row + 1, -1).reshape(-1, sizes[row])
+            return np.ones(len(vals)), vals, np.arange(len(vals))
+    cells = 0
+    for s in range(0, len(xn_axis), block):
+        sl = slice(s, s + block)
+        run_lo, run_hi = row_intervals(domain, x_axes, xn_axis[sl], row)
+        cells += int(np.sum(run_hi - run_lo))
+        acc.add_rows(*runs(sl), run_lo, run_hi)
+    if cells == 0:
         raise ExtensionError("domain contains no grid cells")
-    stats = {"sup": acc.sup, "cells": masked_cells,
+    stats = {"sup": acc.sup, "cells": cells,
              "grid_counts": [c.tolist() for c in counts]}
-    return acc.norm(q, cellvol) / denom, stats
+    return acc.norm(q, DOMAIN_SPACING**n) / denom, stats
 
 
 def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,

@@ -42,6 +42,21 @@ class LpAccumulator:
             self.sums[s] += float(np.sum(values**s))
         return self
 
+    def add_rows(self, scale, rows, pick, lo, hi) -> "LpAccumulator":
+        """add() of the runs scale[k] * rows[pick[k], lo[k]:hi[k]]: the sums
+        from prefix sums of rows^s, the sup from one range max per run."""
+        keep = lo < hi
+        scale, flat, width = scale[keep], rows.reshape(-1), rows.shape[1]
+        first, last = pick[keep] * width + lo[keep], pick[keep] * width + hi[keep] - 1
+        runs = np.stack([first, last], axis=1).reshape(-1)
+        top = np.maximum(np.maximum.reduceat(flat, runs)[::2], flat[last])
+        self.sup = float(np.max(scale * top, initial=self.sup))
+        for s in self.sums:
+            prefix = np.cumsum(rows**s, axis=1).reshape(-1)
+            run_sums = prefix[last] - prefix[first] + flat[first] ** s
+            self.sums[s] += float(np.sum(scale**s * run_sums))
+        return self
+
     def norm(self, s: float, weight: float = 1.0) -> float:
         return self.sup if s == np.inf else float((self.sums[s] * weight) ** (1.0 / s))
 
@@ -80,6 +95,10 @@ class Box:
     def bounding_box(self):
         return np.asarray(self.lo, dtype=float), np.asarray(self.hi, dtype=float)
 
+    def row_span(self, pts, axis: int):
+        lo, hi = self.bounding_box()
+        return 0.5 * (lo[axis] + hi[axis]), 0.5 * (hi[axis] - lo[axis])
+
 
 @dataclass(frozen=True)
 class Ball:
@@ -94,6 +113,11 @@ class Ball:
     def bounding_box(self):
         c = np.asarray(self.center, dtype=float)
         return c - self.radius, c + self.radius
+
+    def row_span(self, pts, axis: int):
+        d = np.delete(pts - np.asarray(self.center), axis, axis=1)
+        rest = np.sum(d * d, axis=1)
+        return self.center[axis], np.sqrt(np.maximum(self.radius**2 - rest, 0))
 
 
 @dataclass(frozen=True)
@@ -126,6 +150,38 @@ class CylinderDomain:
         lo[disc] = np.subtract(self.disc_center, self.disc_radius)
         hi[disc] = np.add(self.disc_center, self.disc_radius)
         return lo, hi
+
+    def row_span(self, pts, axis: int):
+        if axis not in self.disc_axes:
+            return Box(*self.bounding_box()).row_span(pts, axis)
+        k = list(self.disc_axes).index(axis)
+        v = pts[:, self.disc_axes[1 - k]] - self.disc_center[1 - k]
+        return self.disc_center[k], np.sqrt(np.maximum(self.disc_radius**2 - v * v, 0))
+
+
+def row_intervals(domain, x_axes, t, axis: int):
+    """(lo, hi): per row k of the slabs x_n = t (a height or an array) of the
+    grid spanned by x_axes, rows in C order over (t, the other axes), the
+    run [lo[k], hi[k]) of indices into x_axes[axis] of the cells that the
+    convex domain contains.  domain.row_span(pts, axis) gives each row's
+    deepest point mid and a half-width: the row meets the domain within
+    mid -/+ half, and only if it contains mid.  These bounds, padded by a
+    quarter cell, give the runs; then mid and both end cells of each run are
+    tested with domain.contains, so the runs select exactly its cells."""
+    ax = x_axes[axis]
+    lead = [np.zeros(1) if a == axis else x for a, x in enumerate(x_axes)]
+    grids = np.meshgrid(np.atleast_1d(t), *lead, indexing="ij")
+    pts = np.stack(grids[1:] + grids[:1], axis=-1).reshape(-1, len(x_axes) + 1)
+    mid, half = (np.broadcast_to(v, len(pts)) for v in domain.row_span(pts, axis))
+    reach = half + np.diff(ax).min(initial=np.inf) / 4
+    lo = np.searchsorted(ax, mid - reach)
+    hi = np.searchsorted(ax, mid + reach, side="right")
+    probes = np.tile(pts, (3, 1))
+    probes[:, axis] = np.concatenate([mid, ax[np.minimum(lo, len(ax) - 1)], ax[hi - 1]])
+    live, first, last = domain.contains(probes).reshape(3, -1)
+    live &= lo < hi
+    lo = np.where(live, lo + ~first, 0)
+    return lo, np.where(live, np.maximum(hi - ~last, lo), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +319,10 @@ class NetFunction:
 
     def __init__(self, net: DirectionNet, mapping: dict):
         self.net = net
+        if set(map(type, mapping)) - {tuple} or set(map(len, mapping)) - {2}:
+            key = next(k for k in mapping if type(k) is not tuple or len(k) != 2)
+            raise FieldError(f"net entry {key!r} -> {mapping[key]!r}: need an "
+                             "(omega, base) index pair as the key")
         text_or_bool = (str, bytes, bool, np.bool_)  # float() would parse these
         parts = itertools.chain(mapping.values(),
                                 itertools.chain.from_iterable(mapping))

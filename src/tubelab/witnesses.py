@@ -61,14 +61,14 @@ class ShearedBox:
         return ok
 
     def bounding_box(self):
-        lo = [-(self.w1 + abs(self.shear) * self.w_n)]
-        hi = [self.w1 + abs(self.shear) * self.w_n]
-        for w in self.w_mid:
-            lo.append(-w)
-            hi.append(w)
-        lo.append(-self.w_n)
-        hi.append(self.w_n)
-        return np.asarray(lo), np.asarray(hi)
+        half = np.array([self.w1 + abs(self.shear) * self.w_n, *self.w_mid, self.w_n])
+        return -half, half
+
+    def row_span(self, pts, axis: int):
+        """Rows along x_1 centre on -shear x_n, the other rows on 0."""
+        if axis == 0:
+            return -(self.shear * pts[:, -1]), self.w1
+        return 0.0, self.w_mid[axis - 1]
 
 
 @dataclass(frozen=True)

@@ -104,6 +104,8 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     vals, centers = _real_samples(f).reshape(-1), f.centers()
     live = (vals > 0) & (np.abs(centers[:, -1]) <= 1.0)
     x_, yn, vals = centers[live, :-1], centers[live, -1], vals[live]
+    if not len(vals):  # no live cell: every tube vanishes
+        return XrayField(net, delta, NetFunction(net, {}))
     scale = delta ** (1 - n) * f.cell_measure
     out = {}
     origin = np.zeros_like(x_)

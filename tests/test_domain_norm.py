@@ -1,0 +1,201 @@
+"""Row-interval domain reduction: the runs select exactly the cells a
+domain contains, the run reduction matches the plain one, and
+domain_norm_ratio keeps its counters and its resource cap."""
+
+import numpy as np
+import pytest
+
+from tubelab import extension as ext
+from tubelab import witnesses
+from tubelab.fields import Ball, Box, CylinderDomain, LpAccumulator, row_intervals
+from tubelab.geometry import perturbed_phase, quadratic_phase
+from tubelab.witnesses import ShearedBox
+
+PHI3 = quadratic_phase(2)
+
+# off-centre domains, each with a cell centre of the test grid exactly on
+# its boundary (edge) and an outward axis direction there; for the discs
+# 2.25 - 0.125 = 2.125 is the radius
+DOMAINS = {
+    "ball-2": (Ball((0.125, 0.25), 2.125), (2.25, 0.25), 0),
+    "ball-3": (Ball((0.125, 0.0, 0.25), 2.125), (2.25, 0.0, 0.25), 0),
+    "box-2": (Box((-1.25, 0.5), (1.5, 2.0)), (1.5, 2.0), 0),
+    "box-3": (Box((-1.25, -0.5, 0.25), (1.5, 2.0, 1.75)), (1.5, 2.0, 1.75), 1),
+    "cylinder-2": (CylinderDomain((0, 1), (0.125, 0.25), 2.125, (), ()),
+                   (2.25, 0.25), 0),
+    "cylinder-3-disc-x1-xn": (CylinderDomain((0, 2), (0.125, 0.25), 2.125,
+                                             (-0.75,), (1.25,)), (2.25, 0.0, 0.25), 0),
+    "cylinder-3-disc-x2-xn": (CylinderDomain((1, 2), (0.125, 0.25), 2.125,
+                                             (-0.75,), (1.25,)), (0.0, 2.25, 0.25), 1),
+    "cylinder-3-disc-x1-x2": (CylinderDomain((0, 1), (0.125, 0.0), 2.125,
+                                             (-1.0,), (0.5,)), (2.25, 0.0, 0.0), 0),
+    "sheared-2": (ShearedBox(shear=-0.5, w1=1.25, w_mid=(), w_n=2.0), (1.5, 0.5), 0),
+    "sheared-3": (ShearedBox(shear=-0.5, w1=1.25, w_mid=(1.0,), w_n=2.0),
+                  (1.5, 0.0, 0.5), 0),
+}
+
+
+@pytest.mark.parametrize("name", DOMAINS)
+def test_row_intervals_select_exactly_the_contained_cells(name):
+    domain, edge, out = DOMAINS[name]
+    n = len(edge)
+    x_axes = [np.arange(-12, 13) * 0.25 + 0.25 * a for a in range(n - 1)]
+    heights = np.arange(-12, 13) * 0.25
+    assert all(edge[a] in x_axes[a] for a in range(n - 1)) and edge[-1] in heights
+    nudged = np.array(edge)
+    nudged[out] += 1e-9
+    assert domain.contains(np.array(edge)) and not domain.contains(nudged)
+    for axis in range(n - 1):
+        others = [a for a in range(n - 1) if a != axis]
+        grids = np.meshgrid(heights, *[x_axes[a] for a in others], x_axes[axis],
+                            indexing="ij")
+        pts = np.empty(grids[0].shape + (n,))
+        for col, a in enumerate([n - 1] + others + [axis]):
+            pts[..., a] = grids[col]
+        want = domain.contains(pts.reshape(-1, n)).reshape(-1, len(x_axes[axis]))
+        lo, hi = row_intervals(domain, x_axes, heights, axis)
+        cols = np.arange(len(x_axes[axis]))
+        assert np.array_equal((cols >= lo[:, None]) & (cols < hi[:, None]), want)
+        assert np.all(hi >= lo)
+        # one slab at a time gives the same runs
+        per_slab = [row_intervals(domain, x_axes, t, axis) for t in heights]
+        assert np.array_equal(np.concatenate([r[0] for r in per_slab]), lo)
+        assert np.array_equal(np.concatenate([r[1] for r in per_slab]), hi)
+
+
+def test_row_intervals_on_rounded_boundaries():
+    # a non-dyadic grid, and discs through a grid point up to rounding: the
+    # closed-form chords land within an ulp of cell centres on either side
+    rng = np.random.default_rng(5)
+    x_axes = [np.arange(-30, 31) * 0.1, np.arange(-20, 21) * 0.1 + 0.05]
+    heights = np.arange(-30, 31) * 0.1
+    pts = np.stack(np.meshgrid(heights, *x_axes, indexing="ij"), axis=-1)
+    pts = pts[..., [1, 2, 0]].reshape(-1, 3)
+    cols = np.arange(len(x_axes[1]))
+    for _ in range(40):
+        center = rng.uniform(-0.5, 0.5, 3)
+        radius = float(np.linalg.norm(pts[rng.integers(len(pts))] - center))
+        cyl = CylinderDomain((0, 1), tuple(center[:2]), radius, (-1.0,), (1.0,))
+        for domain in (Ball(tuple(center), radius), cyl):
+            want = domain.contains(pts).reshape(-1, len(cols))
+            lo, hi = row_intervals(domain, x_axes, heights, 1)
+            assert np.array_equal((cols >= lo[:, None]) & (cols < hi[:, None]), want)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["one-row", "row-per-run"])
+def test_add_rows_matches_add_of_the_runs(shared):
+    rng = np.random.default_rng(3)
+    m, k = 17, 40
+    rows = rng.random((1 if shared else k, m))
+    pick = np.zeros(k, dtype=int) if shared else np.arange(k)
+    lo = rng.integers(0, m + 1, k)
+    hi = np.minimum(lo + rng.integers(0, 6, k), m)
+    lo[:3], hi[:3] = (0, m, 5), (m, m, 5)  # a whole row, empty runs at m and 5
+    scale = rng.random(k) * 3
+    exps = [0.5, 1, 3, np.inf]
+    runs = LpAccumulator(exps).add_rows(scale, rows, pick, lo, hi)
+    plain = LpAccumulator(exps)
+    for j in range(k):
+        plain.add(scale[j] * rows[pick[j], lo[j]:hi[j]])
+    for s in exps:
+        assert runs.norm(s, 0.5) == pytest.approx(plain.norm(s, 0.5), rel=1e-13)
+    assert runs.sup == plain.sup
+
+
+def _per_cell_reference(f, g, phi, p, q, domain):
+    """(ratio, sup, cells) with contains run on every cell of every slab."""
+    caps = [f] if g is None else [f, g]
+    lo, hi = domain.bounding_box()
+    n = len(lo)
+    axes = [ext._axis_cover(lo[a], hi[a], ext.DOMAIN_SPACING) for a in range(n)]
+    corners = np.array([[a[0] for a in axes], [a[-1] for a in axes]])
+    slabs = [ext._CapQuadrature(c, phi, corners, ext.required_grid_counts(
+        c, phi, corners)).slabs(axes[:-1], axes[-1]) for c in caps]
+    flat = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1).reshape(-1, n - 1)
+    acc, cells = LpAccumulator([q]), 0
+    for s, t in enumerate(axes[-1]):
+        mask = domain.contains(np.column_stack([flat, np.full(len(flat), t)]))
+        cells += int(np.count_nonzero(mask))
+        acc.add(np.abs(np.prod([slab(s).reshape(-1)[mask] for slab in slabs], axis=0)))
+    denom = np.prod([c.norm_lp(p) for c in caps])
+    return acc.norm(q, ext.DOMAIN_SPACING**n) / denom, acc.sup, cells
+
+
+def _witness(kind, n):
+    f, g, box = witnesses.build_witness(kind, n, 1 / 8)
+    return f, g, quadratic_phase(n - 1), box
+
+
+# (f, g, phi, domain): separable caps on every domain class, and the generic
+# path through a perturbed phase and through a density cap
+CASES = {
+    "trace": lambda: (*witnesses.trace_caps(3, 8), PHI3, Ball((0.0,) * 3, 8.0)),
+    "perturbed": lambda: (*witnesses.trace_caps(3, 8), perturbed_phase(2, 0.05),
+                          Ball((0.5, -0.25, 1.0), 6.125)),
+    "box": lambda: (ext.CapFunction((-0.75, -0.25), (-0.25, 0.25),
+                                    modulation=(0.5, -0.3, 1.0)),
+                    None, PHI3, Box((-2.0, -1.75, 0.0), (2.25, 2.0, 3.0))),
+    "c1": lambda: _witness(witnesses.C1_SQUASHED, 3),
+    "knapp-2": lambda: _witness(witnesses.KNAPP_CLASSIC, 2),
+    "knapp-3": lambda: _witness(witnesses.KNAPP_CLASSIC, 3),
+    "density": lambda: (
+        ext.CapFunction((-0.75, -0.25), (-0.25, 0.25),
+                        density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+        None, PHI3, CylinderDomain((1, 2), (0.3, 1.0), 2.125, (-1.7,), (2.2,))),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+@pytest.mark.parametrize("q", [1, 5 / 3, np.inf])
+def test_domain_norm_ratio_matches_the_per_cell_reduction(case, q):
+    f, g, phi, domain = CASES[case]()
+    ratio, sup, cells = _per_cell_reference(f, g, phi, 2, q, domain)
+    got, stats = ext.domain_norm_ratio(f, g, phi, 2, q, domain)
+    assert stats["cells"] == cells
+    assert stats["sup"] == pytest.approx(sup, rel=1e-12)
+    assert got == pytest.approx(ratio, rel=1e-12)
+
+
+# (ratio, stats["sup"], stats["cells"], stats["grid_counts"]) before the
+# row-interval reduction, which perfbench's domain_norm_ratio counters read
+PINNED = {
+    "trace-R16": (14.784312348742512, 0.00024370138212307735, 1099136,
+                  [[16, 16], [16, 16]]),
+    "c1-delta1/16": (0.25008270560453166, 9.529076521144593e-07, 823488,
+                     [[16, 16], [16, 16]]),
+}
+
+
+def _pinned_call(name):
+    if name == "trace-R16":
+        f, g = witnesses.trace_caps(3, 16)
+        return ext.domain_norm_ratio(f, g, PHI3, 2, 1, Ball((0.0,) * 3, 16.0))
+    f, g, box = witnesses.build_witness(witnesses.C1_SQUASHED, 3, 1 / 16)
+    return ext.domain_norm_ratio(f, g, PHI3, 2, 5 / 3, box)
+
+
+@pytest.mark.parametrize("name", PINNED)
+def test_domain_norm_ratio_counters_are_pinned(name):
+    ratio, sup, cells, grid_counts = PINNED[name]
+    got, stats = _pinned_call(name)
+    assert stats["cells"] == cells
+    assert stats["grid_counts"] == grid_counts
+    assert stats["sup"] == pytest.approx(sup, rel=1e-12)
+    assert got == pytest.approx(ratio, rel=1e-12)
+
+
+def test_domain_cap_bounds_the_work_each_path_does():
+    # separable trace caps at R = 128 lay 1024^3 cells but reduce only
+    # 1024^2 rows; the generic path over the same ball forms every cell
+    f, g = witnesses.trace_caps(3, 128)
+    r128 = ext.local_ratio(f, g, PHI3, 2, 1, 128).value
+    r64 = ext.local_ratio(*witnesses.trace_caps(3, 64), PHI3, 2, 1, 64).value
+    assert r128 / r64 == pytest.approx(2.0, rel=0.01)
+    with pytest.raises(ext.OscillationGuardError, match="cells") as err:
+        ext.local_ratio(f, g, perturbed_phase(2, 0.05), 2, 1, 128)
+    assert err.value.exit_code == 3
+    # 2^16 rows in each of 2^16 slabs is past the cap on the separable path
+    f, g = witnesses.trace_caps(3, 8192)
+    with pytest.raises(ext.OscillationGuardError, match="rows"):
+        ext.local_ratio(f, g, PHI3, 2, 1, 8192)
+

@@ -185,7 +185,8 @@ def test_netfunction_validation():
                        ((0, 0), nan), ((0, 0), inf), ((0, 0), -inf),
                        (("3", "4"), "0.5"), ((3, 4), "0.5"), (("3", 4), 0.5),
                        ((3, b"4"), 0.5), ((True, 4), 0.5), ((3, 4), True),
-                       ((3, np.bool_(True)), 0.5), ((3, 4), np.True_)]:
+                       ((3, np.bool_(True)), 0.5), ((3, 4), np.True_),
+                       (5, 1.0), ((1, 2, 3), 1.0), ((1,), 1.0)]:
         with pytest.raises(fields.FieldError, match="net entry"):
             fields.NetFunction(net, {(1, 2): 0.5, key: value})
     # Python and numpy integers and floats are numbers

@@ -132,6 +132,23 @@ def test_transform_refuses_a_net_that_is_not_a_product_lattice():
             xray.xray_transform(f, dataclasses.replace(net, points=points))
 
 
+def test_transform_of_an_input_with_no_live_cell_skips_the_kernel(monkeypatch):
+    # all zero, or mass only above |x_n| = 1: the empty field at once
+    def forbidden(*args):
+        raise AssertionError("_disc_sums ran")
+
+    delta = 1 / 8
+    net = build_net(3, delta)
+    f = ball_function(3, delta)
+    zero = GridFunction(f.dims, f.origin, f.spacing, 0 * f.samples)
+    high = GridFunction(f.dims, f.origin[:-1] + (5.0,), f.spacing, f.samples)
+    monkeypatch.setattr(xray, "_disc_sums", forbidden)
+    for g in (zero, high):
+        assert xray.xray_transform(g, net).values.to_json() == []
+    with pytest.raises(AssertionError, match="_disc_sums ran"):
+        xray.xray_transform(f, net)  # a live cell takes the kernel path
+
+
 # (n, delta) -> (entries, SHA-256 of the little-endian omega, base and values
 # bytes) of the delta-ball transform.  The input is 0/1, so each value is an
 # exact cell count times one scale: the bytes do not depend on summation
