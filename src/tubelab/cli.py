@@ -442,27 +442,25 @@ def _suite_lemmas(seed: int) -> dict:
 def _suite_geometry(seed: int) -> dict:
     out = {}
     rng = np.random.default_rng(seed)
-    # close-pair uniqueness vs exhaustive scan
+    # close-pair uniqueness vs an exhaustive scan of levels 1..16
     ok = True
     checked = 0
     for n in (2, 3):
-        for _ in range(10000):
-            x = rng.uniform(-1, 1, n - 1)
-            y = rng.uniform(-1, 1, n - 1)
-            try:
-                j, c1, c2 = geometry.whitney_locate(x, y, 16)
-            except geometry.GeometryError:
-                continue
-            checked += 1
-            hits = []
-            for jj in range(1, 17):
-                k1 = tuple(int(np.floor((v + 1) * 2**jj)) for v in x)
-                k2 = tuple(int(np.floor((v + 1) * 2**jj)) for v in y)
-                a = geometry.DyadicCube(jj, k1)
-                b = geometry.DyadicCube(jj, k2)
-                if geometry.cubes_close(a, b):
-                    hits.append((jj, k1, k2))
-            ok &= len(hits) == 1 and hits[0][0] == j
+        x, y = rng.uniform(-1, 1, (10000, 2, n - 1)).transpose(1, 0, 2)
+        level = geometry.whitney_levels(x, y, 16)
+        located = level > 0
+        x, y, level = x[located], y[located], level[located]
+        checked += len(level)
+        hits = np.zeros(len(level), dtype=int)
+        hit_level = np.zeros(len(level), dtype=int)
+        for jj in range(1, 17):
+            k1 = np.floor((x.T + 1) * 2**jj).astype(int)
+            k2 = np.floor((y.T + 1) * 2**jj).astype(int)
+            close = (~geometry.adjacent(k1, k2)
+                     & geometry.adjacent(k1 // 2, k2 // 2))
+            hits += close
+            hit_level[close] = jj
+        ok &= bool(np.all((hits == 1) & (hit_level == level)))
     out["whitney_unique"] = {"pass": bool(ok), "checked": checked}
     # overlap bound for tube pairs, noise folded in at three sigma
     worst = 0.0

@@ -47,6 +47,8 @@ class DyadicCube:
     index_k: tuple
 
     def __post_init__(self):
+        if self.level_j < 0:
+            raise GeometryError(f"negative level {self.level_j}")
         top = 2 ** (self.level_j + 1)
         if not all(0 <= k < top for k in self.index_k):
             raise GeometryError(f"index {self.index_k} out of range at level {self.level_j}")
@@ -77,19 +79,24 @@ def dyadic_cubes(n: int, j: int) -> list:
     return [DyadicCube(j, idx) for idx in itertools.product(range(top), repeat=n - 1)]
 
 
-def _adjacent(k1: tuple, k2: tuple) -> bool:
-    # closures intersect; a cube is adjacent to itself
-    return all(abs(a - b) <= 1 for a, b in zip(k1, k2))
+def adjacent(k1, k2):
+    """Whether level-j cubes with indices k1, k2 are adjacent: their closures
+    intersect (a cube is adjacent to itself).  k1 and k2 are index tuples,
+    or (n-1, m) arrays of m cubes' indices, one row per axis."""
+    out = True
+    for a, b in zip(k1, k2):
+        out = out & (abs(a - b) <= 1)
+    return out
 
 
 def cubes_close(c1: DyadicCube, c2: DyadicCube) -> bool:
     """Not adjacent, but the parents are adjacent."""
     if c1.level_j != c2.level_j or c1.level_j == 0:
         return False
-    if _adjacent(c1.index_k, c2.index_k):
+    if adjacent(c1.index_k, c2.index_k):
         return False
-    return _adjacent(tuple(k // 2 for k in c1.index_k),
-                     tuple(k // 2 for k in c2.index_k))
+    return adjacent(tuple(k // 2 for k in c1.index_k),
+                    tuple(k // 2 for k in c2.index_k))
 
 
 def close_pairs(n: int, j: int) -> list:
@@ -103,44 +110,75 @@ def close_pairs(n: int, j: int) -> list:
         # parents adjacent restricts k2 to a 6-wide window per axis
         ranges = [range(max(0, 2 * (p - 1)), min(top, 2 * (p + 2))) for p in p1]
         for k2 in itertools.product(*ranges):
-            if _adjacent(k1, k2):
+            if adjacent(k1, k2):
                 continue
             p2 = tuple(k // 2 for k in k2)
-            if _adjacent(p1, p2):
+            if adjacent(p1, p2):
                 out.append((DyadicCube(j, k1), DyadicCube(j, k2)))
     return out
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
 
 
 def _locate_index(x: float, j: int) -> int:
     return int(math.floor((x + 1.0) * 2 ** j))
 
 
+def whitney_levels(x, y, max_level: int) -> np.ndarray:
+    """The close level of each pair (x[r], y[r]) of (m, n-1) arrays of points
+    of Q: the one level j <= max_level whose cubes holding x[r] and y[r] are
+    a close pair, i.e. the first level at which they are not adjacent.  A
+    pair whitney_locate refuses is marked -1 when a coordinate lies on a
+    dyadic hyperplane of level max_level, and 0 when the points are still
+    adjacent at max_level."""
+    if not _is_int(max_level) or not 1 <= max_level <= 1023:  # 2.0**1024 = inf
+        raise GeometryError(f"bad max_level {max_level!r}: need an integer in [1, 1023]")
+    x, y = np.asarray(x), np.asarray(y)
+    if (x.ndim != 2 or x.shape != y.shape or x.shape[1] == 0
+            or x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf"):
+        raise GeometryError(f"need two real (m, n-1) point arrays of one shape "
+                            f"with n >= 2; got {x.shape} {x.dtype} and {y.shape} {y.dtype}")
+    pts = np.concatenate([x, y], axis=1).astype(float)
+    inside = (np.abs(pts) <= 1.0).all(axis=1)
+    if not inside.all():
+        raise GeometryError(f"point pair {pts[np.argmin(inside)].tolist()} outside Q")
+    u = pts.T + 1.0  # x's axes, then y's
+    scaled = u * 2.0**max_level
+    level = np.where((scaled == np.floor(scaled)).any(axis=0), -1, 0)
+    pending = level == 0
+    d = x.shape[1]
+    for j in range(1, max_level + 1):
+        if not pending.any():
+            break
+        k = np.floor(u * 2.0**j)
+        far = pending & ~adjacent(k[:d], k[d:])
+        level[far] = j
+        pending &= ~far
+    return level
+
+
 def whitney_locate(x, y, max_level: int):
     """The unique level j and close pair with x in the first, y in the second.
 
     Inputs must avoid dyadic hyperplanes up to max_level; points closer than
-    the max-level resolution raise DepthExceededError.
+    the max-level resolution raise DepthExceededError.  A scalar view of
+    whitney_levels.
     """
-    x = tuple(float(v) for v in np.atleast_1d(x))
-    y = tuple(float(v) for v in np.atleast_1d(y))
-    for pt in (x, y):
-        for v in pt:
-            if not -1.0 <= v <= 1.0:
-                raise GeometryError(f"point {pt} outside Q")
-            scaled = (v + 1.0) * 2 ** max_level
-            if scaled == math.floor(scaled):
-                raise DegenerateInputError(f"coordinate {v} on a dyadic boundary")
-    for j in range(1, max_level + 1):
-        k1 = tuple(_locate_index(v, j) for v in x)
-        k2 = tuple(_locate_index(v, j) for v in y)
-        if not _adjacent(k1, k2):
-            c1, c2 = DyadicCube(j, k1), DyadicCube(j, k2)
-            if not cubes_close(c1, c2):  # cannot happen: level j-1 was adjacent
-                raise GeometryError("close-pair structure violated")
-            return j, c1, c2
-    raise DepthExceededError(
-        f"points are adjacent at level {max_level}; |x-y| too small"
-    )
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    j = int(whitney_levels(x[None, :], y[None, :], max_level)[0])
+    if j == -1:
+        raise DegenerateInputError(f"a coordinate of {x} or {y} on a dyadic boundary")
+    if j == 0:
+        raise DepthExceededError(
+            f"points are adjacent at level {max_level}; |x-y| too small"
+        )
+    c1 = DyadicCube(j, tuple(_locate_index(v, j) for v in x.tolist()))
+    c2 = DyadicCube(j, tuple(_locate_index(v, j) for v in y.tolist()))
+    if not cubes_close(c1, c2):  # cannot happen: level j-1 was adjacent
+        raise GeometryError("close-pair structure violated")
+    return j, c1, c2
 
 
 # ---------------------------------------------------------------------------
@@ -452,13 +490,18 @@ class Tube:
         return len(self.direction_omega)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
-        """Vectorized membership for an (m, n) array of points."""
+        """Vectorized membership for an (m, n) array of points: the cell
+        test of X and X*, summed column by column in axis order."""
         pts = np.atleast_2d(pts)
-        y_, yn = pts[:, :-1], pts[:, -1]
-        omega = np.asarray(self.direction_omega)
-        base = np.asarray(self.base_i)
-        dev = y_ - yn[:, None] * omega[None, :] - base[None, :]
-        return (np.abs(yn) <= 1.0) & (np.sum(dev * dev, axis=1) <= self.delta**2)
+        if pts.shape[1] != self.dim + 1 or len(self.base_i) != self.dim:
+            raise GeometryError(f"a tube of dimension {self.dim} with base "
+                                f"{self.base_i} cannot test {pts.shape[1]}-D points")
+        yn = pts[:, -1]
+        d2 = 0.0
+        for a, (w, i) in enumerate(zip(self.direction_omega, self.base_i)):
+            dev = (pts[:, a] - yn * w) - i
+            d2 = d2 + dev * dev
+        return (np.abs(yn) <= 1.0) & (d2 <= self.delta**2)
 
     def bounding_box(self):
         """Axis-aligned box containing the tube."""
@@ -525,6 +568,14 @@ def _lens_area(d: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
+def _check_pair(t1: Tube, t2: Tube, n: int):
+    if not t1.dim == t2.dim == len(t1.base_i) == len(t2.base_i) == n - 1:
+        raise GeometryError(f"tubes of dimensions {t1.dim} and {t2.dim} (bases "
+                            f"{t1.base_i}, {t2.base_i}) do not both live in n = {n}")
+    if t1.delta != t2.delta:
+        raise GeometryError("tubes must share delta")
+
+
 def tube_intersection_exact(t1: Tube, t2: Tube, n: int) -> float:
     """|T1 cap T2| via cross-section overlap.
 
@@ -533,8 +584,7 @@ def tube_intersection_exact(t1: Tube, t2: Tube, n: int) -> float:
     the integrand is piecewise smooth; 4096 midpoint nodes on the overlap
     interval keep the error far below the tolerances used by callers).
     """
-    if t1.delta != t2.delta:
-        raise GeometryError("tubes must share delta")
+    _check_pair(t1, t2, n)
     iv = _overlap_interval(t1, t2)
     if iv is None:
         return 0.0
@@ -574,12 +624,14 @@ def tube_intersection_volume(t1: Tube, t2: Tube, n: int, mc_samples: int, seed: 
 
     Samples uniformly from a tight axis-aligned box that contains the
     intersection (the y_n overlap interval crossed with the T1 slab there),
-    so the estimate stays informative for small delta.
+    so the estimate stays informative for small delta.  T2 is tested only
+    on the samples inside T1.
     """
-    if mc_samples < 1000:
-        raise GeometryError("mc_samples must be >= 1000")
-    if t1.delta != t2.delta:
-        raise GeometryError("tubes must share delta")
+    if not _is_int(mc_samples) or mc_samples < 1000:
+        raise GeometryError(f"mc_samples must be an integer >= 1000, not {mc_samples!r}")
+    if not _is_int(seed) or seed < 0:
+        raise GeometryError(f"seed must be a non-negative integer, not {seed!r}")
+    _check_pair(t1, t2, n)
     iv = _overlap_interval(t1, t2)
     if iv is None:
         return 0.0, 0.0
@@ -596,8 +648,7 @@ def tube_intersection_volume(t1: Tube, t2: Tube, n: int, mc_samples: int, seed: 
     vol_box = float(np.prod(hi_full - lo_full))
     rng = np.random.default_rng(seed)
     pts = rng.uniform(lo_full, hi_full, size=(mc_samples, n))
-    inside = t1.contains(pts) & t2.contains(pts)
-    k = int(np.count_nonzero(inside))
+    k = int(np.count_nonzero(t2.contains(pts[t1.contains(pts)])))
     p_hat = k / mc_samples
     est = p_hat * vol_box
     # +1 pseudo-hit keeps the error bar honest when k == 0

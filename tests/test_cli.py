@@ -332,6 +332,18 @@ def test_verify_xray_suite_passes(capsys):
     assert checks["adjoint_identity"]["worst_gap"] <= 1e-12
 
 
+def test_verify_geometry_suite_is_pinned(capsys):
+    # any change to the suite's draws or checks moves these values
+    pinned = {1: (19999, 6.769976965303232), 2: (20000, 6.857616298468898)}
+    for seed, (checked, worst) in pinned.items():
+        code, out = run_cli(capsys, "verify", "--suite", "geometry",
+                            "--seed", str(seed))
+        checks = out["suites"]["geometry"]
+        assert code == 0 and out["pass"]
+        assert checks["whitney_unique"] == {"pass": True, "checked": checked}
+        assert checks["overlap_bound"] == {"pass": True, "worst": worst}
+
+
 def test_sweep_resource_guard_exit_code(tmp_path, capsys):
     path = tmp_path / "huge.cfg"
     path.write_text(

@@ -111,8 +111,130 @@ def test_whitney_locate_errors():
         geo.whitney_locate([0.5], [0.9], 10)
 
 
+def test_whitney_levels_match_scalar_location_and_oracle():
+    # random pairs, plus rows forced onto dyadic hyperplanes (of level 16
+    # and coarser) and rows closer than the level-16 resolution
+    rng = np.random.default_rng(11)
+    for n in (2, 3, 4):
+        x = rng.uniform(-1, 1, (2100, n - 1))
+        y = rng.uniform(-1, 1, (2100, n - 1))
+        y[:50] = x[:50] + rng.uniform(-2**-18, 2**-18, (50, n - 1))
+        x[50:100, -1] = rng.integers(0, 2**17, 50) / 2**16 - 1
+        y[100:150, 0] = rng.choice([-1.0, -0.5, 0.0, 0.25, 1.0], 50)
+        y = np.clip(y, -1, 1)
+        levels = geo.whitney_levels(x, y, 16)
+        assert levels.shape == (2100,)
+        assert {-1, 0} <= set(levels.tolist()) and levels.max() > 1
+        for xr, yr, level in zip(x, y, levels):
+            try:
+                j, c1, c2 = geo.whitney_locate(xr, yr, 16)
+            except geo.DegenerateInputError:
+                assert level == -1
+                continue
+            except geo.DepthExceededError:
+                assert level == 0 and whitney_scan_oracle(xr, yr, 16) == []
+                continue
+            assert level == j and whitney_scan_oracle(xr, yr, 16) == [j]
+            assert c1.contains(xr) and c2.contains(yr)
+
+
+@pytest.mark.parametrize("x,y,max_level", [
+    ([0.3], [0.61, 0.2], 16),        # points of different dimensions
+    ([0.3], [0.61], 0),
+    ([0.3], [0.61], 1.5),
+    ([0.3], [0.61], True),
+    ([0.3], [0.61], 2000),           # 2**2000 is not a finite float
+    ([1.3], [0.61], 16),
+    ([float("nan")], [0.61], 16),
+    ([], [], 16),
+    ([0.3 + 0.5j], [0.61], 16),
+    (["0.3"], [0.61], 16),
+])
+def test_whitney_input_contract(x, y, max_level):
+    with pytest.raises(geo.GeometryError):
+        geo.whitney_locate(x, y, max_level)
+    with pytest.raises(geo.GeometryError):
+        geo.whitney_levels(np.atleast_2d(x), np.atleast_2d(y), max_level)
+
+
+def test_dyadic_cube_refuses_a_negative_level():
+    with pytest.raises(geo.GeometryError, match="negative level"):
+        geo.DyadicCube(-1, (0,))
+
+
 # ---------------------------------------------------------------------------
 # tubes
+
+
+def broadcast_contains(t, pts):
+    """Tube membership as one (m, n-1) broadcast expression."""
+    y_, yn = pts[:, :-1], pts[:, -1]
+    omega = np.asarray(t.direction_omega)
+    base = np.asarray(t.base_i)
+    dev = y_ - yn[:, None] * omega[None, :] - base[None, :]
+    return (np.abs(yn) <= 1.0) & (np.sum(dev * dev, axis=1) <= t.delta**2)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tube_contains_matches_the_broadcast_expression(n):
+    rng = np.random.default_rng(n)
+    for delta in (1 / 8, 1 / 16, 1 / 32):
+        for _ in range(20):
+            t = geo.Tube(tuple(rng.uniform(-1, 1, n - 1)),
+                         tuple(rng.uniform(-1, 1, n - 1)), delta)
+            # points near the axis, half the heights beyond |y_n| = 1
+            yn = rng.uniform(-2, 2, 5000)
+            near = (np.asarray(t.base_i) + yn[:, None] * t.direction_omega
+                    + rng.uniform(-delta, delta, (5000, n - 1)))
+            pts = np.column_stack([near, yn])
+            got = t.contains(pts)
+            assert (np.abs(pts[:, -1]) > 1).any() and got.any()
+            assert np.array_equal(got, broadcast_contains(t, pts))
+
+
+def test_tube_contains_refuses_points_of_another_dimension():
+    with pytest.raises(geo.GeometryError):
+        geo.Tube((0.1, 0.2), (0.0, 0.0), 1 / 8).contains(np.zeros((4, 4)))
+    with pytest.raises(geo.GeometryError):
+        geo.Tube((0.1, 0.2), (0.0,), 1 / 8).contains(np.zeros((4, 3)))
+
+
+def two_mask_volume(t1, t2, n, mc_samples, seed):
+    """The Monte-Carlo estimate with both tubes tested on every sample."""
+    iv = geo._overlap_interval(t1, t2)
+    if iv is None:
+        return 0.0, 0.0
+    lo, hi = iv
+    omega1, base1 = np.asarray(t1.direction_omega), np.asarray(t1.base_i)
+    c_lo, c_hi = base1 + lo * omega1, base1 + hi * omega1
+    lo_full = np.append(np.minimum(c_lo, c_hi) - t1.delta, lo)
+    hi_full = np.append(np.maximum(c_lo, c_hi) + t1.delta, hi)
+    vol_box = float(np.prod(hi_full - lo_full))
+    pts = np.random.default_rng(seed).uniform(lo_full, hi_full, (mc_samples, n))
+    k = int(np.count_nonzero(broadcast_contains(t1, pts)
+                             & broadcast_contains(t2, pts)))
+    p_hat = k / mc_samples
+    p_err = max(p_hat, 1.0 / mc_samples)
+    return p_hat * vol_box, vol_box * math.sqrt(p_err * (1 - p_hat) / mc_samples)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tube_intersection_volume_matches_the_two_mask_reference(n):
+    rng = np.random.default_rng(20 + n)
+    delta = 1 / 16
+    net = geo.build_net(n, delta)
+    hits = 0
+    for seed in range(40):
+        w1 = net.e1[rng.integers(0, len(net.e1))]
+        w2 = net.e2[rng.integers(0, len(net.e2))]
+        i1 = net.points[rng.integers(0, len(net.points))]
+        i2 = net.points[net.nearest_index(i1 + rng.uniform(-0.5, 0.5) * (w1 - w2))]
+        t1 = geo.Tube(tuple(w1), tuple(i1), delta)
+        t2 = geo.Tube(tuple(w2), tuple(i2), delta)
+        got = geo.tube_intersection_volume(t1, t2, n, 4000, seed)
+        assert got == two_mask_volume(t1, t2, n, 4000, seed)
+        hits += got[0] > 0
+    assert hits >= 10
 
 
 def test_tube_volume_values():
@@ -162,6 +284,25 @@ def test_tube_intersection_mc_rejects_small_samples():
     t = geo.Tube((0.0,), (0.0,), 1 / 8)
     with pytest.raises(geo.GeometryError):
         geo.tube_intersection_volume(t, t, 2, 500, 0)
+
+
+def test_tube_intersection_input_contract():
+    t2 = geo.Tube((0.1,), (0.0,), 1 / 8)
+    t3 = geo.Tube((0.1, 0.2), (0.0, 0.0), 1 / 8)
+    short = geo.Tube((0.1, 0.2), (0.0,), 1 / 8)  # a 1-D base for a 2-D direction
+    for a, b, n in ((t3, t3, 2), (t3, t3, 4), (t2, t2, 3), (t2, t3, 2), (t2, t3, 3),
+                    (short, t3, 3), (t3, short, 3)):
+        with pytest.raises(geo.GeometryError, match="dimension"):
+            geo.tube_intersection_exact(a, b, n)
+        with pytest.raises(geo.GeometryError, match="dimension"):
+            geo.tube_intersection_volume(a, b, n, 2000, 0)
+    for samples in (2000.5, 2000.0, "2000", True):
+        with pytest.raises(geo.GeometryError, match="mc_samples"):
+            geo.tube_intersection_volume(t3, t3, 3, samples, 0)
+    for seed in (-1, 1.5, None, False):
+        with pytest.raises(geo.GeometryError, match="seed"):
+            geo.tube_intersection_volume(t3, t3, 3, 2000, seed)
+    assert geo.tube_intersection_volume(t3, t3, 3, np.int64(2000), np.int64(0))[0] > 0
 
 
 def test_cordoba_style_bound_sample():
