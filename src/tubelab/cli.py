@@ -495,7 +495,7 @@ def _suite_xray(seed: int) -> dict:
     worst = 0.0
     for n, delta in ((2, 1 / 8), (2, 1 / 16), (3, 1 / 8)):
         net = geometry.build_net(n, delta)
-        # compact support keeps the live cells X splats per direction few
+        # compact support keeps the live boxes X gathers from small
         half = 1.2 if n == 2 else 0.5
         m = int(np.ceil(2 * half / (delta / 4)))
         f = grid_from_sampler(

@@ -159,29 +159,35 @@ class CylinderDomain:
         return self.disc_center[k], np.sqrt(np.maximum(self.disc_radius**2 - v * v, 0))
 
 
+def row_runs(ax, mid, half, inside):
+    """(lo, hi): per row k the run [lo[k], hi[k]) of indices into the sorted
+    cell centres ax of the cells a convex set contains, where row k meets it
+    within mid[k] -/+ half[k] and only if it contains mid[k].  The bounds,
+    padded by a quarter cell, give the runs; inside(x), the set's exact test
+    at x[j, k] of row k, then checks mid (j = 0) and both end cells."""
+    reach = half + np.diff(ax).min(initial=np.inf) / 4
+    lo = np.searchsorted(ax, mid - reach)
+    hi = np.searchsorted(ax, mid + reach, side="right")
+    live, first, last = inside(np.stack([mid, ax[np.minimum(lo, len(ax) - 1)], ax[hi - 1]]))
+    live &= lo < hi
+    lo = np.where(live, lo + ~first, 0)
+    return lo, np.where(live, np.maximum(hi - ~last, lo), 0)
+
+
 def row_intervals(domain, x_axes, t, axis: int):
-    """(lo, hi): per row k of the slabs x_n = t (a height or an array) of the
-    grid spanned by x_axes, rows in C order over (t, the other axes), the
-    run [lo[k], hi[k]) of indices into x_axes[axis] of the cells that the
-    convex domain contains.  domain.row_span(pts, axis) gives each row's
-    deepest point mid and a half-width: the row meets the domain within
-    mid -/+ half, and only if it contains mid.  These bounds, padded by a
-    quarter cell, give the runs; then mid and both end cells of each run are
-    tested with domain.contains, so the runs select exactly its cells."""
-    ax = x_axes[axis]
+    """row_runs along x_axes[axis] in each row (C order over t, the other axes) of
+    the slabs x_n = t (a height or an array), by domain.row_span and .contains."""
     lead = [np.zeros(1) if a == axis else x for a, x in enumerate(x_axes)]
     grids = np.meshgrid(np.atleast_1d(t), *lead, indexing="ij")
     pts = np.stack(grids[1:] + grids[:1], axis=-1).reshape(-1, len(x_axes) + 1)
     mid, half = (np.broadcast_to(v, len(pts)) for v in domain.row_span(pts, axis))
-    reach = half + np.diff(ax).min(initial=np.inf) / 4
-    lo = np.searchsorted(ax, mid - reach)
-    hi = np.searchsorted(ax, mid + reach, side="right")
     probes = np.tile(pts, (3, 1))
-    probes[:, axis] = np.concatenate([mid, ax[np.minimum(lo, len(ax) - 1)], ax[hi - 1]])
-    live, first, last = domain.contains(probes).reshape(3, -1)
-    live &= lo < hi
-    lo = np.where(live, lo + ~first, 0)
-    return lo, np.where(live, np.maximum(hi - ~last, lo), 0)
+
+    def inside(x):
+        probes[:, axis] = x.reshape(-1)
+        return domain.contains(probes).reshape(3, -1)
+
+    return row_runs(x_axes[axis], mid, half, inside)
 
 
 # ---------------------------------------------------------------------------

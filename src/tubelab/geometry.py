@@ -68,6 +68,8 @@ class DyadicCube:
         return DyadicCube(self.level_j - 1, tuple(k // 2 for k in self.index_k))
 
     def contains(self, x) -> bool:
+        if len(x) != len(self.index_k):
+            raise GeometryError(f"a {len(self.index_k)}-dimensional cube and {len(x)} coordinates")
         return all(lo <= xi < hi for (lo, hi), xi in zip(self.bounds(), x))
 
 
@@ -91,6 +93,8 @@ def adjacent(k1, k2):
 
 def cubes_close(c1: DyadicCube, c2: DyadicCube) -> bool:
     """Not adjacent, but the parents are adjacent."""
+    if len(c1.index_k) != len(c2.index_k):
+        raise GeometryError(f"cubes of dimensions {len(c1.index_k)} and {len(c2.index_k)}")
     if c1.level_j != c2.level_j or c1.level_j == 0:
         return False
     if adjacent(c1.index_k, c2.index_k):
@@ -647,7 +651,7 @@ def tube_intersection_volume(t1: Tube, t2: Tube, n: int, mc_samples: int, seed: 
     hi_full = np.append(box_hi, hi)
     vol_box = float(np.prod(hi_full - lo_full))
     rng = np.random.default_rng(seed)
-    pts = rng.uniform(lo_full, hi_full, size=(mc_samples, n))
+    pts = lo_full + (hi_full - lo_full) * rng.random((mc_samples, n))  # rng.uniform, faster
     k = int(np.count_nonzero(t2.contains(pts[t1.contains(pts)])))
     p_hat = k / mc_samples
     est = p_hat * vol_box

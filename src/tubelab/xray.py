@@ -5,10 +5,10 @@ witness configurations.
 Rasterization convention: a grid cell belongs to a tube iff its center does.
 X, X* and geometry.Tube.contains test it with one expression, evaluated in
 this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
-iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  X and X*
-run on one disc kernel: X* rasterizes the tube discs of a height slab onto
-the grid, and X splats each cell, per direction, onto the net lattice as the
-disc of bases i within delta of x_ - x_n omega.  The transform guard
+iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  In a
+height slab a tube is that disc of cells.  X* rasterizes the discs onto the
+grid (_disc_sums); X gathers each disc's cells as one run per grid row
+(fields.row_runs) and sums them from row prefix sums.  The transform guard
 requires grid spacing <= delta/4 so the delta-wide cross-section is
 resolved by at least four cells.
 """
@@ -24,7 +24,7 @@ import numpy as np
 
 from . import TubelabError
 from .fields import (GridFunction, LpAccumulator, NetFunction, SUM_I, SUP_I,
-                     check_exponent, conjugate, lp_norm, mixed_norm)
+                     check_exponent, conjugate, lp_norm, mixed_norm, row_runs)
 from .geometry import DirectionNet, Tube, tube_intersection_exact
 
 class XrayError(TubelabError):
@@ -87,10 +87,9 @@ def _real_samples(f: GridFunction) -> np.ndarray:
 def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     """X f(omega, i) = delta^{1-n} * (midpoint quadrature of f over the tube).
 
-    For each direction, every live cell splats its value onto the net
-    lattice points within delta of x_ - x_n omega (the disc kernel X* uses);
-    tubes that meet no live cell vanish and are left out of the sparse field.
-    """
+    Each slab x_n = t (|t| <= 1) of f is cut to the box of its live cells;
+    _tube_sums gathers the tubes of a block of directions from its row
+    prefix sums.  Tubes that meet no live cell are left out of the field."""
     delta = net.delta
     _check_spacing(f.spacing, delta)
     n = f.ndim
@@ -101,47 +100,78 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     if not np.array_equal(lattice.reshape(-1, net.dim), net.points):
         raise XrayError("net points are not the full product of their axes "
                         "in lexicographic order")
-    vals, centers = _real_samples(f).reshape(-1), f.centers()
-    live = (vals > 0) & (np.abs(centers[:, -1]) <= 1.0)
-    x_, yn, vals = centers[live, :-1], centers[live, -1], vals[live]
-    if not len(vals):  # no live cell: every tube vanishes
+    slabs = []  # (t, live box x-axes, row prefix sums of multiples of unit and of the rest)
+    for t, v in zip(f.axis_centers(n - 1), np.moveaxis(_real_samples(f), -1, 0)):
+        if abs(t) <= 1.0 and v.any():
+            box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(v))
+            v = v[box]  # unit: 2^-52 of a power of two above v.sum(), so its multiples add exactly
+            rest = np.fmod(v, np.ldexp(1.0, max(np.frexp(v.sum())[1] - 52, -1022)))
+            slabs.append((t, [f.axis_centers(a)[k] for a, k in enumerate(box)], np.cumsum(
+                np.pad(np.stack([v - rest, rest]), [(0, 0)] * (n - 1) + [(1, 0)]), -1)))
+    if not slabs:  # no live cell: every tube vanishes
         return XrayField(net, delta, NetFunction(net, {}))
     scale = delta ** (1 - n) * f.cell_measure
-    out = {}
-    origin = np.zeros_like(x_)
-    for w_idx, omega in enumerate(net.points):
-        c = x_ - yn[:, None] * omega[None, :]
-        sums = _disc_sums(c, origin, vals, delta, axes).reshape(-1)
-        hit = np.nonzero(sums)[0]
-        out.update(zip(zip([w_idx] * len(hit), hit.tolist()),
-                       (sums[hit] * scale).tolist()))
+    out, index = {}, np.arange(len(net.points)).astype(object)  # keys share ints
+    for w in range(0, len(net.points), 64):  # blocks of directions
+        b, base, sums = _tube_sums(slabs, net.points[w:w + 64], net.points, axes, delta)
+        out.update(zip(zip(index[b + w], index[base]), (sums * scale).tolist()))
     return XrayField(net, delta, NetFunction(net, out))
 
 
-def _disc_sums(shifts, bases, values, delta, axes):
-    """sum_k values[k] [sum_a ((g_a - shifts[k, a]) - bases[k, a])^2 <= delta^2]
-    at each point g of the grid spanned by axes.  X* passes, per height y_n,
-    the tubes' shifts y_n omega and bases i over the x-grid; X passes, per
-    direction, the cells' shifts c = x_ - x_n omega and base 0 over the net
-    lattice, where (i - c) - 0 is the exact negation of X's cell test.  All
-    discs are tested at once on their searchsorted windows (padded to the
-    widest); bincount adds each point's values in disc order."""
+def _tube_sums(slabs, omegas, points, axes, delta):
+    """(row of omegas, index into points, sum) of the tubes (omega, i) with a
+    nonzero sum over the slabs of xray_transform, among the bases whose disc
+    can meet a slab's box.  Slab t meets the tube in X's disc sum_a ((x_a -
+    t omega_a) - i_a)^2 <= delta^2: rows by _disc_windows over all but the
+    last axis, one run per row by fields.row_runs, summed by prefix sums."""
+    keys, sums = [], []
+    for t, xs, prefix in slabs:
+        mid, half = np.array([[(x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2] for x in xs]).T
+        cand, _, flat = _disc_windows(-t * omegas, np.broadcast_to(mid, omegas.shape),
+                                      delta + 1e-12 + np.hypot.reduce(half), axes)
+        b, k = np.nonzero(cand)[0], np.broadcast_to(flat, cand.shape)[cand]
+        near = np.all(np.abs(points[k] + t * omegas[b] - mid) <= half + delta + 1e-12, axis=1)
+        b, k = b[near], k[near]
+        base, sh = points[k], t * omegas[b]
+        ok, d2, row = _disc_windows(sh[:, :-1], base[:, :-1], delta, xs[:-1])
+        tube = np.nonzero(ok)[0]
+        d2, row = np.broadcast_to(d2, ok.shape)[ok], np.broadcast_to(row, ok.shape)[ok]
+        lo, hi = row_runs(xs[-1], base[tube, -1] + sh[tube, -1], np.sqrt(delta**2 - d2),
+                          lambda x: d2 + ((x - sh[tube, -1]) - base[tube, -1]) ** 2 <= delta**2)
+        ends = prefix.reshape(2, -1)[:, row[:, None] * prefix.shape[-1] + np.stack([lo, hi], -1)]
+        keys.append(b * len(points) + k)
+        sums.append(np.bincount(tube, np.diff(ends).sum(axis=0)[:, 0], minlength=len(b)))
+    keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
+    sums = np.bincount(slot, np.concatenate(sums))
+    return *np.divmod(keys[sums > 0], len(points)), sums[sums > 0]
+
+
+def _disc_windows(shifts, bases, delta, axes):
+    """(inside, d2, flat) at the points g of disc k's searchsorted window in the
+    grid spanned by axes (padded to the widest): d2 = sum_a ((g_a - shifts[k, a])
+    - bases[k, a])^2 in axis order, inside = d2 <= delta^2, flat = g's index."""
     centers = bases + shifts
     d = len(axes)
-    inside, d2, flat = True, 0.0, 0
+    inside, d2, flat = np.ones((len(bases),) + (1,) * d, dtype=bool), 0.0, 0
     for a, ax in enumerate(axes):
         lo = np.searchsorted(ax, centers[:, a] - delta - 1e-12)
         hi = np.searchsorted(ax, centers[:, a] + delta + 1e-12)
         idx = lo[:, None] + np.arange((hi - lo).max(initial=0))
-        shape = (len(values),) + (1,) * a + (idx.shape[1],) + (1,) * (d - 1 - a)
+        shape = (len(bases),) + (1,) * a + (idx.shape[1],) + (1,) * (d - 1 - a)
         inside = inside & (idx < hi[:, None]).reshape(shape)
         idx = np.minimum(idx, len(ax) - 1)
         dev = (ax[idx] - shifts[:, a, None]) - bases[:, a, None]
         d2 = d2 + (dev**2).reshape(shape)
         flat = flat * len(ax) + idx.reshape(shape)
-    inside = inside & (d2 <= delta**2)
+    return inside & (d2 <= delta**2), d2, flat
+
+
+def _disc_sums(shifts, bases, values, delta, axes):
+    """sum_k values[k] [disc k of _disc_windows holds g] at each point g of the grid
+    spanned by axes, in disc order (X* passes y_n omega and i at each height)."""
+    inside, _d2, flat = _disc_windows(shifts, bases, delta, axes)
     dims = tuple(len(ax) for ax in axes)
-    weights = np.broadcast_to(values.reshape((-1,) + (1,) * d), inside.shape)
+    weights = np.broadcast_to(values.reshape((-1,) + (1,) * len(axes)), inside.shape)
     return np.bincount(np.broadcast_to(flat, inside.shape)[inside],
                        weights[inside], math.prod(dims)).reshape(dims)
 

@@ -162,6 +162,24 @@ def test_dyadic_cube_refuses_a_negative_level():
         geo.DyadicCube(-1, (0,))
 
 
+def test_dyadic_cube_contains_refuses_a_point_of_another_dimension():
+    cube = geo.DyadicCube(2, (1,))  # [-0.75, -0.5)
+    assert cube.contains([-0.6]) and not cube.contains([0.6])
+    for x in ([-0.6, 5.0], [], [-0.6, -0.6, -0.6]):
+        with pytest.raises(geo.GeometryError, match="1-dimensional cube"):
+            cube.contains(x)
+
+
+def test_cubes_close_refuses_cubes_of_different_dimensions():
+    c1, c2 = geo.DyadicCube(2, (1,)), geo.DyadicCube(2, (3,))
+    assert geo.cubes_close(c1, c2)
+    for other in (geo.DyadicCube(2, (3, 0)), geo.DyadicCube(1, (3, 0)), geo.DyadicCube(2, ())):
+        with pytest.raises(geo.GeometryError, match="cubes of dimensions"):
+            geo.cubes_close(c1, other)
+        with pytest.raises(geo.GeometryError, match="cubes of dimensions"):
+            geo.cubes_close(other, c1)
+
+
 # ---------------------------------------------------------------------------
 # tubes
 

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,17 +136,17 @@ def test_transform_refuses_a_net_that_is_not_a_product_lattice():
 def test_transform_of_an_input_with_no_live_cell_skips_the_kernel(monkeypatch):
     # all zero, or mass only above |x_n| = 1: the empty field at once
     def forbidden(*args):
-        raise AssertionError("_disc_sums ran")
+        raise AssertionError("_tube_sums ran")
 
     delta = 1 / 8
     net = build_net(3, delta)
     f = ball_function(3, delta)
     zero = GridFunction(f.dims, f.origin, f.spacing, 0 * f.samples)
     high = GridFunction(f.dims, f.origin[:-1] + (5.0,), f.spacing, f.samples)
-    monkeypatch.setattr(xray, "_disc_sums", forbidden)
+    monkeypatch.setattr(xray, "_tube_sums", forbidden)
     for g in (zero, high):
         assert xray.xray_transform(g, net).values.to_json() == []
-    with pytest.raises(AssertionError, match="_disc_sums ran"):
+    with pytest.raises(AssertionError, match="_tube_sums ran"):
         xray.xray_transform(f, net)  # a live cell takes the kernel path
 
 
@@ -172,6 +173,78 @@ def test_delta_ball_transform_bytes_are_pinned(n, delta):
     for arr, dtype in ((xv.omega, "<i8"), (xv.base, "<i8"), (xv.values, "<f8")):
         digest.update(np.ascontiguousarray(arr, dtype=dtype).tobytes())
     assert (len(xv.values), digest.hexdigest()) == DELTA_BALL_TRANSFORM_BYTES[(n, delta)]
+
+
+def splat_transform(f, net):
+    """The forward transform before the row-interval gather, kept as a
+    reference: per direction, every live cell splats its value onto the net
+    lattice points within delta of x_ - x_n omega through X*'s disc kernel."""
+    delta, n = net.delta, f.ndim
+    axes = [np.unique(net.points[:, a]) for a in range(net.dim)]
+    vals, centers = np.real(f.samples).reshape(-1), f.centers()
+    live = (vals > 0) & (np.abs(centers[:, -1]) <= 1.0)
+    x_, yn, vals = centers[live, :-1], centers[live, -1], vals[live]
+    scale = delta ** (1 - n) * f.cell_measure
+    out = {}
+    for w, omega in enumerate(net.points):
+        sums = xray._disc_sums(x_ - yn[:, None] * omega, np.zeros_like(x_), vals,
+                               delta, axes).reshape(-1)
+        out.update({(w, i): sums[i] * scale for i in np.nonzero(sums)[0].tolist()})
+    return out
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("grid", ["dyadic", "near-tangent", "rounded"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_transform_matches_the_splat_reference(n, grid, weighted):
+    # off-centre random support over heights on both sides of x_n = 1.
+    # dyadic: cell centres x0 + k delta/4, so the cell x0 + delta e_1 lies
+    # exactly delta from the base (x0, ..., x0).  near-tangent: the last
+    # x-axis is moved by 1e-10; for n = 3 that cell is then 1e-10 off the
+    # omega = 0 disc's centre row yet inside by the exact test (1e-20 is
+    # below half an ulp of delta^2), for n = 2 it is 1e-10 outside the disc.
+    # rounded: non-dyadic spacing, every boundary rounded.
+    delta = 1 / 16 if n == 2 else 1 / 8
+    x0 = 0.125  # a lattice coordinate
+    h, origin = delta / 4, [x0] * (n - 1) + [0.5]
+    if grid == "near-tangent":
+        origin[-2] += 1e-10
+    if grid == "rounded":
+        h, origin = 0.9 * delta / 4, [x0 + 0.37 * delta] * (n - 1) + [0.45 + 0.21 * delta]
+    dims = (int(0.75 / h),) * n
+    rng = np.random.default_rng(n)
+    live = rng.random(dims) < 0.3
+    live[(4,) + (0,) * (n - 1)] = True  # x0 + 4 h = x0 + delta (dyadic grids)
+    f = GridFunction(dims, tuple(origin), (h,) * n,  # weights over twelve decades
+                     live * (10.0 ** rng.uniform(-6, 6, dims) if weighted else 1.0))
+    heights = f.axis_centers(n - 1)
+    assert heights[0] < 1 < heights[-1] and heights[0] > 0.4
+    if grid != "rounded":
+        edge = f.centers()[np.ravel_multi_index((4,) + (0,) * (n - 1), dims)]
+        assert 1.0 in heights and (edge[0] - x0 == delta or n == 2)
+        inside = Tube((0.0,) * (n - 1), (x0,) * (n - 1), delta).contains(edge[None])[0]
+        assert inside == (grid == "dyadic" or n == 3)
+    net = build_net(n, delta)
+    xv = xray.xray_transform(f, net).values
+    got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
+    want = splat_transform(f, net)
+    assert got.keys() == want.keys()
+    if weighted:
+        assert all(abs(got[key] - v) <= 1e-12 * v for key, v in want.items())
+    else:  # 0/1 input: exact cell counts times one scale
+        assert got == want
+
+
+def test_transform_of_the_finest_lab_delta_ball_stays_small():
+    # a dense (directions x net) accumulator would take 143 MB here
+    f, net = ball_function(3, 1 / 32), build_net(3, 1 / 32)
+    tracemalloc.start()
+    try:
+        xray.xray_transform(f, net)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
