@@ -320,11 +320,10 @@ SUM_I = "sum_i"
 
 class NetFunction:
     """Finitely-supported nonnegative values on net x net, given as a
-    {(omega_index, base_index): value} mapping and stored as the integer
-    arrays omega and base, sorted by (omega, base), and the array values."""
+    {(omega_index, base_index): value} mapping or by from_arrays, stored as the
+    integer arrays omega and base, sorted by (omega, base), and the array values."""
 
     def __init__(self, net: DirectionNet, mapping: dict):
-        self.net = net
         if set(map(type, mapping)) - {tuple} or set(map(len, mapping)) - {2}:
             key = next(k for k in mapping if type(k) is not tuple or len(k) != 2)
             raise FieldError(f"net entry {key!r} -> {mapping[key]!r}: need an "
@@ -338,7 +337,17 @@ class NetFunction:
             raise FieldError(f"net entry {key!r} -> {value!r}: need numbers, "
                              "not strings or bools")
         keys = np.array(list(mapping), dtype=float).reshape(-1, 2)
-        values = np.fromiter(mapping.values(), dtype=float, count=len(keys))
+        self._store(net, *keys.T, np.fromiter(mapping.values(), dtype=float, count=len(keys)))
+
+    @classmethod
+    def from_arrays(cls, net: DirectionNet, omega, base, values) -> "NetFunction":
+        """The entries (omega[k], base[k]) -> values[k], checked and sorted as a mapping's."""
+        return cls.__new__(cls)._store(net, omega, base, values)
+
+    def _store(self, net, omega, base, values):
+        self.net = net
+        keys = np.stack([omega, base], axis=1).astype(float)
+        values = np.asarray(values, dtype=float)
         ok = np.all((keys == np.floor(keys)) & (keys >= 0)
                     & (keys < len(net.points)), axis=1)
         ok &= (values >= 0) & (values < np.inf)
@@ -350,6 +359,7 @@ class NetFunction:
         order = np.lexsort(keys.T[::-1])
         self.omega, self.base = keys[order].astype(int).T
         self.values = values[order]
+        return self
 
     def inner_aggregates(self, inner: str):
         """(omega indices that carry a value, sup or sum over their bases),

@@ -6,11 +6,11 @@ Rasterization convention: a grid cell belongs to a tube iff its center does.
 X, X* and geometry.Tube.contains test it with one expression, evaluated in
 this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
 iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  In a
-height slab a tube is that disc of cells.  X* rasterizes the discs onto the
-grid (_disc_sums); X gathers each disc's cells as one run per grid row
-(fields.row_runs) and sums them from row prefix sums.  The transform guard
-requires grid spacing <= delta/4 so the delta-wide cross-section is
-resolved by at least four cells.
+height slab a tube is that disc of cells.  X* rasterizes the discs (_disc_sums)
+only inside each slab's intersection box of its fields' discs (_slab_sums, one
+helper for xray_adjoint and the bilinear product); X gathers each disc as one run
+per grid row (fields.row_runs) from row prefix sums.  The guard spacing <=
+delta/4 resolves the delta-wide cross-section by at least four cells.
 """
 
 from __future__ import annotations
@@ -69,9 +69,9 @@ class KakeyaRatio:
 
 
 def _check_spacing(spacing, delta):
-    if max(spacing) > delta / 4 + 1e-12:
+    if not 0 < min(spacing) <= max(spacing) <= delta / 4 + 1e-12:
         raise XrayError(
-            f"grid spacing {max(spacing)} too coarse; need <= delta/4 = {delta / 4}"
+            f"grid spacing {list(spacing)} outside (0, delta/4 = {delta / 4}]"
         )
 
 
@@ -110,12 +110,11 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
                 np.pad(np.stack([v - rest, rest]), [(0, 0)] * (n - 1) + [(1, 0)]), -1)))
     if not slabs:  # no live cell: every tube vanishes
         return XrayField(net, delta, NetFunction(net, {}))
-    scale = delta ** (1 - n) * f.cell_measure
-    out, index = {}, np.arange(len(net.points)).astype(object)  # keys share ints
+    scale, parts = delta ** (1 - n) * f.cell_measure, []
     for w in range(0, len(net.points), 64):  # blocks of directions
         b, base, sums = _tube_sums(slabs, net.points[w:w + 64], net.points, axes, delta)
-        out.update(zip(zip(index[b + w], index[base]), (sums * scale).tolist()))
-    return XrayField(net, delta, NetFunction(net, out))
+        parts.append((b + w, base, sums * scale))
+    return XrayField(net, delta, NetFunction.from_arrays(net, *map(np.concatenate, zip(*parts))))
 
 
 def _tube_sums(slabs, omegas, points, axes, delta):
@@ -176,43 +175,57 @@ def _disc_sums(shifts, bases, values, delta, axes):
                        weights[inside], math.prod(dims)).reshape(dims)
 
 
+def _slab_sums(fields, yn, x_axes, delta):
+    """(box, sums): X* at height yn of each of fields (XrayField.tubes arrays) by
+    _disc_sums on the x_axes cells in box, the slices within delta of disc centres
+    of every field, or None if box holds no cell or |yn| > 1.  The tubes near box
+    keep their order, so its cells get their whole-grid sums; outside it some field is 0."""
+    centres = [b + yn * om for om, b, _v in fields]
+    lo = np.max([c.min(axis=0, initial=np.inf) for c in centres], axis=0) - delta - 1e-12
+    hi = np.min([c.max(axis=0, initial=-np.inf) for c in centres], axis=0) + delta + 1e-12
+    box = tuple(slice(*np.searchsorted(ax, [l, h], side="right"))
+                for ax, l, h in zip(x_axes, lo, hi))
+    axes = [ax[k] for ax, k in zip(x_axes, box)]
+    if abs(yn) > 1.0 or min(map(len, axes)) == 0:
+        return box, None
+    near = [np.all((c >= lo - delta - 1e-12) & (c <= hi + delta + 1e-12), axis=1)
+            for c in centres]
+    return box, [_disc_sums(yn * om[k], b[k], v[k], delta, axes)
+                 for (om, b, v), k in zip(fields, near)]
+
+
 def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     """X* g = sum over (omega, i) of g(omega, i) chi_tube, rasterized on the
-    template grid (counting-measure form of the adjoint)."""
+    template grid (counting-measure form of the adjoint) by _slab_sums."""
     _check_spacing(grid.spacing, g.delta)
     n = grid.ndim
     if n - 1 != g.net.dim:
         raise XrayError("grid dimension does not match net")
-    omegas, bases, values = g.tubes()
     x_axes = [grid.axis_centers(a) for a in range(n - 1)]
-    yn_axis = grid.axis_centers(n - 1)
-    out = np.zeros(grid.dims, dtype=float)
-    for s, yn in enumerate(yn_axis):
-        if abs(yn) <= 1.0:
-            out[..., s] = _disc_sums(yn * omegas, bases, values, g.delta, x_axes)
+    tubes, out = g.tubes(), np.zeros(grid.dims, dtype=float)
+    for s, yn in enumerate(grid.axis_centers(n - 1)):
+        box, sums = _slab_sums([tubes], yn, x_axes, g.delta)
+        if sums:
+            out[box + (s,)] = sums[0]
     return GridFunction(grid.dims, grid.origin, grid.spacing, out)
 
 
 def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
                            spacing: float):
-    """|| X*F . X*G ||_s for each exponent s of acc, over a grid covering
-    both tube unions, streamed one height slab at a time into acc.  s = inf
-    gives the sup; s = 1 the plain inner product integral."""
-    delta = F.delta
-    tubes_f, tubes_g = F.tubes(), G.tubes()
-    omegas, bases, _ = (np.concatenate(ab) for ab in zip(tubes_f, tubes_g))
+    """|| X*F . X*G ||_s for each exponent s of acc, over a grid covering both
+    tube unions, streamed into acc by _slab_sums of F and G in each height
+    slab.  s = inf gives the sup; s = 1 the plain inner product integral."""
+    delta, tubes = F.delta, [F.tubes(), G.tubes()]
+    omegas, bases, _ = (np.concatenate(ab) for ab in zip(*tubes))
     lo = (bases - np.abs(omegas) - delta).min(axis=0, initial=np.inf) - spacing
     hi = (bases + np.abs(omegas) + delta).max(axis=0, initial=-np.inf) + spacing
-    x_axes = []
-    for a in range(F.net.dim):
-        m = int(math.ceil((hi[a] - lo[a]) / spacing))
-        x_axes.append(lo[a] + (np.arange(m) + 0.5) * spacing)
+    x_axes = [l + (np.arange(m) + 0.5) * spacing
+              for l, m in zip(lo, np.ceil((hi - lo) / spacing).astype(int))]
     m_n = int(math.ceil(2.0 / spacing))
-    yn_axis = -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n)
     cellvol = spacing ** F.net.dim * (2.0 / m_n)
-    for yn in yn_axis:
-        prod = np.multiply(*(_disc_sums(yn * om, b, v, delta, x_axes)
-                             for om, b, v in (tubes_f, tubes_g)))
+    for yn in -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n):
+        sums = _slab_sums(tubes, yn, x_axes, delta)[1]
+        prod = np.multiply(*sums) if sums else np.zeros(0)
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
     return {s: acc.norm(s, cellvol) for s in [*acc.sums, np.inf]}
@@ -232,9 +245,13 @@ def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> Kake
     return KakeyaRatio(p=p, q=q, delta=net.delta, value=num / denom, bilinear=False)
 
 
-def _check_support(field: XrayField, allowed: np.ndarray, name: str):
-    if not np.isin(field.values.omega, allowed).all():
-        raise XrayError(f"{name} has direction support outside its set")
+def _check_pair(F: XrayField, G: XrayField):
+    """Refuse F, G of different net dimensions or deltas, or off E1, E2."""
+    if F.net.dim != G.net.dim or abs(F.delta - G.delta) > 1e-12:
+        raise XrayError("fields must share a net dimension and delta")
+    for field, allowed, name in ((F, F.net.e1_indices, "F"), (G, G.net.e2_indices, "G")):
+        if not np.isin(field.values.omega, allowed).all():
+            raise XrayError(f"{name} has direction support outside its set")
 
 
 def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
@@ -242,12 +259,8 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
     """|| X*F X*G ||_{p'/2} / (delta^{2 - 2n/p} ||F|| ||G||) for each (p, q),
     with the L^{q'}_omega L^1_i norms in the denominator.  The rasterized
     product field is shared across the exponent pairs."""
-    if F.net is not G.net and abs(F.delta - G.delta) > 1e-12:
-        raise XrayError("fields must share a net scale")
-    _check_support(F, F.net.e1_indices, "F")
-    _check_support(G, G.net.e2_indices, "G")
-    n = F.net.dim + 1
-    delta = F.delta
+    _check_pair(F, G)
+    n, delta = F.net.dim + 1, F.delta
     if spacing is None:
         spacing = delta / 4
     _check_spacing([spacing], delta)
@@ -256,9 +269,7 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
     acc = LpAccumulator(exps.values())
     denoms = {}
     for p, q in pairs:
-        q_prime = conjugate(q)
-        norm_f = mixed_norm(F.values, q_prime, SUM_I)
-        norm_g = mixed_norm(G.values, q_prime, SUM_I)
+        norm_f, norm_g = (mixed_norm(h.values, conjugate(q), SUM_I) for h in (F, G))
         if norm_f == 0 or norm_g == 0:
             raise XrayError("zero denominator")
         denoms[(p, q)] = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
@@ -285,10 +296,8 @@ def prop111_constant(F: XrayField, G: XrayField,
     """<X*F, X*G> normalized by delta^{2-n} ||F||_{L1 L1} ||G||_{L1 L1},
     computed two ways: a grid inner product and the exact tube-pair sum
     sum F G |T cap T'| (cross-section overlap integrals)."""
-    _check_support(F, F.net.e1_indices, "F")
-    _check_support(G, G.net.e2_indices, "G")
-    n = F.net.dim + 1
-    delta = F.delta
+    _check_pair(F, G)
+    n, delta = F.net.dim + 1, F.delta
     if spacing is None:
         spacing = delta / 8
     _check_spacing([spacing], delta)
@@ -297,16 +306,12 @@ def prop111_constant(F: XrayField, G: XrayField,
         raise XrayError("zero denominator")
     inner = _adjoint_product_norms(F, G, LpAccumulator([1.0]), spacing)[1.0]
     pair_sum = 0.0
-    tubes_g = list(zip(*G.tubes()))
+    tubes_g = [(Tube(tuple(w), tuple(b), delta), v) for w, b, v in zip(*G.tubes())]
     for omega1, base1, v1 in zip(*F.tubes()):
         t1 = Tube(tuple(omega1), tuple(base1), delta)
-        for omega2, base2, v2 in tubes_g:
-            t2 = Tube(tuple(omega2), tuple(base2), delta)
-            vol = tube_intersection_exact(t1, t2, n)
-            if vol > 0:
-                pair_sum += float(v1 * v2 * vol)
-    return Prop111Result(grid_value=inner / denom, pair_value=pair_sum / denom,
-                         delta=delta)
+        for t2, v2 in tubes_g:  # a zero volume adds 0.0, which leaves pair_sum as it is
+            pair_sum += float(v1 * v2 * tube_intersection_exact(t1, t2, n))
+    return Prop111Result(inner / denom, pair_sum / denom, delta)
 
 
 # ---------------------------------------------------------------------------

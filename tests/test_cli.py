@@ -332,6 +332,19 @@ def test_verify_xray_suite_passes(capsys):
     assert checks["adjoint_identity"]["worst_gap"] <= 1e-12
 
 
+def test_verify_xray_suite_is_pinned(capsys):
+    # a change to X, X*, the suite's draws or the Prop. 1.11 grid sum moves these
+    pinned = {0: 1.6628160952811994e-16, 1: 3.6916671182327877e-16}
+    for seed, worst_gap in pinned.items():
+        code, out = run_cli(capsys, "verify", "--suite", "xray", "--seed", str(seed))
+        checks = out["suites"]["xray"]
+        assert code == 0 and out["pass"]
+        assert checks["adjoint_identity"] == {"pass": True, "worst_gap": worst_gap}
+        assert checks["tube_cover"] == {"pass": True, "max_multiplicity": 4}
+        assert checks["prop111_crossing"] == {"pass": True, "gap": 0.0008537921855685628,
+                                              "constant": 5.333333175696955}
+
+
 def test_verify_geometry_suite_is_pinned(capsys):
     # any change to the suite's draws or checks moves these values
     pinned = {1: (19999, 6.769976965303232), 2: (20000, 6.857616298468898)}

@@ -210,6 +210,24 @@ def test_netfunction_stores_sorted_arrays():
     assert fields.mixed_norm(empty, 2.0) == 0.0
 
 
+def test_netfunction_from_arrays_matches_the_mapping():
+    net = build_net(2, 1 / 32)
+    rng = np.random.default_rng(4)
+    keys = rng.permutation(len(net.points) ** 2)[:200]
+    omega, base = np.divmod(keys, len(net.points))
+    values = rng.uniform(0, 5, len(keys))
+    g = fields.NetFunction.from_arrays(net, omega, base, values)
+    h = fields.NetFunction(net, dict(zip(zip(omega.tolist(), base.tolist()), values.tolist())))
+    for attr in ("omega", "base", "values"):
+        assert np.array_equal(getattr(g, attr), getattr(h, attr))
+    empty = fields.NetFunction.from_arrays(net, [], [], [])
+    assert len(empty.values) == 0 and empty.omega.dtype == h.omega.dtype
+    for o, b, v in [(65, 0, 1.0), (0, -1, 1.0), (3, 40.5, 1.0), (0, 0, -1.0),
+                    (0, 0, float("nan")), (0, 0, float("inf"))]:
+        with pytest.raises(fields.FieldError, match="net entry"):
+            fields.NetFunction.from_arrays(net, [1, o], [2, b], [0.5, v])
+
+
 def test_lp_accumulator_matches_one_pass_reference():
     rng = np.random.default_rng(11)
     chunks = [rng.random(rng.integers(0, 40)) for _ in range(6)]

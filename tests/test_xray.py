@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from tubelab import xray
-from tubelab.fields import (GridFunction, NetFunction, SUM_I, grid_from_sampler,
-                            mixed_norm)
+from tubelab.fields import (GridFunction, LpAccumulator, NetFunction, SUM_I,
+                            grid_from_sampler, mixed_norm)
 from tubelab.geometry import Tube, build_net, tube_intersection_exact, unit_ball_volume
 from tubelab.witnesses import fit_power_law
 
@@ -326,6 +326,31 @@ def test_adjointness_identity():
     assert abs(lhs - rhs) <= 1e-12 * abs(rhs)
 
 
+@pytest.mark.parametrize("reach", [0.625, 2.0], ids=["clipping", "whole"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_adjoint_matches_tube_contains(n, reach):
+    # random weighted tubes, on the clipping grid reaching past it on every
+    # side; both grids reach past the tubes in height.  Cell centres on
+    # (1/32) Z put cells exactly delta from the axes of the tubes with
+    # direction 0
+    delta = 1 / 8
+    net = build_net(n, delta)
+    rng = np.random.default_rng(n)
+    zero = net.nearest_index(np.zeros(n - 1))
+    vals = {(int(w), int(rng.integers(0, len(net.points)))): float(rng.uniform(0.1, 3.0))
+            for w in [*rng.integers(0, len(net.points), 20), zero, zero, zero, zero]}
+    g = xray.XrayField(net, delta, NetFunction(net, vals))
+    half = [reach + 1 / 64] * (n - 1) + [1.3125 + 1 / 64]
+    grid = grid_from_sampler(lambda P: np.zeros(P.shape[0]), np.negative(half), half,
+                             [int(64 * reach) + 1] * (n - 1) + [85])
+    centers = grid.centers()
+    expect = np.zeros(len(centers))
+    for w, i, v in zip(*g.tubes()):
+        expect += v * Tube(tuple(w), tuple(i), delta).contains(centers)
+    assert 0 < np.count_nonzero(expect) < len(expect)
+    assert np.array_equal(xray.xray_adjoint(g, grid).samples.reshape(-1), expect)
+
+
 def test_kakeya_ratio_homogeneity():
     from tubelab.fields import GridFunction
 
@@ -454,6 +479,105 @@ def test_prop111_disjoint_pair_zero():
     G = xray.XrayField(net, delta, NetFunction(net, {(w2, net.nearest_index([0.9, 0.9])): 1.0}))
     res = xray.prop111_constant(F, G)
     assert res.grid_value == 0.0 and res.pair_value == 0.0
+
+
+def full_box_product_norms(F, G, acc, spacing):
+    """The bilinear product before the per-slab box cut, kept as a reference:
+    every height slab rasterizes X*F and X*G over the whole grid covering both
+    tube unions."""
+    delta, tubes = F.delta, (F.tubes(), G.tubes())
+    omegas, bases, _ = (np.concatenate(ab) for ab in zip(*tubes))
+    lo = (bases - np.abs(omegas) - delta).min(axis=0) - spacing
+    hi = (bases + np.abs(omegas) + delta).max(axis=0) + spacing
+    x_axes = [lo[a] + (np.arange(int(math.ceil((hi[a] - lo[a]) / spacing))) + 0.5) * spacing
+              for a in range(F.net.dim)]
+    m_n = int(math.ceil(2.0 / spacing))
+    for yn in -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n):
+        prod = np.multiply(*(xray._disc_sums(yn * om, b, v, delta, x_axes)
+                             for om, b, v in tubes))
+        if prod.max(initial=0.0) > 0:
+            acc.add(prod[prod > 0])
+    return {s: acc.norm(s, spacing ** F.net.dim * (2.0 / m_n)) for s in [*acc.sums, np.inf]}
+
+
+def random_pair(net, rng, tubes=24):
+    def draw(idx_set):
+        return {(int(rng.choice(idx_set)), int(rng.integers(0, len(net.points)))):
+                float(rng.uniform(0.2, 1.0)) for _ in range(tubes)}
+
+    return (xray.XrayField(net, net.delta, NetFunction(net, draw(net.e1_indices))),
+            xray.XrayField(net, net.delta, NetFunction(net, draw(net.e2_indices))))
+
+
+def crossing_pair(n, delta):
+    # bushes through x_ = 0 at height 0 with directions near -e1 / 2 and e1 / 2:
+    # their disc centres part as |x_n| grows, so the boxes meet only near x_n = 0
+    net = build_net(n, delta)
+    i0 = net.nearest_index(np.zeros(net.dim))
+    return tuple(xray.XrayField(net, delta, NetFunction(
+        net, {(int(w), i0): 1.0 + k / 7 for k, w in enumerate(idx[::3])}))
+        for idx in (net.e1_indices, net.e2_indices))
+
+
+PRODUCT_CASES = {
+    **{f"{kind}-n{n}-{delta}": lambda k=kind, n=n, d=delta: xray.kakeya_witness(k, n, d)[:2]
+       for kind in (xray.K0_DELTAS, xray.K1_SLAB, xray.BUSH) for n in (2, 3)
+       for delta in (1 / 8, 1 / 16)},
+    **{f"random-n{n}-{seed}": lambda n=n, s=seed: random_pair(
+        build_net(n, 1 / 16), np.random.default_rng(s)) for n in (2, 3) for seed in range(3)},
+    **{f"crossing-n{n}": lambda n=n: crossing_pair(n, 1 / 16) for n in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(PRODUCT_CASES))
+@pytest.mark.parametrize("per_delta", [4, 8])
+def test_product_norms_match_the_full_box_reference(case, per_delta):
+    F, G = PRODUCT_CASES[case]()
+    spacing = F.delta / per_delta
+    exps = [1.0, 5 / 6, 0.7, 2.5]
+    got = xray._adjoint_product_norms(F, G, LpAccumulator(exps), spacing)
+    assert got == full_box_product_norms(F, G, LpAccumulator(exps), spacing)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_crossing_pair_boxes_meet_in_some_slabs_only(n):
+    F, G = crossing_pair(n, 1 / 16)
+    spacing = F.delta / 4
+    x_axes = [np.arange(-1.5, 1.5, spacing) + spacing / 2] * F.net.dim
+    met = [xray._slab_sums([F.tubes(), G.tubes()], yn, x_axes, F.delta)[1] is not None
+           for yn in -1.0 + (np.arange(2 / spacing) + 0.5) * spacing]
+    assert any(met) and not all(met)
+    norms = xray._adjoint_product_norms(F, G, LpAccumulator([1.0]), spacing)
+    assert norms[1.0] > 0
+
+
+def mismatched_pairs():
+    n3 = build_net(3, 1 / 8)
+    F = xray.XrayField(n3, 1 / 8, NetFunction(n3, {(int(n3.e1_indices[0]), 0): 1.0}))
+    n2 = build_net(2, 1 / 8)
+    G2 = xray.XrayField(n2, 1 / 8, NetFunction(n2, {(int(n2.e2_indices[0]), 0): 1.0}))
+    fine = build_net(3, 1 / 16)
+    G16 = xray.XrayField(fine, 1 / 16, NetFunction(fine, {(int(fine.e2_indices[0]), 0): 1.0}))
+    return {"dimension": (F, G2), "delta": (F, G16)}
+
+
+@pytest.mark.parametrize("entry", ["bilinear", "prop111"])
+@pytest.mark.parametrize("mismatch", ["dimension", "delta"])
+def test_bilinear_entry_points_refuse_mismatched_fields(entry, mismatch):
+    F, G = mismatched_pairs()[mismatch]
+    call = {"bilinear": lambda: xray.bilinear_kakeya_ratios(F, G, [(2, 2)]),
+            "prop111": lambda: xray.prop111_constant(F, G)}[entry]
+    with pytest.raises(xray.XrayError, match="share a net dimension and delta"):
+        call()
+
+
+@pytest.mark.parametrize("spacing", [0.0, -1 / 64, float("nan"), 1 / 16])
+def test_bilinear_entry_points_refuse_a_spacing_outside_the_guard(spacing):
+    F, G, _ = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 8)
+    for call in (lambda: xray.bilinear_kakeya_ratios(F, G, [(2, 2)], spacing=spacing),
+                 lambda: xray.prop111_constant(F, G, spacing=spacing)):
+        with pytest.raises(xray.XrayError, match="grid spacing"):
+            call()
 
 
 def test_prop111_random_constant_bound():
