@@ -3,12 +3,13 @@ evaluation, bilinear norm ratios over localized domains, the annulus
 reformulation, and the rotational-curvature determinant.
 
 All quadrature is midpoint rule on the cap's support box, held by one
-_CapQuadrature per cap for both scattered points and domain-grid slabs.
-Slab evaluation is organized as matrix products (one complex GEMM per axis
-or two per slab); for the quadratic phase with box caps the integral factors
-per axis, so a domain norm sums each grid row of a slab as one run of cells
-(fields.row_intervals) from prefix sums of the row factor, without forming
-the slab; that is what makes large-scale sweeps affordable.
+_CapQuadrature per cap for both scattered points and domain grids.  For the
+quadratic phase with box caps the integral factors per axis (one complex
+GEMM per axis), so a domain norm sums each grid row of a slab as one run of
+cells (fields.row_intervals) from prefix sums of the row factor, without
+forming the slab; that is what makes large-scale sweeps affordable.  Other
+caps form each slab by two GEMMs.  The annulus transform is likewise one
+contraction per axis of the product grids.
 """
 
 from __future__ import annotations
@@ -61,10 +62,13 @@ class CapFunction:
     def __post_init__(self):
         lo = np.asarray(self.support_lo, dtype=float)
         hi = np.asarray(self.support_hi, dtype=float)
-        if lo.shape != hi.shape or np.any(lo >= hi):
+        if lo.shape != hi.shape or not np.all(lo < hi):  # refuses NaN bounds
             raise ExtensionError("bad support box")
         if np.any(lo < -1.0 - 1e-12) or np.any(hi > 1.0 + 1e-12):
             raise ExtensionError("support must lie inside Q = [-1,1]^{n-1}")
+        if self.modulation is not None and not np.all(
+                np.isfinite(np.asarray(self.modulation, dtype=float))):
+            raise ExtensionError("modulation must be finite")
 
     @property
     def dim(self) -> int:
@@ -230,11 +234,9 @@ class _CapQuadrature:
         return factors
 
     def slabs(self, x_axes, xn_axis):
-        """slab(s): the field on the x-grid at x_n = xn_axis[s], from the
-        factors (separable) or two GEMMs per slab (one for n = 2)."""
-        if self.separable:
-            fac = self.factors(x_axes, xn_axis)
-            return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
+        """Generic caps: slab(s) is the field on the x-grid at
+        x_n = xn_axis[s], by two GEMMs per slab (one for n = 2).  Separable
+        caps are reduced from their factors and never form a slab."""
         osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
                for a, y in enumerate(self.y_axes)]
         tau = xn_axis + self.x0[-1]
@@ -259,6 +261,8 @@ def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] - 1 != f.dim:
         raise ExtensionError("point dimension does not match cap dimension")
+    if not np.all(np.isfinite(pts)):
+        raise ExtensionError("evaluation points must be finite")
     return _CapQuadrature(f, phi, pts, grid_n).at_points(pts)
 
 
@@ -358,12 +362,16 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     return acc.norm(q, DOMAIN_SPACING**n) / denom, stats
 
 
+def _check_R(R: float):
+    if not 1 <= R < math.inf:  # also refuses NaN
+        raise ExtensionError(f"need 1 <= R < inf, got R = {R}")
+
+
 def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,
                 p: float, q: float, R: float) -> LocalizedRatio:
     """Localized estimate ratio over the ball B(0, R); a bilinear pair
     must have supports at least 1/2 apart."""
-    if R < 1:
-        raise ExtensionError("need R >= 1")
+    _check_R(R)
     bilinear = g is not None
     if bilinear:
         gap = _support_gap(f, g)
@@ -391,13 +399,18 @@ def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
                   R: float) -> float:
     """|| fhat ghat ||_{L^p(B(0,R))} normalized by R^{-1/p'} ||f||_p per factor.
 
-    Inputs must be supported on the thickened graphs of the quadratic phase
-    A^R = {(x_, Phi(x_) + t): |t| <= 4 / R}.
+    Inputs must be finite and supported on the thickened graphs of the
+    quadratic phase A^R = {(x_, Phi(x_) + t): |t| <= 4 / R}.  The input and
+    the xi grid are product grids, so each transform is one contraction per
+    axis; the ball B(0, R) is cut from the xi grid afterwards.
     """
     from .geometry import quadratic_phase
 
+    _check_R(R)
     phi = quadratic_phase(f_annulus.ndim - 1)
     for u in (f_annulus, g_annulus):
+        if not np.all(np.isfinite(u.samples)):
+            raise ExtensionError("annulus samples must be finite")
         centers = u.centers()
         live = np.abs(u.samples).reshape(-1) > 0
         if np.any(live):
@@ -410,23 +423,15 @@ def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
     if norm_f == 0 or norm_g == 0:
         raise ExtensionError("zero denominator")
     n = f_annulus.ndim
-    axes = [_axis_cover(-R, R, DOMAIN_SPACING) for _ in range(n)]
-    xi = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
-    inside = np.sum(xi * xi, axis=1) <= R * R
-    xi = xi[inside]
+    xi = _axis_cover(-R, R, DOMAIN_SPACING)
+    inside = functools.reduce(np.add.outer, [xi * xi] * n) <= R * R
 
     def hat(u: GridFunction) -> np.ndarray:
-        centers = u.centers()
-        vals = u.samples.reshape(-1) * u.cell_measure
-        live = np.abs(vals) > 0
-        centers, vals = centers[live], vals[live]
-        out = np.zeros(xi.shape[0], dtype=complex)
-        chunk = max(1, (1 << 22) // max(1, centers.shape[0]))
-        for s in range(0, xi.shape[0], chunk):
-            out[s:s + chunk] = np.exp(
-                -TWO_PI * 1j * (xi[s:s + chunk] @ centers.T)
-            ) @ vals
-        return out
+        out = u.samples * u.cell_measure
+        for a in range(n):  # contract x axis a; its xi axis goes last
+            kernel = np.exp(-TWO_PI * 1j * np.outer(u.axis_centers(a), xi))
+            out = np.tensordot(out, kernel, axes=(0, 0))
+        return out[inside]
 
     numerator = lp(np.abs(hat(f_annulus) * hat(g_annulus)), p, DOMAIN_SPACING**n)
     inv_p_prime = 1.0 - 1.0 / p

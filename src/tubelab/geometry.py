@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -193,17 +193,16 @@ def whitney_locate(x, y, max_level: int):
 class EllipticPhase:
     """Phase on Q with Hessian eigenvalues pinned to [1-eps0, 1+eps0].
 
-    evaluator takes an (m, n-1) array of points and returns (m,) values;
-    gradient/hessian, when given, are exact and vectorized the same way.
+    evaluator, gradient and hessian take an (m, n-1) array of points and
+    return the (m,) values, the exact (m, n-1) gradients and the exact
+    (m, n-1, n-1) Hessians.
     """
 
     evaluator: Callable
-    bound_A: float
-    smoothness_N: int
+    gradient: Callable
+    hessian: Callable
     eps0: float
     dim: int  # n - 1
-    gradient: Optional[Callable] = None
-    hessian: Optional[Callable] = None
     tag: str = "generic"  # "quadratic" unlocks separable evaluation
 
     def __call__(self, pts):
@@ -212,17 +211,11 @@ class EllipticPhase:
 
     def grad(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.gradient is not None:
-            return self.gradient(pts)
-        return _fd_gradient(self.evaluator, pts)
+        return self.gradient(pts)
 
     def hess(self, pts):
         pts = np.atleast_2d(np.asarray(pts, dtype=float))
-        if self.hessian is not None:
-            return self.hessian(pts)
-        if self.gradient is not None:
-            return _fd_jacobian(self.gradient, pts)
-        return _fd_hessian(self.evaluator, pts)
+        return self.hessian(pts)
 
     def validate(self, samples_per_axis: int = 9, tol: float = 1e-6):
         """Check the defining properties on a sample grid; raise on failure."""
@@ -246,57 +239,12 @@ def _sample_grid(dim: int, per_axis: int) -> np.ndarray:
     return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
 
 
-_FD_STEP = 1e-5
-
-
-def _fd_gradient(f, pts, h=_FD_STEP):
-    m, d = pts.shape
-    out = np.empty((m, d))
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h
-        out[:, a] = (f(pts + e) - f(pts - e)) / (2 * h)
-    return out
-
-
-def _fd_jacobian(gradf, pts, h=_FD_STEP):
-    m, d = pts.shape
-    out = np.empty((m, d, d))
-    for a in range(d):
-        e = np.zeros(d)
-        e[a] = h
-        out[:, :, a] = (gradf(pts + e) - gradf(pts - e)) / (2 * h)
-    return 0.5 * (out + np.swapaxes(out, 1, 2))
-
-
-def _fd_hessian(f, pts, h=1e-4):
-    # value-based second differences lose ~eps/h^2; only a fallback
-    m, d = pts.shape
-    out = np.empty((m, d, d))
-    for a in range(d):
-        ea = np.zeros(d)
-        ea[a] = h
-        out[:, a, a] = (f(pts + ea) - 2 * f(pts) + f(pts - ea)) / h**2
-        for b in range(a + 1, d):
-            eb = np.zeros(d)
-            eb[b] = h
-            mixed = (
-                f(pts + ea + eb) - f(pts + ea - eb)
-                - f(pts - ea + eb) + f(pts - ea - eb)
-            ) / (4 * h**2)
-            out[:, a, b] = mixed
-            out[:, b, a] = mixed
-    return out
-
-
 def quadratic_phase(dim: int) -> EllipticPhase:
     """The model phase |x|^2 / 2."""
     return EllipticPhase(
         evaluator=lambda p: 0.5 * np.sum(p * p, axis=-1),
         gradient=lambda p: p.copy(),
         hessian=lambda p: np.broadcast_to(np.eye(p.shape[-1]), (p.shape[0], p.shape[-1], p.shape[-1])).copy(),
-        bound_A=2.0,
-        smoothness_N=1000,
         eps0=0.0,
         dim=dim,
         tag="quadratic",
@@ -361,8 +309,6 @@ def perturbed_phase(dim: int, eps0: float) -> EllipticPhase:
         hessian=lambda p: (
             np.broadcast_to(np.eye(dim), (p.shape[0], dim, dim)) + eps0 * psi_hess(p)
         ),
-        bound_A=4.0,
-        smoothness_N=1000,
         eps0=eps0,
         dim=dim,
     )
@@ -387,21 +333,16 @@ def parabolic_rescale(phi: EllipticPhase, j: int, center) -> EllipticPhase:
         base = center + p / lam
         return lam**2 * (phi(base) - phi_c - (p / lam) @ grad_c)
 
-    grad = None
-    hess = None
-    if phi.gradient is not None:
-        def grad(p):
-            return lam * (phi.grad(center + p / lam) - grad_c)
-    if phi.hessian is not None:
-        def hess(p):
-            return phi.hess(center + p / lam)
+    def grad(p):
+        return lam * (phi.grad(center + p / lam) - grad_c)
+
+    def hess(p):
+        return phi.hess(center + p / lam)
 
     return EllipticPhase(
         evaluator=ev,
         gradient=grad,
         hessian=hess,
-        bound_A=phi.bound_A,
-        smoothness_N=phi.smoothness_N,
         eps0=phi.eps0,
         dim=phi.dim,
     )

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 
 from tubelab import extension as ext
 from tubelab import witnesses
-from tubelab.fields import Ball, Box, grid_from_sampler
+from tubelab.fields import Ball, Box, grid_from_sampler, lp, lp_norm
 from tubelab.geometry import EllipticPhase, perturbed_phase, quadratic_phase
 
 
@@ -15,7 +16,8 @@ PHI3 = quadratic_phase(2)
 GENERIC_QUADRATIC = EllipticPhase(
     evaluator=lambda p: 0.5 * np.sum(p * p, axis=-1),
     gradient=lambda p: p.copy(),
-    bound_A=2.0, smoothness_N=100, eps0=0.0, dim=2)
+    hessian=lambda p: np.broadcast_to(np.eye(2), (p.shape[0], 2, 2)).copy(),
+    eps0=0.0, dim=2)
 
 
 def test_full_cap_at_origin_gives_measure():
@@ -115,6 +117,15 @@ def test_domain_norm_ratio_modulated_separable_matches_generic(q):
     assert rb == pytest.approx(ra, rel=1e-12)
 
 
+def _slabs(quad, x_axes, xn_axis):
+    """slab(s) of any cap: separable caps as the outer product of the
+    factors' columns s."""
+    if not quad.separable:
+        return quad.slabs(x_axes, xn_axis)
+    fac = quad.factors(x_axes, xn_axis)
+    return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
+
+
 @pytest.mark.parametrize("phi", [PHI3, GENERIC_QUADRATIC, perturbed_phase(2, 0.05)],
                          ids=["separable", "tagless-quadratic", "perturbed"])
 @pytest.mark.parametrize("cap", [
@@ -130,12 +141,30 @@ def test_grid_slabs_match_scattered_points(cap, phi):
     xn_axis = np.linspace(0.25, 2.5, 4)
     corners = np.array([[-1.5, -0.5, 0.25], [1.0, 1.5, 2.5]])
     gn = ext.required_grid_counts(cap, phi, corners)
-    slab = ext._CapQuadrature(cap, phi, corners, gn).slabs(x_axes, xn_axis)
+    slab = _slabs(ext._CapQuadrature(cap, phi, corners, gn), x_axes, xn_axis)
     mesh = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, 2)
     for s, xn in enumerate(xn_axis):
         pts = np.concatenate([mesh, np.full((len(mesh), 1), xn)], axis=1)
         want = ext.evaluate_extension(cap, phi, pts, gn)
         assert np.max(np.abs(slab(s).reshape(-1) - want)) < 1e-12
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ext.CapFunction((np.nan, 0.0), (0.5, 0.5)),
+    lambda: ext.CapFunction((-0.5, 0.0), (0.5, np.nan)),
+    lambda: ext.CapFunction((-0.5, 0.0), (0.5, 0.5), modulation=(np.nan, 0, 0)),
+    lambda: ext.CapFunction((-0.5, 0.0), (0.5, 0.5), modulation=(0, np.inf, 0)),
+    lambda: ext.evaluate_extension(ext.CapFunction((-0.5, 0.0), (0.5, 0.5)), PHI3,
+                                   [[np.nan, 0.0, 0.0]], 32),
+    lambda: ext.evaluate_extension(ext.CapFunction((-0.5, 0.0), (0.5, 0.5)), PHI3,
+                                   [[0.0, 0.0, np.inf]], 32),
+], ids=["nan-lo", "nan-hi", "nan-modulation", "inf-modulation", "nan-point",
+        "inf-point"])
+def test_non_finite_extension_input_is_a_usage_error(make):
+    with pytest.raises(ext.ExtensionError) as err:
+        f = make()
+        ext.local_ratio(f, None, PHI3, 2, 2, 4)
+    assert err.value.exit_code == 2
 
 
 def test_node_cap_applies_to_scattered_points():
@@ -178,6 +207,13 @@ def test_local_ratio_zero_denominator():
         ext.local_ratio(f, g, PHI3, 2, 1, 8)
 
 
+@pytest.mark.parametrize("R", [math.nan, math.inf], ids=["nan", "inf"])
+def test_local_ratio_refuses_R_outside_one_to_inf(R):
+    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
+    with pytest.raises(ext.ExtensionError, match=r"need 1 <= R < inf"):
+        ext.local_ratio(f, None, PHI3, 2, 2, R)
+
+
 def test_local_ratio_separation_enforced():
     f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
     g = ext.CapFunction((-0.2, -0.25), (0.3, 0.25))
@@ -214,6 +250,44 @@ def annulus_function(n, R, support_lo, support_hi, phi, m=48, thickness=1.0):
     hi = list(support_hi) + [0.7]
     dims = [m] * (n - 1) + [m]
     return grid_from_sampler(sampler, lo, hi, dims)
+
+
+def weighted_annulus_function(n, R, support_lo, support_hi, phi):
+    """indicator x (1 + 0.3i cos 5 x_1): a complex-weighted annulus input."""
+    u = annulus_function(n, R, support_lo, support_hi, phi)
+    return grid_from_sampler(lambda P: u.generator(P) * (1 + 0.3j * np.cos(5 * P[:, 0])),
+                             list(support_lo) + [-0.1], list(support_hi) + [0.7],
+                             list(u.dims))
+
+
+def dense_annulus_ratios(f, g, ps, R):
+    """annulus_ratio at each p in ps from one dense exp(-2 pi i xi . c)
+    matrix over the ball's xi points and the live cell centres, chunked."""
+    n = f.ndim
+    xi = np.stack(np.meshgrid(*[ext._axis_cover(-R, R, ext.DOMAIN_SPACING)] * n,
+                              indexing="ij"), axis=-1).reshape(-1, n)
+    xi = xi[np.sum(xi * xi, axis=1) <= R * R]
+    hats = []
+    for u in (f, g):
+        vals = u.samples.reshape(-1) * u.cell_measure
+        live = np.abs(vals) > 0
+        centers, vals = u.centers()[live], vals[live]
+        chunk = max(1, (1 << 22) // len(centers))
+        hats.append(np.concatenate([np.exp(-2j * np.pi * (xi[s:s + chunk] @ centers.T))
+                                    @ vals for s in range(0, len(xi), chunk)]))
+    return [lp(np.abs(hats[0] * hats[1]), p, ext.DOMAIN_SPACING**n)
+            / (R ** (1 / p - 1) * lp_norm(f, p) * R ** (1 / p - 1) * lp_norm(g, p))
+            for p in ps]
+
+
+@pytest.mark.parametrize("R", [8.0, 16.0, 32.0])
+def test_annulus_ratio_matches_the_dense_transform(R):
+    f = weighted_annulus_function(2, R, [-0.75], [-0.25], PHI2)
+    g = weighted_annulus_function(2, R, [0.25], [0.75], PHI2)
+    ps = [1, 2, 3.5, np.inf]
+    want = dense_annulus_ratios(f, g, ps, R)
+    for p, w in zip(ps, want):
+        assert ext.annulus_ratio(f, g, p, R) == pytest.approx(w, rel=1e-12, abs=0)
 
 
 def test_annulus_ratio_scaling_and_homogeneity():
@@ -282,6 +356,26 @@ def test_annulus_ratio_three_dimensional_smoke():
                           [20, 20, 24])
     val = ext.annulus_ratio(f, g, 2, R)
     assert np.isfinite(val) and val > 0
+    assert val == pytest.approx(dense_annulus_ratios(f, g, [2], R)[0], rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("R", [math.nan, math.inf, 0.0, -8.0, 0.5],
+                         ids=["nan", "inf", "zero", "negative", "half"])
+def test_annulus_ratio_refuses_R_outside_one_to_inf(R):
+    f = annulus_function(2, 8.0, [-0.75], [-0.25], PHI2)
+    g = annulus_function(2, 8.0, [0.25], [0.75], PHI2)
+    with pytest.raises(ext.ExtensionError, match=r"need 1 <= R < inf"):
+        ext.annulus_ratio(f, g, 2, R)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+def test_annulus_ratio_refuses_non_finite_samples(bad):
+    R = 8.0
+    f = annulus_function(2, R, [-0.75], [-0.25], PHI2)
+    g = annulus_function(2, R, [0.25], [0.75], PHI2)
+    f.samples[np.unravel_index(np.argmax(np.abs(f.samples)), f.dims)] = bad
+    with pytest.raises(ext.ExtensionError, match="finite"):
+        ext.annulus_ratio(f, g, 2, R)
 
 
 def test_rotational_curvature_quadratic():
