@@ -7,9 +7,9 @@ _CapQuadrature per cap for both scattered points and domain grids.  For the
 quadratic phase with box caps the integral factors per axis (one complex
 GEMM per axis), so a domain norm sums each grid row of a slab as one run of
 cells (fields.row_intervals) from prefix sums of the row factor, without
-forming the slab; that is what makes large-scale sweeps affordable.  Other
-caps form each slab by two GEMMs.  The annulus transform is likewise one
-contraction per axis of the product grids.
+forming the slab; that is what makes large-scale sweeps affordable.  A pair
+with a generic cap forms each slab (two GEMMs per generic cap).  The annulus
+transform is likewise one contraction per axis of the product grids.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import numpy as np
 from . import TubelabError
 from .fields import (Ball, GridFunction, LpAccumulator, lp, lp_norm,
                      row_intervals)
-from .geometry import EllipticPhase
+from .geometry import EllipticPhase, quadratic_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -234,9 +234,11 @@ class _CapQuadrature:
         return factors
 
     def slabs(self, x_axes, xn_axis):
-        """Generic caps: slab(s) is the field on the x-grid at
-        x_n = xn_axis[s], by two GEMMs per slab (one for n = 2).  Separable
-        caps are reduced from their factors and never form a slab."""
+        """slab(s): the field on the x-grid at x_n = xn_axis[s], from the
+        factors (separable) or two GEMMs per slab (one for n = 2)."""
+        if self.separable:
+            fac = self.factors(x_axes, xn_axis)
+            return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
         osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
                for a, y in enumerate(self.y_axes)]
         tau = xn_axis + self.x0[-1]
@@ -404,9 +406,9 @@ def annulus_ratio(f_annulus: GridFunction, g_annulus: GridFunction, p: float,
     the xi grid are product grids, so each transform is one contraction per
     axis; the ball B(0, R) is cut from the xi grid afterwards.
     """
-    from .geometry import quadratic_phase
-
     _check_R(R)
+    if g_annulus.ndim != f_annulus.ndim:
+        raise ExtensionError("annulus inputs differ in dimension")
     phi = quadratic_phase(f_annulus.ndim - 1)
     for u in (f_annulus, g_annulus):
         if not np.all(np.isfinite(u.samples)):

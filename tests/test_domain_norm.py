@@ -2,8 +2,6 @@
 domain contains, the run reduction matches the plain one, and
 domain_norm_ratio keeps its counters and its resource cap."""
 
-import functools
-
 import numpy as np
 import pytest
 
@@ -104,15 +102,6 @@ def test_add_rows_matches_add_of_the_runs(shared):
     assert runs.sup == plain.sup
 
 
-def _slabs(quad, x_axes, xn_axis):
-    """slab(s) of any cap: separable caps as the outer product of the
-    factors' columns s."""
-    if not quad.separable:
-        return quad.slabs(x_axes, xn_axis)
-    fac = quad.factors(x_axes, xn_axis)
-    return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
-
-
 def _per_cell_reference(f, g, phi, p, q, domain):
     """(ratio, sup, cells) with contains run on every cell of every slab."""
     caps = [f] if g is None else [f, g]
@@ -120,8 +109,8 @@ def _per_cell_reference(f, g, phi, p, q, domain):
     n = len(lo)
     axes = [ext._axis_cover(lo[a], hi[a], ext.DOMAIN_SPACING) for a in range(n)]
     corners = np.array([[a[0] for a in axes], [a[-1] for a in axes]])
-    slabs = [_slabs(ext._CapQuadrature(c, phi, corners, ext.required_grid_counts(
-        c, phi, corners)), axes[:-1], axes[-1]) for c in caps]
+    slabs = [ext._CapQuadrature(c, phi, corners, ext.required_grid_counts(
+        c, phi, corners)).slabs(axes[:-1], axes[-1]) for c in caps]
     flat = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1).reshape(-1, n - 1)
     acc, cells = LpAccumulator([q]), 0
     for s, t in enumerate(axes[-1]):
@@ -153,6 +142,11 @@ CASES = {
         ext.CapFunction((-0.75, -0.25), (-0.25, 0.25),
                         density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
         None, PHI3, CylinderDomain((1, 2), (0.3, 1.0), 2.125, (-1.7,), (2.2,))),
+    "mixed": lambda: (
+        ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
+        ext.CapFunction((0.25, -0.25), (0.75, 0.25),
+                        density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+        PHI3, Ball((0.0,) * 3, 4.0)),
 }
 
 

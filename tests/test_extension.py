@@ -1,4 +1,3 @@
-import functools
 import math
 
 import numpy as np
@@ -117,15 +116,6 @@ def test_domain_norm_ratio_modulated_separable_matches_generic(q):
     assert rb == pytest.approx(ra, rel=1e-12)
 
 
-def _slabs(quad, x_axes, xn_axis):
-    """slab(s) of any cap: separable caps as the outer product of the
-    factors' columns s."""
-    if not quad.separable:
-        return quad.slabs(x_axes, xn_axis)
-    fac = quad.factors(x_axes, xn_axis)
-    return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
-
-
 @pytest.mark.parametrize("phi", [PHI3, GENERIC_QUADRATIC, perturbed_phase(2, 0.05)],
                          ids=["separable", "tagless-quadratic", "perturbed"])
 @pytest.mark.parametrize("cap", [
@@ -141,7 +131,7 @@ def test_grid_slabs_match_scattered_points(cap, phi):
     xn_axis = np.linspace(0.25, 2.5, 4)
     corners = np.array([[-1.5, -0.5, 0.25], [1.0, 1.5, 2.5]])
     gn = ext.required_grid_counts(cap, phi, corners)
-    slab = _slabs(ext._CapQuadrature(cap, phi, corners, gn), x_axes, xn_axis)
+    slab = ext._CapQuadrature(cap, phi, corners, gn).slabs(x_axes, xn_axis)
     mesh = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, 2)
     for s, xn in enumerate(xn_axis):
         pts = np.concatenate([mesh, np.full((len(mesh), 1), xn)], axis=1)
@@ -261,20 +251,26 @@ def weighted_annulus_function(n, R, support_lo, support_hi, phi):
 
 
 def dense_annulus_ratios(f, g, ps, R):
-    """annulus_ratio at each p in ps from one dense exp(-2 pi i xi . c)
-    matrix over the ball's xi points and the live cell centres, chunked."""
+    """annulus_ratio at each p in ps, each fhat(xi) one sum over the live
+    cells c of exp(-2 pi i xi . c) u(c) |cell|.  The exponential is the
+    product of per-axis tables over the live centres; one row of xi_1 values
+    at a time, the last axis' table enters by one matrix product."""
     n = f.ndim
-    xi = np.stack(np.meshgrid(*[ext._axis_cover(-R, R, ext.DOMAIN_SPACING)] * n,
-                              indexing="ij"), axis=-1).reshape(-1, n)
-    xi = xi[np.sum(xi * xi, axis=1) <= R * R]
+    xi = ext._axis_cover(-R, R, ext.DOMAIN_SPACING)
+    mesh = np.stack(np.meshgrid(*[xi] * n, indexing="ij"), axis=-1).reshape(-1, n)
+    inside = np.sum(mesh * mesh, axis=1) <= R * R
     hats = []
     for u in (f, g):
         vals = u.samples.reshape(-1) * u.cell_measure
         live = np.abs(vals) > 0
-        centers, vals = u.centers()[live], vals[live]
-        chunk = max(1, (1 << 22) // len(centers))
-        hats.append(np.concatenate([np.exp(-2j * np.pi * (xi[s:s + chunk] @ centers.T))
-                                    @ vals for s in range(0, len(xi), chunk)]))
+        tables = [np.exp(-2j * np.pi * np.outer(xi, c)) for c in u.centers()[live].T]
+        rows = []
+        for lead in tables[0] * vals[live]:  # xi_1 fixed
+            lead = lead[None]
+            for table in tables[1:-1]:
+                lead = (lead[:, None] * table).reshape(-1, lead.shape[-1])
+            rows.append((lead @ tables[-1].T).reshape(-1))
+        hats.append(np.concatenate(rows)[inside])
     return [lp(np.abs(hats[0] * hats[1]), p, ext.DOMAIN_SPACING**n)
             / (R ** (1 / p - 1) * lp_norm(f, p) * R ** (1 / p - 1) * lp_norm(g, p))
             for p in ps]
@@ -376,6 +372,14 @@ def test_annulus_ratio_refuses_non_finite_samples(bad):
     f.samples[np.unravel_index(np.argmax(np.abs(f.samples)), f.dims)] = bad
     with pytest.raises(ext.ExtensionError, match="finite"):
         ext.annulus_ratio(f, g, 2, R)
+
+
+def test_annulus_ratio_refuses_inputs_of_different_dimension():
+    u2 = annulus_function(2, 8.0, [-0.75], [-0.25], PHI2)
+    u3 = annulus_function(3, 8.0, [0.25, -0.25], [0.75, 0.25], PHI3, m=12)
+    for f, g in [(u2, u3), (u3, u2)]:
+        with pytest.raises(ext.ExtensionError, match="differ in dimension"):
+            ext.annulus_ratio(f, g, 2, 8.0)
 
 
 def test_rotational_curvature_quadratic():
