@@ -392,6 +392,8 @@ class DirectionNet:
 def build_net(n: int, delta: float) -> DirectionNet:
     """Lattice net delta Z^{n-1} cap Q, with E1/E2 the net points inside the
     sub-cubes of side 1/2 centered at -+ (1/2) e1, at least 1/2 apart."""
+    if n < 2:
+        raise GeometryError(f"need n >= 2, got n = {n}")
     if not (0 < delta <= 0.25):
         raise GeometryError("need 0 < delta <= 1/4")
     dim = n - 1

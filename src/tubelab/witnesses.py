@@ -146,10 +146,12 @@ def fit_power_law(points) -> PowerLawFit:
                        points=pts)
 
 
-def _cap_support(center1: float, half1: float, n: int, half_rest: float):
-    lo = [center1 - half1] + [-half_rest] * (n - 2)
-    hi = [center1 + half1] + [half_rest] * (n - 2)
-    return tuple(lo), tuple(hi)
+def _cap_pair(half1: float, n: int, half_rest: float):
+    """The two caps of half-sides half1 along the first axis and half_rest
+    along the others, centred at -CAP_CENTER e_1 and +CAP_CENTER e_1."""
+    return tuple(CapFunction((c - half1,) + (-half_rest,) * (n - 2),
+                             (c + half1,) + (half_rest,) * (n - 2))
+                 for c in (-CAP_CENTER, CAP_CENTER))
 
 
 def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
@@ -157,29 +159,30 @@ def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
     return _family(kind).predicted(n, p, q)
 
 
-def _search_modulation(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
-                       radius: float, probes: np.ndarray, active_axes,
-                       lattice: int = 9) -> Tuple[np.ndarray, float]:
-    """Pick the modulation that maximizes the minimum field amplitude over
-    the probe points; the candidate lattice is centered on the analytic seed."""
-    n = seed.size
-    offsets = np.linspace(-radius, radius, lattice)
-    best_x0, best_score = None, -1.0
+def _modulated(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
+               radius: float, probes: np.ndarray, active_axes,
+               floor: float) -> CapFunction:
+    """cap modulated by the x0 that maximizes the minimum field amplitude over
+    the probe points, from a 9-point lattice per active axis centred on the
+    analytic seed; ModulationSearchError if that amplitude is below floor."""
+    offsets = np.linspace(-radius, radius, 9)
+    best, best_score = None, -1.0
     grids = np.meshgrid(*[offsets] * len(active_axes), indexing="ij")
-    cand_offsets = np.stack([g.reshape(-1) for g in grids], axis=-1)
-    for off in cand_offsets:
+    for off in np.stack([g.reshape(-1) for g in grids], axis=-1):
         x0 = seed.copy()
         for a, da in zip(active_axes, off):
             x0[a] += da
         trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0),
                             cap.density, cap.amplitude)
         gn = required_grid_n(trial, phi, probes)
-        vals = np.abs(evaluate_extension(trial, phi, probes, gn))
-        score = float(vals.min())
+        score = float(np.abs(evaluate_extension(trial, phi, probes, gn)).min())
         if score > best_score:
-            best_score = score
-            best_x0 = x0
-    return best_x0, best_score
+            best, best_score = trial, score
+    if best_score < floor:
+        raise ModulationSearchError(
+            f"best modulated amplitude {best_score:.3g} is below the floor "
+            f"{floor:.3g}")
+    return best
 
 
 def _probe_points(domain, n: int, shrink: float = 0.7) -> np.ndarray:
@@ -211,9 +214,7 @@ def build_witness(kind: str, n: int, scale: float,
         R = float(scale)
         if not (R >= 4 and 8.0 * R < math.inf):  # box at 3R; probes add its bounds
             raise WitnessError(f"need R >= 4 and 8R finite, got R = {R:g}")
-        lo1, hi1 = _cap_support(-CAP_CENTER, CAP_HALF, n, CAP_HALF)
-        lo2, hi2 = _cap_support(+CAP_CENTER, CAP_HALF, n, CAP_HALF)
-        f = CapFunction(lo1, hi1)
+        f, g0 = _cap_pair(CAP_HALF, n, CAP_HALF)
         # the stationary bump has width ~ t^{-1/2}; placing the box at 3R
         # keeps it well inside the caps already at the smallest R
         t0 = 3.0 * R
@@ -223,16 +224,9 @@ def build_witness(kind: str, n: int, scale: float,
         box = Box(tuple(box_center - R / 8), tuple(box_center + R / 8))
         seed = np.zeros(n)
         seed[0] = -2 * CAP_CENTER * t0
-        probes = _probe_points(box, n)
-        g0 = CapFunction(lo2, hi2)
-        x0, score = _search_modulation(g0, phi, seed, R / 4, probes,
-                                       active_axes=[0])
-        predicted_amp = t0 ** (-(n - 1) / 2.0)
-        if score < 0.5 * predicted_amp:
-            raise ModulationSearchError(
-                f"best amplitude {score:.3g} < half the predicted {predicted_amp:.3g}"
-            )
-        g = CapFunction(lo2, hi2, tuple(x0))
+        # the floor is half the predicted amplitude t0^{-(n-1)/2}
+        g = _modulated(g0, phi, seed, R / 4, _probe_points(box, n), [0],
+                       floor=0.5 * t0 ** (-(n - 1) / 2.0))
         return f, g, box
     delta = float(scale)
     if delta > 0.25:
@@ -240,52 +234,34 @@ def build_witness(kind: str, n: int, scale: float,
     if not 1.0 / C / delta / delta < math.inf:
         raise WitnessError("delta too small: the region side "
                            "1/(box_constant delta^2) overflows")
+    if kind == KNAPP_CLASSIC:
+        # a single cap at the first cap center; its dual box is sheared by
+        # the tangent slope there
+        f, _g = _cap_pair(delta / 2, n, delta / 2)
+        box = ShearedBox(shear=-CAP_CENTER, w1=1.0 / (C * delta),
+                         w_mid=(1.0 / (C * delta),) * (n - 2),
+                         w_n=1.0 / (C * delta**2))
+        return f, None, box
+    if kind == C2_STRETCHED and n < 3:
+        raise WitnessError("the stretched family needs n >= 3")
+    rho = 1.0 / (C * delta**2)
+    box = CylinderDomain(disc_axes=(0, n - 1), disc_center=(0.0, 0.0),
+                         disc_radius=rho,
+                         rest_lo=(-1.0 / (C * delta),) * (n - 2),
+                         rest_hi=(1.0 / (C * delta),) * (n - 2))
     if kind == C1_SQUASHED:
-        lo1, hi1 = _cap_support(-CAP_CENTER, delta**2, n, delta)
-        lo2, hi2 = _cap_support(+CAP_CENTER, delta**2, n, delta)
-        f = CapFunction(lo1, hi1)
-        g = CapFunction(lo2, hi2)
-        rho = 1.0 / (C * delta**2)
-        box = CylinderDomain(disc_axes=(0, n - 1), disc_center=(0.0, 0.0),
-                             disc_radius=rho,
-                             rest_lo=(-1.0 / (C * delta),) * (n - 2),
-                             rest_hi=(1.0 / (C * delta),) * (n - 2))
-        return f, g, box
-    if kind == C2_STRETCHED:
-        if n < 3:
-            raise WitnessError("the stretched family needs n >= 3")
-        lo1, hi1 = _cap_support(-CAP_CENTER, CAP_HALF, n, delta)
-        lo2, hi2 = _cap_support(+CAP_CENTER, CAP_HALF, n, delta)
-        rho = 1.0 / (C * delta**2)
-        shift = 8.0 * rho
-        box = CylinderDomain(disc_axes=(0, n - 1), disc_center=(0.0, 0.0),
-                             disc_radius=rho,
-                             rest_lo=(-1.0 / (C * delta),) * (n - 2),
-                             rest_hi=(1.0 / (C * delta),) * (n - 2))
-        probes = _probe_points(box, n)
-        predicted_amp = (2 * delta) ** (n - 2) * shift ** -0.5
-        caps = []
-        for sign, (lo, hi) in ((+1, (lo1, hi1)), (-1, (lo2, hi2))):
-            seed = np.zeros(n)
-            seed[0] = sign * shift / 2
-            seed[-1] = shift
-            cap0 = CapFunction(lo, hi)
-            x0, score = _search_modulation(cap0, phi, seed, rho, probes,
-                                           active_axes=[0, n - 1])
-            if score < 0.25 * predicted_amp:
-                raise ModulationSearchError(
-                    f"best amplitude {score:.3g} < a quarter of {predicted_amp:.3g}"
-                )
-            caps.append(CapFunction(lo, hi, tuple(x0)))
-        return caps[0], caps[1], box
-    # single Knapp cap at the first cap center; its dual box is sheared by
-    # the tangent slope there
-    lo1, hi1 = _cap_support(-CAP_CENTER, delta / 2, n, delta / 2)
-    f = CapFunction(lo1, hi1)
-    box = ShearedBox(shear=-CAP_CENTER, w1=1.0 / (C * delta),
-                     w_mid=(1.0 / (C * delta),) * (n - 2),
-                     w_n=1.0 / (C * delta**2))
-    return f, None, box
+        return (*_cap_pair(delta**2, n, delta), box)
+    shift = 8.0 * rho
+    probes = _probe_points(box, n)
+    predicted_amp = (2 * delta) ** (n - 2) * shift ** -0.5
+    caps = []
+    for sign, cap in zip((+1, -1), _cap_pair(CAP_HALF, n, delta)):
+        seed = np.zeros(n)
+        seed[0] = sign * shift / 2
+        seed[-1] = shift
+        caps.append(_modulated(cap, phi, seed, rho, probes, [0, n - 1],
+                               floor=0.25 * predicted_amp))
+    return caps[0], caps[1], box
 
 
 def witness_ratio(kind: str, n: int, scale: float, p: float, q: float,
@@ -306,12 +282,9 @@ def witness_ratio(kind: str, n: int, scale: float, p: float, q: float,
 def trace_caps(n: int, R: float) -> Tuple[CapFunction, CapFunction]:
     """Shrinking separated caps of half-side 1/R: the pair that drives the
     localized bilinear L^2 x L^2 -> L^1 growth at its full rate R."""
-    a = 1.0 / R
-    if a > CAP_HALF:
-        raise WitnessError("need R >= 4")
-    lo1, hi1 = _cap_support(-CAP_CENTER, a, n, a)
-    lo2, hi2 = _cap_support(+CAP_CENTER, a, n, a)
-    return CapFunction(lo1, hi1), CapFunction(lo2, hi2)
+    if n < 2 or not 4 <= R < math.inf:
+        raise WitnessError(f"need n >= 2 and 4 <= R < inf, got n = {n}, R = {R}")
+    return _cap_pair(1.0 / R, n, 1.0 / R)
 
 
 def run_sweep(kind: str, n: int, p: float, q: float, scales, grid_n: int = 16,

@@ -341,29 +341,9 @@ PREDICTED_EXPONENTS = {
 }
 
 
-def _bush_cover_score(net: DirectionNet, base1, base2) -> int:
-    """Probe-count of points inside both continuum direction cones.
-
-    The score is deliberately independent of delta so that the chosen apex
-    is stable across scales of a sweep."""
-    dim = net.dim
-    probes_axis = np.linspace(-1.2, 1.2, 25)
-    t_axis = np.linspace(0.05, 1.0, 20)
-    mesh = np.meshgrid(*([probes_axis] * dim + [t_axis]), indexing="ij")
-    pts = np.stack(mesh, axis=-1).reshape(-1, dim + 1)
-    x_, t = pts[:, :-1], pts[:, -1]
-    both = np.ones(len(pts), dtype=bool)
-    for base, center1 in ((base1, -0.5), (base2, +0.5)):
-        ratio = (x_ - np.asarray(base)) / t[:, None]
-        ok = np.abs(ratio[:, 0] - center1) <= 0.25
-        for a in range(1, dim):
-            ok &= np.abs(ratio[:, a]) <= 0.25
-        both &= ok
-    return int(np.count_nonzero(both))
-
-
 def kakeya_witness(kind: str, n: int, delta: float):
-    """The necessity configurations: point-base direction bushes (k0),
+    """The necessity configurations: point-base direction bushes (k0, F at
+    the origin and G at the net point nearest the apex -3/4 e_1),
     coplanar-direction slabs (k1), and the diagnostic bush.
 
     Returns (F, G, predicted) where predicted(p, q) is the kind's entry of
@@ -379,20 +359,11 @@ def kakeya_witness(kind: str, n: int, delta: float):
             net, dict.fromkeys(((w, base_idx) for w in omega_indices), 1.0)))
 
     if kind == K0_DELTAS:
-        # bushes crossing at height ~ 3/4: base separation matching the
-        # direction separation, refined over a coarse candidate lattice.
-        # Restricting candidates to the 1/8-sublattice keeps the choice
-        # identical across the deltas of a sweep.
-        coarse = max(delta, 0.125)
-        seed = [-0.75] + [0.0] * (net.dim - 1)
-        lattice = net.points / coarse
-        on_coarse = np.all(np.abs(lattice - np.round(lattice)) < 1e-9, axis=1)
-        near = np.linalg.norm(net.points - seed, axis=1) <= 0.3
-        cands = np.nonzero(on_coarse & near)[0]
-        best = max(cands, key=lambda i: _bush_cover_score(
-            net, np.zeros(net.dim), net.points[i]))
+        # bushes crossing at height 3/4: the tubes from the origin along
+        # -e_1/2 and from the analytic apex -3/4 e_1 along +e_1/2 meet there
+        apex = net.nearest_index([-0.75] + [0.0] * (net.dim - 1))
         F = field_from(net.e1_indices, origin_idx)
-        G = field_from(net.e2_indices, best)
+        G = field_from(net.e2_indices, apex)
     elif kind == K1_SLAB:
         in_slab = np.all(np.abs(net.points[:, 1:]) <= delta + 1e-12, axis=1)
         e1 = net.e1_indices[in_slab[net.e1_indices]]
@@ -434,8 +405,9 @@ def run_kakeya_sweep(kind: str, n: int, p: float, q: float, deltas):
 
 
 def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas):
-    """Like run_kakeya_sweep for several exponent pairs at once; the witness
-    construction and rasterization are shared per delta."""
+    """Like run_kakeya_sweep for several exponent pairs at once.  Per delta,
+    the bilinear witness is built and its product field rasterized once for
+    all pairs; the delta-ball transform runs once per (p, q) pair."""
     if kind not in PREDICTED_EXPONENTS:
         raise XrayError(f"unknown witness kind {kind!r}")
     pairs = list(pq_pairs)

@@ -4,6 +4,7 @@ import json
 import os
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -160,9 +161,16 @@ def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
      "tolerance = nan\n", None),
     ("family = k1-slab\np = 2\nq = 2\nscales = 1/4, 1/8, 1/16\n"
      "box_constant = nan\n", None),
+    ("family = knapp-classic\ngrid_n = 0\np = 2\nq = 4\n"
+     "scales = 1/4, 1/8, 1/16\n",
+     "error: line 3: bad value for 'grid_n': 0 (need grid_n >= 1)\n"),
+    ("family = knapp-classic\ngrid_n = -5\np = 2\nq = 4\n"
+     "scales = 1/4, 1/8, 1/16\n",
+     "error: line 3: bad value for 'grid_n': -5 (need grid_n >= 1)\n"),
 ], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples",
         "p-zero", "q-negative", "n-one", "k0-delta-above-quarter",
-        "tolerance-nan", "box-constant-nan-tube-family"])
+        "tolerance-nan", "box-constant-nan-tube-family", "grid-n-zero",
+        "grid-n-negative"])
 def test_sweep_input_errors_exit_usage(tmp_path, capsys, body, message):
     outdir = tmp_path / "out"
     path = tmp_path / "bad.cfg"
@@ -298,6 +306,28 @@ def test_interpolate_default_kind_is_linear(capsys):
     assert out["kind"] == exponents.LINEAR
     assert (out["inv_p"], out["inv_q"]) == ({"num": 3, "den": 4},
                                             {"num": 3, "den": 4})
+
+
+def test_k0_sweep_off_the_eighth_lattice(tmp_path, capsys):
+    cfgp = sweep_config(tmp_path, tmp_path / "r1", scales="7/100, 7/200, 7/400",
+                        family="k0-deltas", p="5/2", q="10/3")
+    code, out = run_cli(capsys, "sweep", "--config", cfgp)
+    assert code == cli.EXIT_PASS and out["pass"]
+
+
+def test_modulation_below_its_floor_is_a_resource_error(monkeypatch, capsys):
+    monkeypatch.setattr(witnesses, "evaluate_extension",
+                        lambda cap, phi, pts, gn: np.zeros(len(pts), complex))
+    for kind, n, scale in ((witnesses.C0_MODULATED, 2, 8.0),
+                           (witnesses.C2_STRETCHED, 3, 0.25)):
+        with pytest.raises(witnesses.ModulationSearchError,
+                           match=r"best modulated amplitude 0 is below the floor \d"):
+            witnesses.build_witness(kind, n, scale)
+    code = cli.main(["witness", "--family", "c2-stretched", "--n", "3",
+                     "--scale", "0.25"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE and captured.out == ""
+    assert captured.err.startswith("resource error: best modulated amplitude")
 
 
 def test_witness_command(capsys):

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from tubelab import geometry as geo
+from tubelab import geometry as geo, witnesses as wit, xray
 
 
 # ---------------------------------------------------------------------------
@@ -371,6 +371,21 @@ def test_build_net_normalized_counts():
 def test_build_net_rejects_bad_delta():
     with pytest.raises(geo.GeometryError):
         geo.build_net(2, 0.5)
+
+
+@pytest.mark.parametrize("call", [
+    lambda n: geo.build_net(n, 1 / 8),
+    lambda n: xray.kakeya_witness(xray.K0_DELTAS, n, 1 / 8),
+    lambda n: xray.delta_ball_ratio(n, 2.0, 2.0, 1 / 8),
+    lambda n: xray.run_kakeya_sweep(xray.K1_SLAB, n, 2.0, 2.0, [1 / 8]),
+    lambda n: xray.run_kakeya_sweep_multi(xray.BUSH, n, [(2.0, 2.0)], [1 / 8]),
+    lambda n: wit.run_sweep(xray.K0_DELTAS, n, 2.0, 2.0, [1 / 16, 1 / 8, 1 / 4]),
+], ids=["build_net", "kakeya_witness", "delta_ball_ratio", "run_kakeya_sweep",
+        "run_kakeya_sweep_multi", "run_sweep"])
+@pytest.mark.parametrize("n", [1, 0])
+def test_nets_below_two_dimensions_are_refused(call, n):
+    with pytest.raises(geo.GeometryError, match="need n >= 2"):
+        call(n)
 
 
 # ---------------------------------------------------------------------------

@@ -159,8 +159,12 @@ def test_trace_caps_shrink():
     f, g = wit.trace_caps(3, 16.0)
     assert f.measure == pytest.approx((2 / 16) ** 2)
     assert f.support_hi[0] <= -0.25 and g.support_lo[0] >= 0.25
-    with pytest.raises(wit.WitnessError):
-        wit.trace_caps(3, 2.0)
+    for n, R in ((3, 2.0), (3, 0.0), (3, -8.0), (3, math.nan), (3, math.inf),
+                 (1, 16.0), (0, 16.0)):
+        with pytest.raises(wit.WitnessError, match="need n >= 2 and 4 <= R < inf"):
+            wit.trace_caps(n, R)
+    f, g = wit.trace_caps(2, 4.0)
+    assert (f.support_lo, g.support_hi) == ((-0.75,), (0.75,))
 
 
 def test_saturating_family_bounded_ratio():

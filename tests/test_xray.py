@@ -608,6 +608,16 @@ def test_kakeya_witness_shapes():
     assert len(G.values.values) == len(G.net.e2_indices)
     assert pred(2.0, 10 / 3) == pytest.approx(1.0)
     assert pred(3.0, 10 / 3) == pytest.approx(0.0)
+    # F's apex is the origin and G's the net point nearest -3/4 e_1, also
+    # off the 1/8-lattice (0.07)
+    for n in (2, 3):
+        for d in (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.07):
+            F, G, _pred = xray.kakeya_witness(xray.K0_DELTAS, n, d)
+            seed = np.array([-0.75] + [0.0] * (n - 2))
+            apex = G.net.nearest_index(seed)
+            assert set(F.values.base) == {G.net.nearest_index(0 * seed)}
+            assert set(G.values.base) == {apex}
+            assert np.linalg.norm(G.net.points[apex] - seed) <= d / 2 + 1e-12
 
     F, G, pred = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
     for w in F.values.omega:
