@@ -127,9 +127,11 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
     raw.update({key: (value, "--" + key.replace("_", "-"))
                 for key, value in (overrides or {}).items() if value is not None})
     try:
-        command, _line = raw.pop("command")
+        command, line = raw.pop("command")
     except KeyError:
         raise ConfigError("config missing 'command'")
+    if command != "sweep":
+        raise ConfigError(f"{line}: unknown command {command!r} (need 'sweep')")
     where = {key: f"{at}: " for key, (_value, at) in raw.items()}
     cfg = ExperimentConfig(command=command)
     for key, (value, _at) in raw.items():
@@ -140,13 +142,12 @@ def load_config(path: str, overrides: dict = None) -> ExperimentConfig:
         except (ValueError, ZeroDivisionError, OverflowError):
             raise ConfigError(f"{where[key]}bad value for {key!r}: {value!r}") from None
     _check_ranges(cfg, where)
-    if cfg.command == "sweep":
-        if cfg.family not in witnesses.FAMILIES:
-            raise ConfigError(f"{where.get('family', '')}unknown family {cfg.family!r}")
-        if not cfg.scales:
-            raise ConfigError("sweep needs scales")
-        if cfg.seed is None:
-            raise ConfigError("sweep needs an explicit seed")
+    if cfg.family not in witnesses.FAMILIES:
+        raise ConfigError(f"{where.get('family', '')}unknown family {cfg.family!r}")
+    if not cfg.scales:
+        raise ConfigError("sweep needs scales")
+    if cfg.seed is None:
+        raise ConfigError("sweep needs an explicit seed")
     return cfg
 
 
@@ -291,13 +292,21 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
     started = datetime.datetime.now(datetime.timezone.utc).isoformat()
     p, q = cfg.p_value, cfg.q_value
     if check_only:
-        # replay the acceptance predicate from the stored CSV
+        # replay the acceptance predicate from the stored CSV, whose rows
+        # must be this config's: family,n,p,q and grid_n as _sweep_csv writes
         lines = _read_text(csv_path).strip().splitlines()
-        try:
-            rows = [(float(parts[4]), float(parts[5]))
-                    for parts in (line.split(",") for line in lines[1:])]
-        except (IndexError, ValueError):
-            raise ConfigError(f"malformed rows in {csv_path}") from None
+        want = [cfg.family, str(cfg.n), cfg.p, cfg.q, str(cfg.grid_n)]
+        rows = []
+        for k, line in enumerate(lines[1:], 2):
+            parts = line.split(",")
+            if parts[:4] + parts[6:7] != want:
+                raise ConfigError(f"{csv_path} line {k}: row {line!r} is not "
+                                  f"from this config ({','.join(want)})")
+            try:
+                rows.append((float(parts[4]), float(parts[5])))
+            except ValueError:
+                raise ConfigError(
+                    f"{csv_path} line {k}: malformed row {line!r}") from None
         fit = witnesses.fit_sweep(cfg.family, rows)
     else:
         fit, rows = witnesses.run_sweep(cfg.family, cfg.n, p, q, cfg.scales,

@@ -13,8 +13,6 @@ from typing import Optional
 
 from . import TubelabError
 
-Rational = Fraction
-
 LINEAR = "linear"
 BILINEAR = "bilinear"
 KAKEYA = "kakeya"
@@ -304,6 +302,8 @@ def bootstrap_fixed_point() -> Fraction:
 
 def bootstrap_iterate(alpha0: Fraction, steps: int) -> list:
     """Iterates of bootstrap_map starting from alpha0 (list of length steps+1)."""
+    if steps < 0:
+        raise ExponentDomainError(f"need steps >= 0, got steps = {steps}")
     out = [Fraction(alpha0)]
     for _ in range(steps):
         out.append(bootstrap_map(out[-1]))

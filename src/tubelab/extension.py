@@ -91,15 +91,14 @@ class CapFunction:
         return x0
 
     def nodes(self, grid_counts):
-        """Per-axis midpoint nodes and the scalar cell weight."""
+        """Per-axis midpoint nodes and steps; the cell weight is the steps'
+        product."""
         counts = np.broadcast_to(np.asarray(grid_counts, dtype=int), (self.dim,))
-        axes = []
-        weight = 1.0
-        for lo, hi, m in zip(self.support_lo, self.support_hi, counts):
-            h = (hi - lo) / m
-            axes.append(lo + (np.arange(m) + 0.5) * h)
-            weight *= h
-        return axes, weight
+        steps = [(hi - lo) / m for lo, hi, m in
+                 zip(self.support_lo, self.support_hi, counts)]
+        axes = [lo + (np.arange(m) + 0.5) * h
+                for lo, m, h in zip(self.support_lo, counts, steps)]
+        return axes, steps
 
     def density_values(self, pts: np.ndarray) -> np.ndarray:
         if self.density is None:
@@ -111,80 +110,57 @@ class CapFunction:
         64 midpoint nodes per axis otherwise."""
         if self.density is None:
             return lp([abs(self.amplitude)], p, self.measure)
-        axes, weight = self.nodes(64)
+        axes, steps = self.nodes(64)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return lp(np.abs(self.density_values(mesh)), p, weight)
+        return lp(np.abs(self.density_values(mesh)), p, math.prod(steps))
 
 
-def _max_abs_gradient(phi: EllipticPhase, cap: CapFunction, per_axis: int = 5):
-    """Componentwise max of |grad Phi| over the support box (sampled)."""
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in
-            zip(cap.support_lo, cap.support_hi)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
-    return np.max(np.abs(phi.grad(mesh)), axis=0)
-
-
-def _frequency_bounds(cap: CapFunction, phi: EllipticPhase, points):
-    """(per-axis sum-form frequencies, global guard-form frequency)."""
+def _guard_need(cap: CapFunction, phi: EllipticPhase, points, counts=0) -> np.ndarray:
+    """Nodes per support axis that leave no cell more than a quarter period
+    of the integrand at `points`: ceil(4 L_a max(f_a, F)) on an axis of
+    length L_a, with g_a = max|d_a Phi| (sampled at 5 points per axis), the
+    axis frequency f_a = max|x_a| + max|x_n| g_a and the global frequency
+    F = max(max|x_|, max|x_n| |g|).  A need, or one of `counts`, above
+    MAX_GRID_NODES raises OscillationGuardError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    n = pts.shape[1]
-    x0 = cap.modulation_vector(n)
-    eff = pts + x0
+    eff = pts + cap.modulation_vector(pts.shape[1])
     xmax = np.max(np.abs(eff[:, :-1]), axis=0)
     tmax = float(np.max(np.abs(eff[:, -1])))
-    gmax = _max_abs_gradient(phi, cap)
-    gnorm = float(np.sqrt(np.sum(gmax * gmax)))
-    freq_axes = xmax + tmax * gmax
-    freq_global = max(float(np.max(xmax)), tmax * gnorm)
-    return freq_axes, freq_global
+    axes = [np.linspace(lo, hi, 5) for lo, hi in zip(cap.support_lo, cap.support_hi)]
+    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
+    gmax = np.max(np.abs(phi.grad(mesh)), axis=0)
+    freq_global = max(float(np.max(xmax)), tmax * float(np.sqrt(np.sum(gmax * gmax))))
+    lengths = np.subtract(cap.support_hi, cap.support_lo, dtype=float)
+    with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        need = 4.0 * lengths * np.maximum(xmax + tmax * gmax, freq_global)
+    top = np.maximum(need, counts)
+    if not np.all(top <= MAX_GRID_NODES):  # also refuses NaN
+        raise OscillationGuardError(
+            f"quadrature needs {[f'{v:.6g}' for v in top]} nodes per support "
+            f"axis, above the {MAX_GRID_NODES} cap; shrink the scale range")
+    return np.ceil(need).astype(int)
 
 
 def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
                          min_nodes: int = 16) -> np.ndarray:
-    """Per-axis node counts so every cell sees at most a quarter period; a
-    count above MAX_GRID_NODES raises OscillationGuardError."""
-    freq_axes, freq_global = _frequency_bounds(cap, phi, points)
-    counts = np.empty(cap.dim, dtype=int)
-    for a in range(cap.dim):
-        length = cap.support_hi[a] - cap.support_lo[a]
-        need = 4.0 * length * float(max(freq_axes[a], freq_global))
-        if not need <= MAX_GRID_NODES:
-            raise OscillationGuardError(
-                f"quadrature needs {need:.3g} nodes on support axis {a}, above "
-                f"the {MAX_GRID_NODES} cap; shrink the scale range")
-        counts[a] = max(min_nodes, int(math.ceil(need)))
-    return counts
+    """Per-axis node counts, at least min_nodes, so that every cell sees at
+    most a quarter period (_guard_need); a need above MAX_GRID_NODES raises
+    OscillationGuardError."""
+    return np.maximum(min_nodes, _guard_need(cap, phi, points))
 
 
 def required_grid_n(cap: CapFunction, phi: EllipticPhase, points,
                     min_nodes: int = 16) -> int:
-    """Single nodes-per-axis figure meeting the oscillation guard
-    h * max(max|x_|, max|x_n| max|grad Phi|) <= 1/4 on every axis."""
+    """Single nodes-per-axis figure meeting the per-axis oscillation guard
+    h_a * max(f_a, F) <= 1/4 on every axis (_guard_need): the largest of
+    required_grid_counts."""
     return int(np.max(required_grid_counts(cap, phi, points, min_nodes)))
-
-
-def _check_guard(cap: CapFunction, phi: EllipticPhase, points, grid_counts):
-    counts = np.broadcast_to(np.asarray(grid_counts, dtype=int), (cap.dim,))
-    if int(counts.max()) > MAX_GRID_NODES:
-        raise OscillationGuardError(
-            f"quadrature needs {counts.tolist()} nodes per support axis, "
-            f"above the {MAX_GRID_NODES} cap; shrink the scale range or "
-            f"raise the box constant"
-        )
-    _freq_axes, freq_global = _frequency_bounds(cap, phi, points)
-    for a in range(cap.dim):
-        h = (cap.support_hi[a] - cap.support_lo[a]) / counts[a]
-        if h * freq_global > 0.25 + 1e-12:
-            raise OscillationGuardError(
-                f"grid_n = {counts[a]} on axis {a} violates the oscillation "
-                f"guard; need grid_n >= {required_grid_n(cap, phi, points)}"
-            )
 
 
 class _CapQuadrature:
     """Midpoint quadrature of the extension integral of one cap, with
-    grid_n nodes (an int or per-axis counts) checked against the node cap
-    and the oscillation guard at `points`.
+    grid_n nodes (an int or per-axis counts), refused below the per-axis
+    oscillation guard at `points` or above the node cap (_guard_need).
 
     The modulation x0 enters only as the point shift x -> x + x0.  For the
     quadratic phase with a plain density the tensor sum factors per axis
@@ -192,18 +168,21 @@ class _CapQuadrature:
     weighted density."""
 
     def __init__(self, cap: CapFunction, phi: EllipticPhase, points, grid_n):
-        _check_guard(cap, phi, points, grid_n)
+        counts = np.broadcast_to(np.asarray(grid_n, dtype=int), (cap.dim,))
+        need = np.maximum(_guard_need(cap, phi, points, counts), 1)
+        if np.any(counts < need):
+            raise OscillationGuardError(
+                f"grid_n = {counts.tolist()} per support axis violates the "
+                f"oscillation guard; need grid_n >= {need.tolist()}")
         self.cap = cap
-        self.y_axes, weight = cap.nodes(grid_n)
-        self.steps = [(hi - lo) / len(y) for lo, hi, y in
-                      zip(cap.support_lo, cap.support_hi, self.y_axes)]
+        self.y_axes, self.steps = cap.nodes(counts)
         self.x0 = cap.modulation_vector(cap.dim + 1)
         self.separable = _separable(cap, phi)
         if not self.separable:
             self.mesh = np.stack(np.meshgrid(*self.y_axes, indexing="ij"),
                                  axis=-1).reshape(-1, cap.dim)
             self.phase_vals = phi(self.mesh)
-            self.dens = cap.density_values(self.mesh) * weight
+            self.dens = cap.density_values(self.mesh) * math.prod(self.steps)
 
     def at_points(self, pts: np.ndarray) -> np.ndarray:
         """Field values at scattered points (m, n)."""
@@ -298,8 +277,9 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     longest x-axis (fields.row_intervals), summed by LpAccumulator.add_rows.
     With both caps separable a row is its lead factors times the row factor,
     and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the cells of
-    the slab fields, formed whole.  Quadrature node counts are sized per
-    axis from the oscillation guard (at least min_nodes, times grid_refine).
+    the slab fields, formed whole.  Each cap's node counts come from the
+    per-axis oscillation guard at the domain grid's corners
+    (required_grid_counts: at least min_nodes, then times grid_refine).
     Returns (ratio, stats) with field amplitude statistics for diagnostics.
     """
     acc = LpAccumulator([q])
@@ -449,9 +429,8 @@ def rotational_curvature(phi: EllipticPhase, y, w) -> float:
     """Bordered determinant det [[phi, phi_y], [phi_w, phi_yw]] for the
     defining function phi(y, w) = Phi(y) - Phi(y-w) - Phi(w).
 
-    First derivatives come from the phase gradient; the mixed block
-    phi_yw = Hess Phi(y-w) is formed by central differences of the gradient
-    at step 1e-5.
+    First derivatives come from the phase gradient and the mixed block
+    phi_yw = Hess Phi(y-w) from the phase's exact Hessian.
     """
     y = np.asarray(y, dtype=float).reshape(1, -1)
     w = np.asarray(w, dtype=float).reshape(1, -1)
@@ -459,16 +438,9 @@ def rotational_curvature(phi: EllipticPhase, y, w) -> float:
     val = float(phi(y)[0] - phi(y - w)[0] - phi(w)[0])
     phi_y = (phi.grad(y) - phi.grad(y - w))[0]
     phi_w = (phi.grad(y - w) - phi.grad(w))[0]
-    u = y - w
-    step = 1e-5
-    hess = np.empty((d, d))
-    for a in range(d):
-        e = np.zeros((1, d))
-        e[0, a] = step
-        hess[:, a] = (phi.grad(u + e) - phi.grad(u - e))[0] / (2 * step)
     bordered = np.empty((d + 1, d + 1))
     bordered[0, 0] = val
     bordered[0, 1:] = phi_y
     bordered[1:, 0] = phi_w
-    bordered[1:, 1:] = hess
+    bordered[1:, 1:] = phi.hess(y - w)[0]
     return float(np.linalg.det(bordered))

@@ -399,10 +399,8 @@ def build_net(n: int, delta: float) -> DirectionNet:
     dim = n - 1
     kmax = int(math.floor(1.0 / delta + 1e-9))
     axis = np.arange(-kmax, kmax + 1, dtype=float) * delta
+    # the "ij" mesh is in lexicographic order, first axis major
     pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
-    # lexicographic order, first axis major
-    order = np.lexsort(tuple(pts[:, a] for a in reversed(range(dim))))
-    pts = pts[order]
 
     def in_subcube(center1):
         # half-open boxes keep the lattice count at exactly (2 delta)^{1-n},

@@ -167,10 +167,20 @@ def test_sweep_check_replay_tube_families(tmp_path, capsys, family, p, q,
     ("family = knapp-classic\ngrid_n = -5\np = 2\nq = 4\n"
      "scales = 1/4, 1/8, 1/16\n",
      "error: line 3: bad value for 'grid_n': -5 (need grid_n >= 1)\n"),
+    ("command = nonsense\nfamily = knapp-classic\np = 2\nq = 4\n"
+     "scales = 1/4, 1/8, 1/16\n",
+     "error: line 2: unknown command 'nonsense' (need 'sweep')\n"),
+    ("family = c1-squashed\np = 2\nq = 5/3\nscales = 1/4, 1/8, 1/16\n"
+     "command = verify\n",
+     "error: line 6: unknown command 'verify' (need 'sweep')\n"),
+    ("command =\nfamily = c1-squashed\np = 2\nq = 5/3\n"
+     "scales = 1/4, 1/8, 1/16\n",
+     "error: line 2: unknown command '' (need 'sweep')\n"),
 ], ids=["two-scale-k0", "two-scale-c1", "n-not-an-integer", "mc-samples",
         "p-zero", "q-negative", "n-one", "k0-delta-above-quarter",
         "tolerance-nan", "box-constant-nan-tube-family", "grid-n-zero",
-        "grid-n-negative"])
+        "grid-n-negative", "command-nonsense", "command-verify",
+        "command-empty"])
 def test_sweep_input_errors_exit_usage(tmp_path, capsys, body, message):
     outdir = tmp_path / "out"
     path = tmp_path / "bad.cfg"
@@ -258,6 +268,29 @@ def test_sweep_check_non_finite_rows_exit_usage(tmp_path, capsys, family, row):
     assert captured.err.startswith("error: ") and "finite" in captured.err
 
 
+@pytest.mark.parametrize("field,value", [
+    (0, "knapp-classic"), (1, "2"), (2, "5/2"), (3, "3"), (6, "32"),
+], ids=["family", "n", "p", "q", "grid-n"])
+def test_sweep_check_refuses_rows_of_another_config(tmp_path, capsys, field,
+                                                    value):
+    # rows the c1-squashed, n = 3, p = 2, q = 5/3, grid_n = 16 config would
+    # write, with one of those columns changed on the second row
+    outdir = tmp_path / "r1"
+    outdir.mkdir()
+    rows = [f"c1-squashed,3,2,5/3,{s},{r},16,7".split(",")
+            for s, r in (("0.25", "1.0"), ("0.125", "2.0"), ("0.0625", "4.0"))]
+    rows[1][field] = value
+    (outdir / "sweep.csv").write_text(
+        "family,n,p,q,scale,ratio,grid_n,seed\n"
+        + "".join(",".join(row) + "\n" for row in rows))
+    cfgp = sweep_config(tmp_path, outdir)
+    code = cli.main(["sweep", "--config", cfgp, "--check"])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith(f"error: {outdir / 'sweep.csv'} line 3: row ")
+    assert "not from this config" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["sweep", "--config", "{cfg}"],
     ["witness", "--family", "c1-squashed", "--n", "2", "--scale", "0.25",
@@ -286,12 +319,13 @@ def test_write_errors_exit_usage(tmp_path, capsys, argv):
     ["exponents", "interpolate", "--p1", "1/3"],
     ["exponents", "interpolate", "--kind", "nonsense"],
     ["verify", "--suite", "lemmas", "--seed", "-1"],
+    ["exponents", "bootstrap", "--alpha", "1", "--steps", "-3"],
 ], ids=["witness-scale-nan", "witness-c0-scale-inf", "witness-n-one",
         "witness-region-overflow", "witness-c0-probe-overflow",
         "witness-c0-centre-overflow",
         "interpolate-p1-zero",
         "interpolate-p1-third", "interpolate-unknown-kind",
-        "verify-negative-seed"])
+        "verify-negative-seed", "bootstrap-negative-steps"])
 def test_non_sweep_input_errors_exit_usage(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()

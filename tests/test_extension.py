@@ -6,7 +6,8 @@ import pytest
 from tubelab import extension as ext
 from tubelab import witnesses
 from tubelab.fields import Ball, Box, grid_from_sampler, lp, lp_norm
-from tubelab.geometry import EllipticPhase, perturbed_phase, quadratic_phase
+from tubelab.geometry import (EllipticPhase, parabolic_rescale, perturbed_phase,
+                              quadratic_phase)
 
 
 PHI2 = quadratic_phase(1)
@@ -91,6 +92,52 @@ def test_oscillation_guard_raises_with_required_size():
     with pytest.raises(ext.OscillationGuardError) as err:
         ext.evaluate_extension(f, PHI3, [[0, 0, 64]], 16)
     assert "grid_n" in str(err.value)
+
+
+def test_oscillation_guard_is_per_axis():
+    # at (8, 0, 8) axis 0 binds: 4 * 2 * (|x_0| + |x_n| max|y_0|) = 128 nodes,
+    # above the global frequency's 4 * 2 * 8 sqrt(2) (91 nodes on axis 1)
+    f = ext.CapFunction((-1, -1), (1, 1))
+    pts = [[8, 0, 8]]
+    assert ext.required_grid_n(f, PHI3, pts) == 128
+    with pytest.raises(ext.OscillationGuardError, match=r"need grid_n >= \[128, 91\]"):
+        ext.evaluate_extension(f, PHI3, pts, 100)
+    ext.evaluate_extension(f, PHI3, pts, 128)
+
+
+@pytest.mark.parametrize("grid_n", [0, -2, [16, 0]])
+def test_grids_below_one_node_are_refused(grid_n):
+    # at the origin the guard needs no node; a grid still needs one per axis
+    f = ext.CapFunction((-1, -1), (1, 1))
+    with pytest.raises(ext.OscillationGuardError, match=r"need grid_n >= \[1, 1\]"):
+        ext.evaluate_extension(f, PHI3, [[0, 0, 0]], grid_n)
+
+
+@pytest.mark.parametrize("phi", [
+    PHI3, perturbed_phase(2, 0.05),
+    parabolic_rescale(perturbed_phase(2, 0.05), 1, (0.25, -0.5)),
+], ids=["quadratic", "perturbed", "rescaled"])
+@pytest.mark.parametrize("cap", [
+    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
+    ext.CapFunction((0.25, -1.0), (1.0, -0.5),
+                    density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+    ext.CapFunction((-0.5, 0.0), (0.0, 1.0), modulation=(2.0, -3.0, 1.5)),
+], ids=["plain", "density", "modulated"])
+@pytest.mark.parametrize("seed", range(3))
+def test_required_grid_counts_agree_with_the_guard(cap, phi, seed):
+    # the sizing always passes the quadrature's guard, and one node fewer on
+    # an axis the guard binds (count above min_nodes) is refused
+    pts = np.random.default_rng(seed).uniform(-12.0, 12.0, size=(5, 3))
+    ext._CapQuadrature(cap, phi, pts, ext.required_grid_counts(cap, phi, pts))
+    counts = ext.required_grid_counts(cap, phi, pts, min_nodes=1)
+    ext._CapQuadrature(cap, phi, pts, counts)
+    binding = [a for a in range(cap.dim) if counts[a] > 1]
+    assert binding
+    for a in binding:
+        fewer = counts.copy()
+        fewer[a] -= 1
+        with pytest.raises(ext.OscillationGuardError, match="oscillation guard"):
+            ext._CapQuadrature(cap, phi, pts, fewer)
 
 
 def test_separable_path_matches_generic():

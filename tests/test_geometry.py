@@ -350,6 +350,14 @@ def test_build_net_counts():
                        np.arange(-1, 1.01, 0.25))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_build_net_points_are_lexicographic(n):
+    # first axis major, the order xray_transform reads the lattice in
+    for delta in (1 / 4, 0.1, 0.07, 1 / 16):
+        pts = geo.build_net(n, delta).points
+        assert np.array_equal(np.lexsort(pts.T[::-1]), np.arange(len(pts)))
+
+
 def test_build_net_separation_and_covering():
     net = geo.build_net(3, 1 / 8)
     for e1 in net.e1:
