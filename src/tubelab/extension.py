@@ -117,23 +117,24 @@ class CapFunction:
 
 def _guard_need(cap: CapFunction, phi: EllipticPhase, points, counts=0) -> np.ndarray:
     """Nodes per support axis that leave no cell more than a quarter period
-    of the integrand at `points`: ceil(4 L_a max(f_a, F)) on an axis of
-    length L_a, with g_a = max|d_a Phi| (sampled at 5 points per axis), the
-    axis frequency f_a = max|x_a| + max|x_n| g_a and the global frequency
+    of the integrand at `points`, one row per point set of a stack (..., m, n):
+    ceil(4 L_a max(f_a, F)) on an axis of length L_a, with g_a = max|d_a Phi|
+    (sampled at 5 points per axis), f_a = max|x_a| + max|x_n| g_a and
     F = max(max|x_|, max|x_n| |g|).  A need, or one of `counts`, above
     MAX_GRID_NODES raises OscillationGuardError."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eff = pts + cap.modulation_vector(pts.shape[1])
-    xmax = np.max(np.abs(eff[:, :-1]), axis=0)
-    tmax = float(np.max(np.abs(eff[:, -1])))
+    eff = pts + cap.modulation_vector(pts.shape[-1])
+    xmax = np.max(np.abs(eff[..., :-1]), axis=-2)
+    tmax = np.max(np.abs(eff[..., -1]), axis=-1)[..., None]
     axes = [np.linspace(lo, hi, 5) for lo, hi in zip(cap.support_lo, cap.support_hi)]
     mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
     gmax = np.max(np.abs(phi.grad(mesh)), axis=0)
-    freq_global = max(float(np.max(xmax)), tmax * float(np.sqrt(np.sum(gmax * gmax))))
     lengths = np.subtract(cap.support_hi, cap.support_lo, dtype=float)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
+        freq_global = np.maximum(np.max(xmax, axis=-1, keepdims=True),
+                                 tmax * np.sqrt(np.sum(gmax * gmax)))
         need = 4.0 * lengths * np.maximum(xmax + tmax * gmax, freq_global)
-    top = np.maximum(need, counts)
+    top = np.maximum(need, counts).reshape(-1, cap.dim).max(axis=0)
     if not np.all(top <= MAX_GRID_NODES):  # also refuses NaN
         raise OscillationGuardError(
             f"quadrature needs {[f'{v:.6g}' for v in top]} nodes per support "
@@ -143,9 +144,11 @@ def _guard_need(cap: CapFunction, phi: EllipticPhase, points, counts=0) -> np.nd
 
 def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
                          min_nodes: int = 16) -> np.ndarray:
-    """Per-axis node counts, at least min_nodes, so that every cell sees at
-    most a quarter period (_guard_need); a need above MAX_GRID_NODES raises
-    OscillationGuardError."""
+    """Per-axis node counts, at least min_nodes (an integer >= 1), so that
+    every cell sees at most a quarter period (_guard_need, per point set); a
+    need above MAX_GRID_NODES raises OscillationGuardError."""
+    if not isinstance(min_nodes, (int, np.integer)) or min_nodes < 1:
+        raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
     return np.maximum(min_nodes, _guard_need(cap, phi, points))
 
 
@@ -279,9 +282,11 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the cells of
     the slab fields, formed whole.  Each cap's node counts come from the
     per-axis oscillation guard at the domain grid's corners
-    (required_grid_counts: at least min_nodes, then times grid_refine).
-    Returns (ratio, stats) with field amplitude statistics for diagnostics.
+    (required_grid_counts: at least min_nodes, then times grid_refine, an
+    integer >= 1).  Returns (ratio, stats) with field amplitude statistics.
     """
+    if not isinstance(grid_refine, (int, np.integer)) or grid_refine < 1:
+        raise ExtensionError(f"grid_refine must be an integer >= 1, got {grid_refine!r}")
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
     denom = math.prod(c.norm_lp(p) for c in caps)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import TubelabError, xray
 from .extension import (CapFunction, EllipticPhase, domain_norm_ratio,
-                        evaluate_extension, required_grid_n)
+                        evaluate_extension, required_grid_counts)
 from .fields import Box, CylinderDomain
 from .geometry import quadratic_phase
 
@@ -162,33 +162,38 @@ def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
 def _modulated(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
                radius: float, probes: np.ndarray, active_axes,
                floor: float) -> CapFunction:
-    """cap modulated by the x0 that maximizes the minimum field amplitude over
-    the probe points, from a 9-point lattice per active axis centred on the
-    analytic seed; ModulationSearchError if that amplitude is below floor."""
+    """The unmodulated cap modulated by the x0 that maximizes the minimum
+    field amplitude over the probes (the first maximum in lattice order),
+    from a 9-point lattice per active axis centred on the analytic seed;
+    ModulationSearchError if that amplitude is below floor.  One guard call
+    sizes all trials (the cap at probes + x0).  A trial no better than the
+    best at the best's weakest probe cannot win and is not scored further."""
+    assert cap.modulation is None
     offsets = np.linspace(-radius, radius, 9)
-    best, best_score = None, -1.0
     grids = np.meshgrid(*[offsets] * len(active_axes), indexing="ij")
-    for off in np.stack([g.reshape(-1) for g in grids], axis=-1):
-        x0 = seed.copy()
-        for a, da in zip(active_axes, off):
-            x0[a] += da
-        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0),
-                            cap.density, cap.amplitude)
-        gn = required_grid_n(trial, phi, probes)
-        score = float(np.abs(evaluate_extension(trial, phi, probes, gn)).min())
-        if score > best_score:
-            best, best_score = trial, score
+    x0s = np.tile(seed, (grids[0].size, 1))
+    x0s[:, active_axes] += np.stack([g.reshape(-1) for g in grids], axis=-1)
+    shifted = probes + x0s[:, None, :]
+    best, best_score, weakest = None, -1.0, 0
+    for k, grid_n in enumerate(required_grid_counts(cap, phi, shifted).max(axis=-1)):
+        if best is not None and np.abs(evaluate_extension(
+                cap, phi, shifted[k, weakest:weakest + 1], grid_n))[0] <= best_score:
+            continue
+        amps = np.abs(evaluate_extension(cap, phi, shifted[k], grid_n))
+        if amps.min() > best_score:
+            best, best_score, weakest = k, amps.min(), amps.argmin()
     if best_score < floor:
         raise ModulationSearchError(
             f"best modulated amplitude {best_score:.3g} is below the floor "
             f"{floor:.3g}")
-    return best
+    return CapFunction(cap.support_lo, cap.support_hi, tuple(x0s[best]),
+                       cap.density, cap.amplitude)
 
 
-def _probe_points(domain, n: int, shrink: float = 0.7) -> np.ndarray:
+def _probe_points(domain, n: int) -> np.ndarray:
     lo, hi = domain.bounding_box()
     center = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo) * shrink
+    half = 0.5 * (hi - lo) * 0.7
     axes = [np.array([c - h, c, c + h]) for c, h in zip(center, half)]
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
     return pts[domain.contains(pts)]

@@ -140,6 +140,49 @@ def test_required_grid_counts_agree_with_the_guard(cap, phi, seed):
             ext._CapQuadrature(cap, phi, pts, fewer)
 
 
+@pytest.mark.parametrize("cap", [
+    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
+    ext.CapFunction((-0.5, 0.0), (0.0, 1.0), modulation=(2.0, -3.0, 1.5)),
+], ids=["plain", "modulated"])
+def test_required_grid_counts_of_a_stack_are_those_of_each_set(cap):
+    stack = np.random.default_rng(5).uniform(-40.0, 40.0, size=(2, 4, 6, 3))
+    counts = ext.required_grid_counts(cap, PHI3, stack)
+    assert counts.shape == (2, 4, 2)
+    for i, j in np.ndindex(2, 4):
+        want = ext.required_grid_counts(cap, PHI3, stack[i, j])
+        assert counts[i, j].tobytes() == want.tobytes()
+
+
+def test_a_stack_beyond_the_node_cap_reports_the_per_axis_maximum():
+    f = ext.CapFunction((-1, -1), (1, 1))
+    stack = np.array([[[0.0, 0.0, 1e6]], [[1e5, 0.0, 0.0]]])
+    # set 0 needs 4 * 2 * 1e6 sqrt(2) per axis, set 1 8e5 per axis
+    with pytest.raises(ext.OscillationGuardError,
+                       match=r"needs \['1\.13137e\+07', '1\.13137e\+07'\] nodes"):
+        ext.required_grid_counts(f, PHI3, stack)
+
+
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, "2", math.nan],
+                         ids=["zero", "negative", "fraction", "float", "str", "nan"])
+def test_node_floors_and_refinements_must_be_integers_from_one(bad):
+    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
+    g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
+    box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    calls = [
+        lambda: ext.domain_norm_ratio(f, g, PHI3, 2, 2, box, min_nodes=bad),
+        lambda: ext.domain_norm_ratio(f, g, PHI3, 2, 2, box, grid_refine=bad),
+        lambda: ext.required_grid_counts(f, PHI3, [[0, 0, 1]], min_nodes=bad),
+        lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
+                                        grid_n=bad),
+        lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
+                                        grid_refine=bad),
+    ]
+    for call in calls:
+        with pytest.raises(ext.ExtensionError, match="must be an integer >= 1") as err:
+            call()
+        assert err.value.exit_code == 2
+
+
 def test_separable_path_matches_generic():
     # same midpoint sum, factored; compare against a tagless clone of the
     # quadratic phase which takes the generic route

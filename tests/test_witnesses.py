@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from tubelab import witnesses as wit, xray
-from tubelab.extension import domain_norm_ratio
+from tubelab.extension import (CapFunction, OscillationGuardError,
+                               domain_norm_ratio, required_grid_n)
 from tubelab.geometry import quadratic_phase
 
 
@@ -196,3 +197,84 @@ def test_modulation_search_recovers_c0_overlap():
     vf = np.abs(evaluate_extension(f, phi, pts, gn))
     vg = np.abs(evaluate_extension(g, phi, pts, gn))
     assert np.all(vg >= 0.3 * vf)
+
+
+def _exhaustive_modulated(cap, phi, seed, radius, probes, active_axes, floor):
+    """The reference search: every lattice trial sized by its own guard call
+    and scored at every probe."""
+    offsets = np.linspace(-radius, radius, 9)
+    best, best_score = None, -1.0
+    grids = np.meshgrid(*[offsets] * len(active_axes), indexing="ij")
+    for off in np.stack([g.reshape(-1) for g in grids], axis=-1):
+        x0 = seed.copy()
+        for a, da in zip(active_axes, off):
+            x0[a] += da
+        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0),
+                            cap.density, cap.amplitude)
+        gn = required_grid_n(trial, phi, probes)
+        score = float(np.abs(wit.evaluate_extension(trial, phi, probes, gn)).min())
+        if score > best_score:
+            best, best_score = trial, score
+    if best_score < floor:
+        raise wit.ModulationSearchError(
+            f"best modulated amplitude {best_score:.3g} is below the floor "
+            f"{floor:.3g}")
+    return best
+
+
+@pytest.mark.parametrize("kind, n, scale", [
+    (wit.C2_STRETCHED, 3, 1 / 4), (wit.C2_STRETCHED, 3, 1 / 8),
+    (wit.C2_STRETCHED, 3, 1 / 16), (wit.C2_STRETCHED, 4, 1 / 4),
+    (wit.C0_MODULATED, 2, 8.0), (wit.C0_MODULATED, 2, 64.0),
+    (wit.C0_MODULATED, 3, 8.0), (wit.C0_MODULATED, 3, 64.0),
+])
+def test_modulation_search_matches_the_exhaustive_search(monkeypatch, kind, n,
+                                                         scale):
+    searched, pairs = wit._modulated, []
+
+    def both(*args, **kwargs):
+        got = searched(*args, **kwargs)
+        pairs.append((got, _exhaustive_modulated(*args, **kwargs)))
+        return got
+    monkeypatch.setattr(wit, "_modulated", both)
+    wit.build_witness(kind, n, scale)
+    assert len(pairs) == (1 if kind == wit.C0_MODULATED else 2)
+    for got, want in pairs:
+        assert (got.support_lo, got.support_hi) == (want.support_lo, want.support_hi)
+        assert (np.array(got.modulation).tobytes()
+                == np.array(want.modulation).tobytes())
+
+
+def test_modulation_search_keeps_the_first_of_tied_maxima(monkeypatch):
+    # c0 at n = 2, R = 8 tries x0 = (-24 + d, 0), d = -2, -1.5, ..., 2, on
+    # probes with x_1 in {11.3, 12, 12.7}.  The fake amplitude is 1/2 unless
+    # -12.9 < x_1 + x0_1 < -10.6, where it is 1 farther than 0.7 from -11.75
+    # and 2 nearer.  So d = 0 and d = 1/2 tie at 1, at mirrored probes: the
+    # tied trial is not screened out, and the first in lattice order wins.
+    def fake(cap, phi, pts, gn):
+        eff = np.atleast_2d(pts) + cap.modulation_vector(np.shape(pts)[-1])
+        inside = (eff[:, 0] > -12.9) & (eff[:, 0] < -10.6)
+        near = np.abs(eff[:, 0] + 11.75) < 0.7
+        return np.where(inside, np.where(near, 2.0, 1.0), 0.5).astype(complex)
+    monkeypatch.setattr(wit, "evaluate_extension", fake)
+    _f, g, _box = wit.build_witness(wit.C0_MODULATED, 2, 8.0)
+    assert g.modulation == (-24.0, 0.0)
+
+
+def test_modulation_search_screens_out_most_probe_points(monkeypatch):
+    searched, points = wit.evaluate_extension, {}
+
+    def counting(cap, phi, pts, gn):
+        key = cap.support_lo
+        points[key] = points.get(key, 0) + np.atleast_2d(pts).shape[0]
+        return searched(cap, phi, pts, gn)
+    monkeypatch.setattr(wit, "evaluate_extension", counting)
+    wit.build_witness(wit.C2_STRETCHED, 3, 1 / 16)
+    # the exhaustive search scores 81 trials at 27 probes per cap
+    assert len(points) == 2
+    assert all(count < 81 * 27 / 2 for count in points.values())
+
+
+def test_modulation_search_beyond_the_node_cap_is_refused():
+    with pytest.raises(OscillationGuardError, match=r"nodes per support axis"):
+        wit.build_witness(wit.C0_MODULATED, 2, 1e200)
