@@ -331,7 +331,7 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
 def _dump_witness_field(cap, box, outdir: str, stem: str):
     """Evaluate the extension field of a cap on a coarse grid over the
     witness box and write it in the GridFunction binary format."""
-    from .extension import evaluate_extension, required_grid_n
+    from .extension import evaluate_extension, required_grid_counts
     from .fields import grid_from_sampler
     from .geometry import quadratic_phase
 
@@ -339,7 +339,7 @@ def _dump_witness_field(cap, box, outdir: str, stem: str):
     phi = quadratic_phase(len(lo) - 1)
 
     def sampler(pts):
-        gn = required_grid_n(cap, phi, pts)
+        gn = required_grid_counts(cap, phi, pts).max()
         return evaluate_extension(cap, phi, pts, gn)
 
     grid = grid_from_sampler(sampler, lo, hi, [17] * len(lo))

@@ -219,35 +219,21 @@ def region_vertices(r: Region) -> list:
                 continue
             if all(h.admits(pt[0], pt[1], closure=True) for h in planes):
                 pts.add(pt)
-    if not pts:
-        return []
     pts = sorted(pts)
     if len(pts) <= 2:
         return pts
-    # exact counterclockwise hull order around the centroid
-    cx = sum(p[0] for p in pts) / len(pts)
-    cy = sum(p[1] for p in pts) / len(pts)
+    # Andrew's monotone chain: the lower hull left to right, then the upper
+    # hull back, each dropping a point where the chain does not turn left
+    def chain(points):
+        hull = []
+        for x, y in points:
+            while len(hull) >= 2 and ((hull[-1][0] - hull[-2][0]) * (y - hull[-2][1]) <=
+                                      (hull[-1][1] - hull[-2][1]) * (x - hull[-2][0])):
+                hull.pop()
+            hull.append((x, y))
+        return hull[:-1]
 
-    def half(p):
-        dx, dy = p[0] - cx, p[1] - cy
-        return 0 if (dy > 0 or (dy == 0 and dx > 0)) else 1
-
-    import functools
-
-    def cmp(p1, p2):
-        h1, h2 = half(p1), half(p2)
-        if h1 != h2:
-            return -1 if h1 < h2 else 1
-        cross = (p1[0] - cx) * (p2[1] - cy) - (p2[0] - cx) * (p1[1] - cy)
-        if cross > 0:
-            return -1
-        if cross < 0:
-            return 1
-        return 0
-
-    ordered = sorted(pts, key=functools.cmp_to_key(cmp))
-    start = ordered.index(min(ordered))
-    return ordered[start:] + ordered[:start]
+    return chain(pts) + chain(reversed(pts))
 
 
 def interpolate(e1: EstimatePoint, e2: EstimatePoint, theta: Fraction) -> EstimatePoint:

@@ -152,14 +152,6 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     return np.maximum(min_nodes, _guard_need(cap, phi, points))
 
 
-def required_grid_n(cap: CapFunction, phi: EllipticPhase, points,
-                    min_nodes: int = 16) -> int:
-    """Single nodes-per-axis figure meeting the per-axis oscillation guard
-    h_a * max(f_a, F) <= 1/4 on every axis (_guard_need): the largest of
-    required_grid_counts."""
-    return int(np.max(required_grid_counts(cap, phi, points, min_nodes)))
-
-
 class _CapQuadrature:
     """Midpoint quadrature of the extension integral of one cap, with
     grid_n nodes (an int or per-axis counts), refused below the per-axis

@@ -81,10 +81,21 @@ def conjugate(s: float) -> float:
 # domains
 
 
+def _check_bounds(bounds, radius=None):
+    """Refuse a domain with a non-finite bound or radius, or a negative radius."""
+    if not np.all(np.isfinite(bounds)):
+        raise FieldError(f"domain bounds must be finite, got {list(bounds)}")
+    if radius is not None and not 0 <= radius < np.inf:
+        raise FieldError(f"domain radius must be finite and nonnegative, got {radius}")
+
+
 @dataclass(frozen=True)
 class Box:
     lo: tuple
     hi: tuple
+
+    def __post_init__(self):
+        _check_bounds([*self.lo, *self.hi])
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -104,6 +115,9 @@ class Box:
 class Ball:
     center: tuple
     radius: float
+
+    def __post_init__(self):
+        _check_bounds(self.center, self.radius)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)
@@ -129,6 +143,9 @@ class CylinderDomain:
     disc_radius: float
     rest_lo: tuple
     rest_hi: tuple
+
+    def __post_init__(self):
+        _check_bounds([*self.disc_center, *self.rest_lo, *self.rest_hi], self.disc_radius)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
         pts = np.atleast_2d(pts)

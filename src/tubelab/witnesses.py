@@ -155,7 +155,9 @@ def _cap_pair(half1: float, n: int, half_rest: float):
 
 
 def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
-    """Scale exponent of the family's witness ratio (see Family)."""
+    """Scale exponent of the family's witness ratio (see Family), n >= 2."""
+    if n < 2:
+        raise WitnessError("need n >= 2")
     return _family(kind).predicted(n, p, q)
 
 

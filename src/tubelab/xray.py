@@ -8,8 +8,8 @@ this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
 iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  In a
 height slab a tube is that disc of cells.  X* rasterizes the discs (_disc_sums)
 only inside each slab's intersection box of its fields' discs (_slab_sums, one
-helper for xray_adjoint and the bilinear product); X gathers each disc as one run
-per grid row (fields.row_runs) from row prefix sums.  The guard spacing <=
+helper for xray_adjoint and the bilinear product); X sums each disc as one run
+per grid row (fields.row_runs) of the slab's values.  The guard spacing <=
 delta/4 resolves the delta-wide cross-section by at least four cells.
 """
 
@@ -88,8 +88,8 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     """X f(omega, i) = delta^{1-n} * (midpoint quadrature of f over the tube).
 
     Each slab x_n = t (|t| <= 1) of f is cut to the box of its live cells;
-    _tube_sums gathers the tubes of a block of directions from its row
-    prefix sums.  Tubes that meet no live cell are left out of the field."""
+    _tube_sums sums the tubes of a block of directions over its rows, one
+    run per row.  Tubes that meet no live cell are left out of the field."""
     delta = net.delta
     _check_spacing(f.spacing, delta)
     n = f.ndim
@@ -100,14 +100,12 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     if not np.array_equal(lattice.reshape(-1, net.dim), net.points):
         raise XrayError("net points are not the full product of their axes "
                         "in lexicographic order")
-    slabs = []  # (t, live box x-axes, row prefix sums of multiples of unit and of the rest)
+    slabs = []  # (t, live box x-axes, its values with one zero column after each row)
     for t, v in zip(f.axis_centers(n - 1), np.moveaxis(_real_samples(f), -1, 0)):
         if abs(t) <= 1.0 and v.any():
             box = tuple(slice(k.min(), k.max() + 1) for k in np.nonzero(v))
-            v = v[box]  # unit: 2^-52 of a power of two above v.sum(), so its multiples add exactly
-            rest = np.fmod(v, np.ldexp(1.0, max(np.frexp(v.sum())[1] - 52, -1022)))
-            slabs.append((t, [f.axis_centers(a)[k] for a, k in enumerate(box)], np.cumsum(
-                np.pad(np.stack([v - rest, rest]), [(0, 0)] * (n - 1) + [(1, 0)]), -1)))
+            slabs.append((t, [f.axis_centers(a)[k] for a, k in enumerate(box)],
+                          np.pad(v[box], [(0, 0)] * (n - 2) + [(0, 1)])))
     if not slabs:  # no live cell: every tube vanishes
         return XrayField(net, delta, NetFunction(net, {}))
     scale, parts = delta ** (1 - n) * f.cell_measure, []
@@ -122,9 +120,10 @@ def _tube_sums(slabs, omegas, points, axes, delta):
     nonzero sum over the slabs of xray_transform, among the bases whose disc
     can meet a slab's box.  Slab t meets the tube in X's disc sum_a ((x_a -
     t omega_a) - i_a)^2 <= delta^2: rows by _disc_windows over all but the
-    last axis, one run per row by fields.row_runs, summed by prefix sums."""
+    last axis, one run per row by fields.row_runs, each run summed directly
+    (one add.reduceat), so a row may hold values of any range."""
     keys, sums = [], []
-    for t, xs, prefix in slabs:
+    for t, xs, vals in slabs:
         mid, half = np.array([[(x[0] + x[-1]) / 2, (x[-1] - x[0]) / 2] for x in xs]).T
         cand, _, flat = _disc_windows(-t * omegas, np.broadcast_to(mid, omegas.shape),
                                       delta + 1e-12 + np.hypot.reduce(half), axes)
@@ -137,9 +136,11 @@ def _tube_sums(slabs, omegas, points, axes, delta):
         d2, row = np.broadcast_to(d2, ok.shape)[ok], np.broadcast_to(row, ok.shape)[ok]
         lo, hi = row_runs(xs[-1], base[tube, -1] + sh[tube, -1], np.sqrt(delta**2 - d2),
                           lambda x: d2 + ((x - sh[tube, -1]) - base[tube, -1]) ** 2 <= delta**2)
-        ends = prefix.reshape(2, -1)[:, row[:, None] * prefix.shape[-1] + np.stack([lo, hi], -1)]
+        # (start, end) of each run; the zero column after each row keeps an end in vals
+        bounds = row[:, None] * vals.shape[-1] + np.stack([lo, hi], -1)
+        runs = np.add.reduceat(vals.reshape(-1), bounds.reshape(-1))[::2]
         keys.append(b * len(points) + k)
-        sums.append(np.bincount(tube, np.diff(ends).sum(axis=0)[:, 0], minlength=len(b)))
+        sums.append(np.bincount(tube, np.where(lo < hi, runs, 0.0), minlength=len(b)))
     keys, slot = np.unique(np.concatenate(keys), return_inverse=True)
     sums = np.bincount(slot, np.concatenate(sums))
     return *np.divmod(keys[sums > 0], len(points)), sums[sums > 0]

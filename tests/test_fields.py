@@ -61,6 +61,27 @@ def test_lp_norm_empty_domain_errors():
         fields.lp_norm(u, 2, fields.Ball((10, 10), 0.1))
 
 
+@pytest.mark.parametrize("make, match", [
+    (lambda: fields.Ball((0, 0), math.nan), "radius"),
+    (lambda: fields.Ball((0, 0), math.inf), "radius"),
+    (lambda: fields.Ball((0, 0), -0.5), "radius"),
+    (lambda: fields.Ball((math.nan, 0), 0.5), "bounds"),
+    (lambda: fields.Box((0, math.nan), (1, 1)), "bounds"),
+    (lambda: fields.Box((0, 0), (math.inf, 1)), "bounds"),
+    (lambda: fields.CylinderDomain((0, 2), (0, 0), -2.0, (-1,), (1,)), "radius"),
+    (lambda: fields.CylinderDomain((0, 2), (0, 0), math.nan, (-1,), (1,)), "radius"),
+    (lambda: fields.CylinderDomain((0, 2), (0, 0), 2.0, (-1,), (math.nan,)), "bounds"),
+    (lambda: fields.CylinderDomain((0, 2), (math.nan, 0), 2.0, (-1,), (1,)), "bounds"),
+], ids=["ball-nan-radius", "ball-inf-radius", "ball-negative-radius", "ball-nan-center",
+        "box-nan", "box-inf", "cylinder-negative-radius", "cylinder-nan-radius",
+        "cylinder-nan-rest", "cylinder-nan-center"])
+def test_domains_refuse_bad_bounds(make, match):
+    # a non-finite bound or a negative radius is a usage error (exit 2)
+    with pytest.raises(fields.FieldError, match=match) as err:
+        make()
+    assert err.value.exit_code == 2
+
+
 def test_ball_domain_cells():
     u = unit_box_function(m=64)
     ball = fields.Ball((0, 0), 0.5)

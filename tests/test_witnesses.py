@@ -5,7 +5,7 @@ import pytest
 
 from tubelab import witnesses as wit, xray
 from tubelab.extension import (CapFunction, OscillationGuardError,
-                               domain_norm_ratio, required_grid_n)
+                               domain_norm_ratio, required_grid_counts)
 from tubelab.geometry import quadratic_phase
 
 
@@ -73,6 +73,14 @@ def test_predicted_exponents_at_key_points():
     assert wit.predicted_exponent(xray.DELTA_BALL, 3, 5 / 2, 10 / 3) == 0.0
     with pytest.raises(wit.WitnessError):
         wit.predicted_exponent("nonsense", 3, 2, 2)
+
+
+@pytest.mark.parametrize("kind", [wit.C1_SQUASHED, wit.C0_MODULATED, xray.K0_DELTAS])
+@pytest.mark.parametrize("n", [1, 0])
+def test_predicted_exponent_refuses_n_below_two(kind, n):
+    # as build_witness does: c1 at n = 1 would give -0.5
+    with pytest.raises(wit.WitnessError, match="need n >= 2"):
+        wit.predicted_exponent(kind, n, 2, 4)
 
 
 def test_witness_support_measures():
@@ -186,14 +194,14 @@ def test_saturating_family_bounded_ratio():
 
 def test_modulation_search_recovers_c0_overlap():
     # the searched shift must give g an amplitude comparable to f's on the box
-    from tubelab.extension import evaluate_extension, required_grid_n
+    from tubelab.extension import evaluate_extension
 
     phi = quadratic_phase(1)
     f, g, box = wit.build_witness(wit.C0_MODULATED, 2, 16.0)
     lo, hi = box.bounding_box()
     center = 0.5 * (lo + hi)
     pts = np.array([center, 0.75 * lo + 0.25 * hi, 0.25 * lo + 0.75 * hi])
-    gn = required_grid_n(g, phi, pts)
+    gn = required_grid_counts(g, phi, pts).max()
     vf = np.abs(evaluate_extension(f, phi, pts, gn))
     vg = np.abs(evaluate_extension(g, phi, pts, gn))
     assert np.all(vg >= 0.3 * vf)
@@ -211,7 +219,7 @@ def _exhaustive_modulated(cap, phi, seed, radius, probes, active_axes, floor):
             x0[a] += da
         trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0),
                             cap.density, cap.amplitude)
-        gn = required_grid_n(trial, phi, probes)
+        gn = required_grid_counts(trial, phi, probes).max()
         score = float(np.abs(wit.evaluate_extension(trial, phi, probes, gn)).min())
         if score > best_score:
             best, best_score = trial, score

@@ -121,6 +121,31 @@ def test_transform_matches_tube_contains(n):
     assert all(abs(got[key] - v) <= 1e-12 * v for key, v in expect.items())
 
 
+def test_transform_sums_a_row_of_any_range():
+    # one row holds pi 1e300 and, far after it, 0.7: the runs over the 0.7
+    # cell alone keep it beside a value 300 decades larger in the same row
+    delta = 1 / 8
+    net = build_net(3, delta)
+    dims = (16, 64, 4)
+    samples = np.zeros(dims)
+    samples[8, 2, 1], samples[8, 60, 1] = math.pi * 1e300, 0.7
+    f = GridFunction(dims, (-0.5, -1.0, 0.2), (delta / 4,) * 3, samples)
+    xv = xray.xray_transform(f, net).values
+    got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
+    live = samples.reshape(-1) > 0
+    centers, weights = f.centers()[live], samples.reshape(-1)[live]
+    scale = delta ** -2 * f.cell_measure
+    expect = {}
+    for w, omega in enumerate(net.points):
+        for i, base in enumerate(net.points):
+            inside = Tube(tuple(omega), tuple(base), delta).contains(centers)
+            if inside.any():
+                expect[(w, i)] = scale * np.sum(weights[inside])
+    assert max(expect.values()) > 1e300 * min(expect.values())
+    assert got.keys() == expect.keys()
+    assert all(abs(got[key] - v) <= 1e-12 * v for key, v in expect.items())
+
+
 def test_transform_refuses_a_net_that_is_not_a_product_lattice():
     # a point left out, the order reversed, a point moved off the lattice
     delta = 1 / 8
