@@ -1,5 +1,6 @@
 """Command-line entry point: exact exponent queries, witness sweeps with
-CSV/JSON persistence, verification suites, and region emission.
+CSV/JSON persistence, verification suites, and region emission.  Each
+command and `exponents` subcommand accepts only the flags it reads.
 
 Config files are flat `key = value` text (lists comma-separated); rationals
 are written as "a/b".  Identical config + seed reproduces byte-identical
@@ -192,11 +193,34 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}" if x.denominator != 1 else str(x.numerator)
 
 
+#: exponents subcommand -> the flags its branch of cmd_exponents reads (and
+#: so the only flags its parser accepts); `tubelab region` takes "region"'s
+EXPONENT_FLAGS = {
+    "lemma-alpha": ("n", "p", "q", "alpha"),  # --alpha required
+    "bootstrap": ("alpha", "steps"),
+    "region": ("kind", "n"),
+    "sharp-line": ("n", "q"),
+    "interpolate": ("p1", "q1", "p2", "q2", "theta", "kind"),
+    "x-imply": ("p", "q"),
+    "modest": ("n",),
+    "table1": (),
+    "whitney-check": ("n", "p", "p-tilde", "q"),
+}
+
+#: flag -> argparse keywords; an unlisted flag is a rational defaulting to 2
+_FLAG_SPECS = {"n": {"type": int, "default": 3}, "steps": {"type": int},
+               "alpha": {}, "kind": {}, "theta": {"default": "1/2"}}
+
+
+def _add_exponent_flags(parser, sub: str):
+    for flag in EXPONENT_FLAGS[sub]:
+        parser.add_argument("--" + flag, required=(sub, flag) == ("lemma-alpha", "alpha"),
+                            **_FLAG_SPECS.get(flag, {"default": "2"}))
+
+
 def cmd_exponents(args) -> int:
     sub = args.subcommand
     if sub == "lemma-alpha":
-        if args.alpha is None:
-            raise ConfigError("lemma-alpha needs --alpha")
         q_tilde, ratio = expm.lemma_alpha(_frac(args.p), _frac(args.q),
                                           _frac(args.alpha), args.n)
         _emit({"q_tilde": _frac_str(q_tilde), "ratio": _frac_str(ratio),
@@ -204,8 +228,11 @@ def cmd_exponents(args) -> int:
     elif sub == "bootstrap":
         out = {"fixed_point": _frac_str(expm.bootstrap_fixed_point())}
         if args.alpha is not None:
-            iters = expm.bootstrap_iterate(_frac(args.alpha), args.steps)
+            steps = 30 if args.steps is None else args.steps
+            iters = expm.bootstrap_iterate(_frac(args.alpha), steps)
             out["iterates"] = [_frac_str(a) for a in iters]
+        elif args.steps is not None:
+            raise ConfigError("bootstrap --steps needs --alpha")
         _emit(out)
     elif sub == "region":
         _emit(expm.region(args.kind or expm.BILINEAR_RESTRICTION,
@@ -235,8 +262,6 @@ def cmd_exponents(args) -> int:
         ok, eps = expm.whitney_exponent_check(args.n, _frac(args.p),
                                               _frac(args.p_tilde), _frac(args.q))
         _emit({"feasible": ok, "epsilon": _frac_str(eps)})
-    else:
-        raise ConfigError(f"unknown exponents subcommand {sub!r}")
     return EXIT_PASS
 
 
@@ -565,15 +590,8 @@ SUITES = {"lemmas": _suite_lemmas, "geometry": _suite_geometry,
 def cmd_verify(suite: str, seed: int) -> int:
     if seed < 0:
         raise ConfigError(f"bad seed {seed}: need a non-negative integer")
-    if suite == "all":
-        names = list(SUITES)
-    elif suite in SUITES:
-        names = [suite]
-    else:
-        raise ConfigError(f"unknown suite {suite!r}")
-    results = {}
-    for name in names:
-        results[name] = SUITES[name](seed)
+    results = {name: SUITES[name](seed)
+               for name in (SUITES if suite == "all" else [suite])}
     all_pass = all(check["pass"] for suite_out in results.values()
                    for check in suite_out.values())
     _emit({"suites": results, "pass": bool(all_pass)})
@@ -586,26 +604,14 @@ def cmd_verify(suite: str, seed: int) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="tubelab")
-    sub = ap.add_subparsers(dest="command")
+    sub = ap.add_subparsers(dest="command", required=True)
 
-    ex = sub.add_parser("exponents")
-    ex.add_argument("subcommand")
-    ex.add_argument("--n", type=int, default=3)
-    ex.add_argument("--p", default="2")
-    ex.add_argument("--q", default="2")
-    ex.add_argument("--alpha", default=None)
-    ex.add_argument("--steps", type=int, default=30)
-    ex.add_argument("--kind", default=None)
-    ex.add_argument("--p1", default="2")
-    ex.add_argument("--q1", default="2")
-    ex.add_argument("--p2", default="2")
-    ex.add_argument("--q2", default="2")
-    ex.add_argument("--theta", default="1/2")
-    ex.add_argument("--p-tilde", dest="p_tilde", default="2")
-
+    ex = sub.add_parser("exponents").add_subparsers(dest="subcommand", required=True)
+    for name in EXPONENT_FLAGS:
+        _add_exponent_flags(ex.add_parser(name), name)
     rg = sub.add_parser("region")
-    rg.add_argument("--kind", default=None)
-    rg.add_argument("--n", type=int, default=3)
+    _add_exponent_flags(rg, "region")
+    rg.set_defaults(subcommand="region")
 
     sw = sub.add_parser("sweep")
     sw.add_argument("--config", required=True)
@@ -623,20 +629,17 @@ def build_parser() -> argparse.ArgumentParser:
     wt.add_argument("--dump-dir", default=None)
 
     vf = sub.add_parser("verify")
-    vf.add_argument("--suite", default="all")
+    vf.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     vf.add_argument("--seed", type=int, default=0)
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS
     try:
-        if args.command == "region":
-            args.subcommand = "region"
         if args.command in ("exponents", "region"):
             return cmd_exponents(args)
         if args.command == "sweep":
@@ -646,10 +649,7 @@ def main(argv=None) -> int:
             return cmd_sweep(cfg, check_only=args.check)
         if args.command == "witness":
             return cmd_witness(args)
-        if args.command == "verify":
-            return cmd_verify(args.suite, args.seed)
-        ap.print_usage(sys.stderr)
-        return EXIT_USAGE
+        return cmd_verify(args.suite, args.seed)
     except (TubelabError, MemoryError) as exc:
         code = getattr(exc, "exit_code", EXIT_RESOURCE)  # MemoryError: resource
         kind = "resource error" if code == EXIT_RESOURCE else "error"

@@ -281,11 +281,14 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         raise ExtensionError(f"grid_refine must be an integer >= 1, got {grid_refine!r}")
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
+    lo, hi = domain.bounding_box()
+    n = len(lo)
+    if any(c.dim != n - 1 for c in caps):
+        raise ExtensionError(f"caps of extension dimension {[c.dim + 1 for c in caps]} "
+                             f"over a {n}-D domain")
     denom = math.prod(c.norm_lp(p) for c in caps)
     if denom == 0:
         raise ExtensionError("zero denominator: ||f||_p ||g||_p = 0")
-    lo, hi = domain.bounding_box()
-    n = len(lo)
     x_axes = [_axis_cover(lo[a], hi[a], DOMAIN_SPACING) for a in range(n - 1)]
     xn_axis = _axis_cover(lo[n - 1], hi[n - 1], DOMAIN_SPACING)
     sizes = [len(a) for a in x_axes]

@@ -95,6 +95,8 @@ class Box:
     hi: tuple
 
     def __post_init__(self):
+        if len(self.lo) != len(self.hi):
+            raise FieldError(f"box bounds of lengths {len(self.lo)} and {len(self.hi)}")
         _check_bounds([*self.lo, *self.hi])
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -228,6 +230,9 @@ class GridFunction:
         self.samples = np.asarray(self.samples)
         if self.samples.shape != tuple(self.dims):
             raise FieldError(f"samples shape {self.samples.shape} != dims {self.dims}")
+        if not len(self.origin) == len(self.spacing) == len(self.dims):
+            raise FieldError(f"origin {self.origin} and spacing {self.spacing} "
+                             f"must have one entry per axis of dims {self.dims}")
         if any(s <= 0 for s in self.spacing):
             raise FieldError("spacing must be positive")
 
@@ -304,6 +309,8 @@ def lp_norm(u: GridFunction, p: float, domain=None) -> float:
     """
     vals = np.abs(u.samples).reshape(-1)
     if domain is not None:
+        if len(domain.bounding_box()[0]) != u.ndim:
+            raise FieldError(f"domain {domain} does not have the grid's {u.ndim} axes")
         mask = domain.contains(u.centers())
         if not np.any(mask):
             raise FieldError("domain does not intersect the grid")

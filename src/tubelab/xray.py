@@ -55,19 +55,6 @@ class XrayField:
         return {"delta": float(self.delta), "values": self.values.to_json()}
 
 
-@dataclass
-class KakeyaRatio:
-    p: float
-    q: float
-    delta: float
-    value: float
-    bilinear: bool
-
-    def __post_init__(self):
-        if self.value < 0:
-            raise XrayError("ratio must be nonnegative")
-
-
 def _check_spacing(spacing, delta):
     if not 0 < min(spacing) <= max(spacing) <= delta / 4 + 1e-12:
         raise XrayError(
@@ -232,7 +219,7 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
     return {s: acc.norm(s, cellvol) for s in [*acc.sums, np.inf]}
 
 
-def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> KakeyaRatio:
+def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> float:
     """|| Xf ||_{L^q_omega L^inf_i} / (delta^{1 - n/p} ||f||_p); q and f
     are checked before the transform runs."""
     check_exponent(q)
@@ -243,7 +230,7 @@ def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> Kake
     xf = xray_transform(f, net)
     num = mixed_norm(xf.values, q, SUP_I)
     denom = net.delta ** (1.0 - f.ndim / p) * denom_f
-    return KakeyaRatio(p=p, q=q, delta=net.delta, value=num / denom, bilinear=False)
+    return num / denom
 
 
 def _check_pair(F: XrayField, G: XrayField):
@@ -275,9 +262,7 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
             raise XrayError("zero denominator")
         denoms[(p, q)] = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
     norms = _adjoint_product_norms(F, G, acc, spacing)
-    return [KakeyaRatio(p=p, q=q, delta=delta,
-                        value=norms[exps[(p, q)]] / denoms[(p, q)], bilinear=True)
-            for p, q in pairs]
+    return [norms[exps[(p, q)]] / denoms[(p, q)] for p, q in pairs]
 
 
 @dataclass
@@ -380,7 +365,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
     return F, G, functools.partial(PREDICTED_EXPONENTS[kind], n)
 
 
-def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> KakeyaRatio:
+def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
     """Tube-maximal ratio for the delta-ball input, the sharpness witness
     for the delta^{1 - n/p} normalization."""
     from .geometry import build_net
@@ -420,6 +405,6 @@ def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas):
             F, G, _pred = kakeya_witness(kind, n, delta)
             ratios = bilinear_kakeya_ratios(F, G, pairs)
         for pq, ratio in zip(pairs, ratios):
-            rows[pq].append((delta, ratio.value))
+            rows[pq].append((delta, ratio))
     preds = {(p, q): PREDICTED_EXPONENTS[kind](n, p, q) for p, q in pairs}
     return rows, preds

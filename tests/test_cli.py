@@ -2,6 +2,8 @@ import contextlib
 import io
 import json
 import os
+import pathlib
+import shlex
 import tempfile
 
 import numpy as np
@@ -200,8 +202,15 @@ def test_sweep_input_errors_exit_usage(tmp_path, capsys, body, message):
     ["verify", "--suite", "lemmas", "--tolerance", "0.2"],
     ["witness", "--family", "c1-squashed", "--n", "2", "--scale", "0.25",
      "--seed", "5"],
+    ["exponents", "x-imply", "--n", "4", "--p", "170/77", "--q", "34/9"],
+    ["exponents", "table1", "--n", "7"],
+    ["exponents", "sharp-line", "--n", "3", "--p", "5", "--q", "4"],
+    ["exponents", "bootstrap", "--steps", "-3"],
+    ["exponents", "lemma-alpha", "--n", "3", "--p", "5/2", "--q", "10/3"],
 ], ids=["seed-before-verify", "config-before-sweep", "exponents-sweep-flags",
-        "verify-tolerance", "witness-seed"])
+        "verify-tolerance", "witness-seed", "x-imply-n", "table1-n",
+        "sharp-line-p", "bootstrap-steps-without-alpha",
+        "lemma-alpha-without-alpha"])
 def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
     cfgp = sweep_config(tmp_path, tmp_path / "never-written")
     code = cli.main([a.format(cfg=cfgp, missing=tmp_path / "missing")
@@ -209,6 +218,42 @@ def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE and captured.out == ""
     assert not (tmp_path / "never-written").exists()
+
+
+_EVERY_EXPONENT_FLAG = sorted({flag for flags in cli.EXPONENT_FLAGS.values()
+                               for flag in flags})
+# own flags that make a subcommand run where its defaults are refused
+_RUNNABLE = {"lemma-alpha": ["--alpha", "3/80"], "sharp-line": ["--q", "4"],
+             "x-imply": ["--q", "3"]}
+
+
+@pytest.mark.parametrize("command", [["exponents", sub] for sub in cli.EXPONENT_FLAGS]
+                         + [["region"]], ids=" ".join)
+def test_foreign_exponent_flags_exit_usage(capsys, command):
+    """Each exponents subcommand, and region, runs with its own flags alone
+    and stops at the parser (exit 2, usage on stderr, nothing on stdout) on
+    any flag that only another subcommand declares."""
+    argv = command + _RUNNABLE.get(command[-1], [])
+    assert cli.main(argv) == cli.EXIT_PASS
+    capsys.readouterr()
+    own = cli.EXPONENT_FLAGS[command[-1]]
+    for flag in (f for f in _EVERY_EXPONENT_FLAG if f not in own):
+        code = cli.main(argv + ["--" + flag, "1"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (cli.EXIT_USAGE, ""), flag
+        assert captured.err.startswith("usage: "), flag
+
+
+def test_readme_usage_lines_exit_zero(capsys):
+    """Every exponents, region and witness line of the README's CLI usage
+    block runs and exits 0, and the block shows every exponents subcommand."""
+    readme = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+    block = readme.read_text(encoding="utf-8").split("## CLI", 1)[1].split("```")[1]
+    runs = [shlex.split(line)[1:] for line in block.splitlines()
+            if line.startswith(("tubelab exponents ", "tubelab region ",
+                                "tubelab witness "))]
+    assert {argv[1] for argv in runs if argv[0] == "exponents"} == set(cli.EXPONENT_FLAGS)
+    assert [argv for argv in runs if cli.main(argv) != cli.EXIT_PASS] == []
 
 
 def test_verify_reads_its_seed(capsys, monkeypatch):
@@ -589,9 +634,6 @@ _FUZZ_KINDS = st.sampled_from([
     exponents.BILINEAR_RESTRICTION, exponents.KAKEYA_BILINEAR_REGION,
     "restriction", "bilinear-restriction", "kakeya-bilinear", "nonsense", ""])
 _FUZZ_DIMS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "x"])
-_EXPONENT_SUBCOMMANDS = ["lemma-alpha", "bootstrap", "region", "sharp-line",
-                         "interpolate", "x-imply", "modest", "table1",
-                         "whitney-check", "nonsense"]
 _EXPONENT_OPTIONS = {
     "--n": _FUZZ_DIMS,
     "--steps": st.sampled_from(["-3", "0", "5", "40", "x"]),
@@ -617,12 +659,19 @@ def _options(pool: dict):
         lambda keys: st.fixed_dictionaries({k: pool[k] for k in keys}))
 
 
+def _exponent_argv(command: list, sub: str):
+    """command followed by a random subset of sub's own flags (none for an
+    unknown sub), so that most draws get past the parser."""
+    own = {"--" + flag: _EXPONENT_OPTIONS["--" + flag]
+           for flag in cli.EXPONENT_FLAGS.get(sub, ())}
+    return (_options(own) if own else st.just({})).map(
+        lambda o: command + [x for kv in o.items() for x in kv])
+
+
 _NON_SWEEP_ARGV = st.one_of(
-    st.tuples(st.sampled_from(_EXPONENT_SUBCOMMANDS),
-              _options(_EXPONENT_OPTIONS)).map(
-        lambda t: ["exponents", t[0]] + [x for kv in t[1].items() for x in kv]),
-    _options({"--kind": _FUZZ_KINDS, "--n": _FUZZ_DIMS}).map(
-        lambda o: ["region"] + [x for kv in o.items() for x in kv]),
+    st.sampled_from([*cli.EXPONENT_FLAGS, "nonsense"]).flatmap(
+        lambda sub: _exponent_argv(["exponents", sub], sub)),
+    _exponent_argv(["region"], "region"),
     st.tuples(st.sampled_from(["knapp-classic", "c1-squashed"]), _FUZZ_DIMS,
               _FUZZ_SCALES, _options({"--box-constant": _FUZZ_BOX_CONSTANTS})).map(
         lambda t: ["witness", "--family", t[0], "--n", t[1], "--scale", t[2]]

@@ -323,3 +323,44 @@ def test_lp_entry_points_refuse_exponents_outside_domain(case):
 
     with pytest.raises((fields.FieldError, LemmaError)):
         case[1]()
+
+
+def _cap(dim):
+    from tubelab.extension import CapFunction
+    return CapFunction((-0.5,) * dim, (0.5,) * dim)
+
+
+def _ratio(f, g, domain):
+    from tubelab.extension import domain_norm_ratio
+    from tubelab.geometry import quadratic_phase
+    return domain_norm_ratio(f, g, quadratic_phase(f.dim), 2, 2, domain)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: fields.lp_norm(unit_box_function(m=8), 2, fields.Box((0,), (1,))),
+    lambda: fields.lp_norm(unit_box_function(m=8), 2, fields.Ball((0,), 0.5)),
+    lambda: fields.lp_norm(unit_box_function(m=8), 2, fields.CylinderDomain(
+        (0, 1), (0, 0), 0.5, (0,), (1,))),
+    lambda: fields.lp_norm(unit_box_function(m=8), 2, fields.Ball((0, 0, 0), 0.5)),
+    lambda: fields.lp_norm(unit_box_function(m=8), 2,
+                           fields.Box((0, 0, 0), (1, 1, 1))),
+    lambda: _ratio(_cap(2), None, fields.Ball((0, 0), 4.0)),
+    lambda: _ratio(_cap(2), None, fields.Box((0, 0), (1, 1))),
+    lambda: _ratio(_cap(2), _cap(1), fields.Ball((0, 0, 0), 1.0)),
+    lambda: fields.Box((0, 0), (1,)),
+    lambda: fields.GridFunction((4, 4), (0.0,), (1.0,), np.zeros((4, 4))),
+    lambda: fields.GridFunction((4, 4), (0.0, 0.0), (1.0,), np.zeros((4, 4))),
+    lambda: fields.GridFunction.from_binary(
+        np.zeros(32).tobytes(), {"dims": [4, 4], "origin": [0.0], "spacing": [1.0]}),
+], ids=["lp-1d-box-on-2d-grid", "lp-1d-ball-on-2d-grid", "lp-3d-cylinder-on-2d-grid",
+        "lp-3d-ball-on-2d-grid", "lp-3d-box-on-2d-grid", "ratio-3d-cap-2d-ball",
+        "ratio-3d-cap-2d-box", "ratio-caps-of-two-dims", "box-bounds-of-two-lengths",
+        "grid-origin-short", "grid-spacing-short", "grid-from-binary-sidecar"])
+def test_dimensions_must_agree(call):
+    """A domain, cap pair or grid whose parts have different dimensions is
+    refused with a library error (exit code 2), never broadcast or answered."""
+    from tubelab.extension import ExtensionError
+
+    with pytest.raises((fields.FieldError, ExtensionError)) as err:
+        call()
+    assert err.value.exit_code == 2
