@@ -196,7 +196,7 @@ def _frac_str(x: Fraction) -> str:
 #: exponents subcommand -> the flags its branch of cmd_exponents reads (and
 #: so the only flags its parser accepts); `tubelab region` takes "region"'s
 EXPONENT_FLAGS = {
-    "lemma-alpha": ("n", "p", "q", "alpha"),  # --alpha required
+    "lemma-alpha": ("n", "p", "q", "alpha"),
     "bootstrap": ("alpha", "steps"),
     "region": ("kind", "n"),
     "sharp-line": ("n", "q"),
@@ -207,6 +207,9 @@ EXPONENT_FLAGS = {
     "whitney-check": ("n", "p", "p-tilde", "q"),
 }
 
+#: (subcommand, flag) pairs with no default: the subcommand refuses any default
+_REQUIRED_FLAGS = {("lemma-alpha", "alpha"), ("sharp-line", "q"), ("x-imply", "q")}
+
 #: flag -> argparse keywords; an unlisted flag is a rational defaulting to 2
 _FLAG_SPECS = {"n": {"type": int, "default": 3}, "steps": {"type": int},
                "alpha": {}, "kind": {}, "theta": {"default": "1/2"}}
@@ -214,8 +217,9 @@ _FLAG_SPECS = {"n": {"type": int, "default": 3}, "steps": {"type": int},
 
 def _add_exponent_flags(parser, sub: str):
     for flag in EXPONENT_FLAGS[sub]:
-        parser.add_argument("--" + flag, required=(sub, flag) == ("lemma-alpha", "alpha"),
-                            **_FLAG_SPECS.get(flag, {"default": "2"}))
+        required = (sub, flag) in _REQUIRED_FLAGS
+        spec = {} if required else _FLAG_SPECS.get(flag, {"default": "2"})
+        parser.add_argument("--" + flag, required=required, **spec)
 
 
 def cmd_exponents(args) -> int:
@@ -603,24 +607,26 @@ def cmd_verify(suite: str, seed: int) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(prog="tubelab")
+    # allow_abbrev=False on every parser: a prefix of a flag is not the flag
+    ap = argparse.ArgumentParser(prog="tubelab", allow_abbrev=False)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    ex = sub.add_parser("exponents").add_subparsers(dest="subcommand", required=True)
+    ex = sub.add_parser("exponents", allow_abbrev=False).add_subparsers(
+        dest="subcommand", required=True)
     for name in EXPONENT_FLAGS:
-        _add_exponent_flags(ex.add_parser(name), name)
-    rg = sub.add_parser("region")
+        _add_exponent_flags(ex.add_parser(name, allow_abbrev=False), name)
+    rg = sub.add_parser("region", allow_abbrev=False)
     _add_exponent_flags(rg, "region")
     rg.set_defaults(subcommand="region")
 
-    sw = sub.add_parser("sweep")
+    sw = sub.add_parser("sweep", allow_abbrev=False)
     sw.add_argument("--config", required=True)
     sw.add_argument("--output-dir", default=None)
     sw.add_argument("--seed", type=int, default=None)
     sw.add_argument("--tolerance", type=float, default=None)
     sw.add_argument("--check", action="store_true")
 
-    wt = sub.add_parser("witness")
+    wt = sub.add_parser("witness", allow_abbrev=False)
     wt.add_argument("--family", required=True)
     wt.add_argument("--n", type=int, default=3)
     wt.add_argument("--scale", type=float, required=True)
@@ -628,7 +634,7 @@ def build_parser() -> argparse.ArgumentParser:
                     default=witnesses.DEFAULT_BOX_CONSTANT)
     wt.add_argument("--dump-dir", default=None)
 
-    vf = sub.add_parser("verify")
+    vf = sub.add_parser("verify", allow_abbrev=False)
     vf.add_argument("--suite", default="all", choices=[*SUITES, "all"])
     vf.add_argument("--seed", type=int, default=0)
     return ap

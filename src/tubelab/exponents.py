@@ -286,10 +286,14 @@ def bootstrap_fixed_point() -> Fraction:
     return Fraction(3, 20)
 
 
+#: most bootstrap steps (denominators grow as 5^k, printed digits as steps^2)
+MAX_BOOTSTRAP_STEPS = 1000
+
+
 def bootstrap_iterate(alpha0: Fraction, steps: int) -> list:
     """Iterates of bootstrap_map starting from alpha0 (list of length steps+1)."""
-    if steps < 0:
-        raise ExponentDomainError(f"need steps >= 0, got steps = {steps}")
+    if not 0 <= steps <= MAX_BOOTSTRAP_STEPS:
+        raise ExponentDomainError(f"need 0 <= steps <= {MAX_BOOTSTRAP_STEPS}, got {steps}")
     out = [Fraction(alpha0)]
     for _ in range(steps):
         out.append(bootstrap_map(out[-1]))

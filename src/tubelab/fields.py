@@ -3,14 +3,13 @@ balls, and the mixed direction/base norms used by the tube transforms.
 
 Samples live at cell centers; the integral of u is sum(u) * cell_measure.
 A domain selects the cells whose centers it contains (no partial-cell
-weighting; refinement control is resample_check's job).
+weighting).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -44,7 +43,10 @@ class LpAccumulator:
 
     def add_rows(self, scale, rows, pick, lo, hi) -> "LpAccumulator":
         """add() of the runs scale[k] * rows[pick[k], lo[k]:hi[k]]: the sums
-        from prefix sums of rows^s, the sup from one range max per run."""
+        from prefix sums of rows^s, the sup from one range max per run.  A run
+        sum is a difference of prefix sums, so its relative error is about
+        1e-16 times the row's sum of v^s up to the run's end over the run's
+        own: rows [[1e20, 1, 1]] give the run [1, 3) the sum 1.0 at s = 1."""
         keep = lo < hi
         scale, flat, width = scale[keep], rows.reshape(-1), rows.shape[1]
         first, last = pick[keep] * width + lo[keep], pick[keep] * width + hi[keep] - 1
@@ -224,7 +226,6 @@ class GridFunction:
     origin: tuple
     spacing: tuple
     samples: np.ndarray
-    generator: Optional[Callable] = None  # point sampler, for refinement
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
@@ -252,20 +253,6 @@ class GridFunction:
         axes = [self.axis_centers(a) for a in range(self.ndim)]
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack(mesh, axis=-1).reshape(-1, self.ndim)
-
-    def refine(self, factor: int = 2) -> "GridFunction":
-        if self.generator is None:
-            raise FieldError("refinement needs a generator")
-        dims = tuple(d * factor for d in self.dims)
-        spacing = tuple(s / factor for s in self.spacing)
-        origin = tuple(
-            o - s / 2 + sp / 2 for o, s, sp in zip(self.origin, self.spacing, spacing)
-        )
-        g = GridFunction(dims, origin, spacing,
-                         np.zeros(dims, dtype=self.samples.dtype),
-                         generator=self.generator)
-        g.samples = np.asarray(self.generator(g.centers())).reshape(dims)
-        return g
 
     def to_binary(self):
         """(bytes, sidecar dict): little-endian f64 (re, im) pairs + metadata."""
@@ -296,42 +283,14 @@ def grid_from_sampler(sampler, lo, hi, dims) -> GridFunction:
     dims = tuple(int(d) for d in np.atleast_1d(dims))
     spacing = tuple((h - l) / d for l, h, d in zip(lo, hi, dims))
     origin = tuple(l + s / 2 for l, s in zip(lo, spacing))
-    g = GridFunction(dims, origin, spacing, np.zeros(dims, dtype=complex),
-                     generator=sampler)
+    g = GridFunction(dims, origin, spacing, np.zeros(dims, dtype=complex))
     g.samples = np.asarray(sampler(g.centers())).reshape(dims)
     return g
 
 
-def lp_norm(u: GridFunction, p: float, domain=None) -> float:
-    """(sum |u|^p cell_measure)^{1/p} over cells with centers in the domain.
-
-    p = inf takes the max; p < 1 uses the same formula (a quasi-norm).
-    """
-    vals = np.abs(u.samples).reshape(-1)
-    if domain is not None:
-        if len(domain.bounding_box()[0]) != u.ndim:
-            raise FieldError(f"domain {domain} does not have the grid's {u.ndim} axes")
-        mask = domain.contains(u.centers())
-        if not np.any(mask):
-            raise FieldError("domain does not intersect the grid")
-        vals = vals[mask]
-    return lp(vals, p, u.cell_measure)
-
-
-#: refusal threshold for refinement allocations
-_MAX_REFINE_CELLS = 1 << 26
-
-
-def resample_check(u: GridFunction, p: float, domain=None, factor: int = 2):
-    """Norm at spacing h and h/factor; callers bound the relative change."""
-    needed = int(np.prod(u.dims)) * factor ** u.ndim
-    if needed > _MAX_REFINE_CELLS:
-        raise FieldError(
-            f"refinement needs {needed} cells, above the {_MAX_REFINE_CELLS} limit"
-        )
-    coarse = lp_norm(u, p, domain)
-    fine = lp_norm(u.refine(factor), p, domain)
-    return coarse, fine
+def lp_norm(u: GridFunction, p: float) -> float:
+    """(sum |u|^p cell_measure)^{1/p}: the max at p = inf, a quasi-norm at p < 1."""
+    return lp(np.abs(u.samples).reshape(-1), p, u.cell_measure)
 
 
 # ---------------------------------------------------------------------------
@@ -396,14 +355,6 @@ class NetFunction:
         sup = np.zeros(len(self.net.points))
         np.maximum.at(sup, self.omega, self.values)
         return present, sup[present]
-
-    def to_json(self) -> list:
-        return [list(entry) for entry in zip(
-            self.omega.tolist(), self.base.tolist(), self.values.tolist())]
-
-    @classmethod
-    def from_json(cls, net: DirectionNet, items) -> "NetFunction":
-        return cls(net, {(w, i): v for w, i, v in items})
 
 
 def mixed_norm(g: NetFunction, outer_q: float, inner: str = SUP_I) -> float:

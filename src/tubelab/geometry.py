@@ -378,16 +378,6 @@ class DirectionNet:
         d = np.linalg.norm(self.points - np.asarray(x, dtype=float), axis=1)
         return int(np.argmin(d))
 
-    def to_json(self) -> dict:
-        fmt = lambda v: float(f"{v:.17g}")
-        return {
-            "delta": fmt(self.delta),
-            "separation": fmt(self.separation),
-            "points": [[fmt(c) for c in p] for p in self.points],
-            "e1_indices": self.e1_indices.tolist(),
-            "e2_indices": self.e2_indices.tolist(),
-        }
-
 
 def build_net(n: int, delta: float) -> DirectionNet:
     """Lattice net delta Z^{n-1} cap Q, with E1/E2 the net points inside the
@@ -447,22 +437,6 @@ class Tube:
             dev = (pts[:, a] - yn * w) - i
             d2 = d2 + dev * dev
         return (np.abs(yn) <= 1.0) & (d2 <= self.delta**2)
-
-    def bounding_box(self):
-        """Axis-aligned box containing the tube."""
-        omega = np.asarray(self.direction_omega)
-        base = np.asarray(self.base_i)
-        lo = base - np.abs(omega) - self.delta
-        hi = base + np.abs(omega) + self.delta
-        return np.append(lo, -1.0), np.append(hi, 1.0)
-
-    def to_json(self) -> dict:
-        fmt = lambda v: float(f"{v:.17g}")
-        return {
-            "omega": [fmt(v) for v in self.direction_omega],
-            "base": [fmt(v) for v in self.base_i],
-            "delta": fmt(self.delta),
-        }
 
 
 def tube_volume(t: Tube, n: int) -> float:

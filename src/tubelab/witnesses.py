@@ -272,17 +272,15 @@ def build_witness(kind: str, n: int, scale: float,
 
 
 def witness_ratio(kind: str, n: int, scale: float, p: float, q: float,
-                  grid_n: int = 16, grid_refine: int = 1,
+                  grid_n: int = 16,
                   box_constant: float = DEFAULT_BOX_CONSTANT) -> float:
     """The localized product-norm ratio of a witness at one scale.
 
     grid_n floors the quadrature nodes per support axis; the oscillation
-    guard raises it further where needed.  grid_refine scales all counts,
-    for quadrature-independence checks."""
+    guard raises it further where needed."""
     f, g, box = build_witness(kind, n, scale, box_constant=box_constant)
     phi = quadratic_phase(n - 1)
-    ratio, _stats = domain_norm_ratio(f, g, phi, p, q, box,
-                                      min_nodes=grid_n, grid_refine=grid_refine)
+    ratio, _stats = domain_norm_ratio(f, g, phi, p, q, box, min_nodes=grid_n)
     return ratio
 
 
@@ -295,14 +293,12 @@ def trace_caps(n: int, R: float) -> Tuple[CapFunction, CapFunction]:
 
 
 def run_sweep(kind: str, n: int, p: float, q: float, scales, grid_n: int = 16,
-              grid_refine: int = 1,
               box_constant: float = DEFAULT_BOX_CONSTANT):
     """Witness ratios across at least three dyadically spaced scales, for
     any family in FAMILIES, plus their fit (fit_sweep).
 
     Returns (fit, rows) where rows are (scale, ratio) in the family's scale
-    variable.  grid_n, grid_refine and box_constant apply to the cap
-    families only."""
+    variable.  grid_n and box_constant apply to the cap families only."""
     fam = _family(kind)
     scales = sorted(float(s) for s in scales)
     if len(scales) < 3:
@@ -311,10 +307,9 @@ def run_sweep(kind: str, n: int, p: float, q: float, scales, grid_n: int = 16,
         if not math.isclose(b / a, 2.0, rel_tol=1e-9):
             raise WitnessError("scales must be dyadically spaced")
     if fam.tubes:
-        rows, _predicted = xray.run_kakeya_sweep(kind, n, p, q, scales)
+        rows = xray.run_kakeya_sweep(kind, n, p, q, scales)
     else:
         rows = [(s, witness_ratio(kind, n, s, p, q, grid_n=grid_n,
-                                  grid_refine=grid_refine,
                                   box_constant=box_constant))
                 for s in scales]
     return fit_sweep(kind, rows), rows

@@ -15,7 +15,6 @@ delta/4 resolves the delta-wide cross-section by at least four cells.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,9 +49,6 @@ class XrayField:
     def norm_l1l1(self) -> float:
         """L^1_omega L^1_i with the normalized direction measure, summed in order."""
         return self.net.delta**self.net.dim * sum(self.values.values.tolist())
-
-    def to_json(self) -> dict:
-        return {"delta": float(self.delta), "values": self.values.to_json()}
 
 
 def _check_spacing(spacing, delta):
@@ -305,40 +301,30 @@ def prop111_constant(F: XrayField, G: XrayField,
 
 K0_DELTAS = "k0-deltas"
 K1_SLAB = "k1-slab"
-BUSH = "bush"
 DELTA_BALL = "delta-ball"
 
 #: grid cells per delta across the delta-ball input
 BALL_RESOLUTION = 8
 
 
-def _bush_exponent(n: int, p: float, q: float) -> float:
-    return 2.0 * n / p - 2.0
-
-
 #: kind -> predicted(n, p, q): the delta-exponent the configuration's ratio
 #: should follow, >= 0 exactly when the corresponding feasibility condition
 #: holds.  The delta-ball saturates the delta^{1 - n/p} normalization.
 PREDICTED_EXPONENTS = {
-    K0_DELTAS: _bush_exponent,
+    K0_DELTAS: lambda n, p, q: 2.0 * n / p - 2.0,
     K1_SLAB: lambda n, p, q: 2.0 * ((n - 2) / q + 2.0 / p - 1.0),
-    BUSH: _bush_exponent,
     DELTA_BALL: lambda n, p, q: 0.0,
 }
 
 
 def kakeya_witness(kind: str, n: int, delta: float):
-    """The necessity configurations: point-base direction bushes (k0, F at
-    the origin and G at the net point nearest the apex -3/4 e_1),
-    coplanar-direction slabs (k1), and the diagnostic bush.
-
-    Returns (F, G, predicted) where predicted(p, q) is the kind's entry of
-    PREDICTED_EXPONENTS at this n.
-    """
+    """The fields (F, G) of a necessity configuration: point-base direction
+    bushes (k0, F at the origin and G at the net point nearest the apex
+    -3/4 e_1) or coplanar-direction slabs (k1).  The kind's exponent is its
+    PREDICTED_EXPONENTS entry."""
     from .geometry import build_net
 
     net = build_net(n, delta)
-    origin_idx = net.nearest_index(np.zeros(net.dim))
 
     def field_from(omega_indices, base_idx):
         return XrayField(net, delta, NetFunction(
@@ -348,7 +334,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
         # bushes crossing at height 3/4: the tubes from the origin along
         # -e_1/2 and from the analytic apex -3/4 e_1 along +e_1/2 meet there
         apex = net.nearest_index([-0.75] + [0.0] * (net.dim - 1))
-        F = field_from(net.e1_indices, origin_idx)
+        F = field_from(net.e1_indices, net.nearest_index(np.zeros(net.dim)))
         G = field_from(net.e2_indices, apex)
     elif kind == K1_SLAB:
         in_slab = np.all(np.abs(net.points[:, 1:]) <= delta + 1e-12, axis=1)
@@ -357,12 +343,9 @@ def kakeya_witness(kind: str, n: int, delta: float):
         rest = [0.0] * (net.dim - 1)
         F = field_from(e1, net.nearest_index([+0.5] + rest))
         G = field_from(e2, net.nearest_index([-0.5] + rest))
-    elif kind == BUSH:
-        F = field_from(net.e1_indices, origin_idx)
-        G = field_from(net.e2_indices, origin_idx)
     else:
         raise XrayError(f"unknown witness kind {kind!r}")
-    return F, G, functools.partial(PREDICTED_EXPONENTS[kind], n)
+    return F, G
 
 
 def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
@@ -384,10 +367,10 @@ def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
 
 
 def run_kakeya_sweep(kind: str, n: int, p: float, q: float, deltas):
-    """Ratio observations across delta for a witness family, with the
-    predicted exponent; fitting is left to the caller (see witnesses)."""
-    rows, preds = run_kakeya_sweep_multi(kind, n, [(p, q)], deltas)
-    return rows[(p, q)], preds[(p, q)]
+    """The (delta, ratio) rows of a witness family across delta; the fit
+    against PREDICTED_EXPONENTS[kind] is left to the caller (see witnesses)."""
+    rows, _preds = run_kakeya_sweep_multi(kind, n, [(p, q)], deltas)
+    return rows[(p, q)]
 
 
 def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas):
@@ -402,7 +385,7 @@ def run_kakeya_sweep_multi(kind: str, n: int, pq_pairs, deltas):
         if kind == DELTA_BALL:
             ratios = [delta_ball_ratio(n, p, q, delta) for p, q in pairs]
         else:
-            F, G, _pred = kakeya_witness(kind, n, delta)
+            F, G = kakeya_witness(kind, n, delta)
             ratios = bilinear_kakeya_ratios(F, G, pairs)
         for pq, ratio in zip(pairs, ratios):
             rows[pq].append((delta, ratio))

@@ -93,7 +93,7 @@ def test_criterion_2_cordoba_geometry():
 
 def test_criterion_3_kakeya_sharpness():
     deltas = (1 / 8, 1 / 16, 1 / 32, 1 / 64)
-    pts, _pred = xray.run_kakeya_sweep(xray.DELTA_BALL, 3, 5 / 2, 10 / 3, deltas)
+    pts = xray.run_kakeya_sweep(xray.DELTA_BALL, 3, 5 / 2, 10 / 3, deltas)
     vals = [v for _d, v in pts]
     factor = max(vals) / min(vals)
     slope = wit.fit_power_law(pts).slope

@@ -207,10 +207,18 @@ def test_sweep_input_errors_exit_usage(tmp_path, capsys, body, message):
     ["exponents", "sharp-line", "--n", "3", "--p", "5", "--q", "4"],
     ["exponents", "bootstrap", "--steps", "-3"],
     ["exponents", "lemma-alpha", "--n", "3", "--p", "5/2", "--q", "10/3"],
+    ["exponents", "sharp-line", "--n", "3"],
+    ["exponents", "x-imply", "--p", "5/2"],
+    ["exponents", "bootstrap", "--alph", "1", "--s", "3"],
+    ["exponents", "whitney-check", "--p-t", "199/100"],
+    ["witness", "--family", "knapp-classic", "--n", "2", "--scale", "0.25",
+     "--box", "2"],
 ], ids=["seed-before-verify", "config-before-sweep", "exponents-sweep-flags",
         "verify-tolerance", "witness-seed", "x-imply-n", "table1-n",
         "sharp-line-p", "bootstrap-steps-without-alpha",
-        "lemma-alpha-without-alpha"])
+        "lemma-alpha-without-alpha", "sharp-line-without-q", "x-imply-without-q",
+        "bootstrap-flag-prefixes", "whitney-check-flag-prefix",
+        "witness-flag-prefix"])
 def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
     cfgp = sweep_config(tmp_path, tmp_path / "never-written")
     code = cli.main([a.format(cfg=cfgp, missing=tmp_path / "missing")
@@ -218,6 +226,24 @@ def test_flags_only_where_they_are_read(tmp_path, capsys, argv):
     captured = capsys.readouterr()
     assert code == cli.EXIT_USAGE and captured.out == ""
     assert not (tmp_path / "never-written").exists()
+
+
+@pytest.mark.parametrize("sub, flag", [("lemma-alpha", "alpha"), ("sharp-line", "q"),
+                                       ("x-imply", "q")])
+def test_a_missing_required_flag_is_named(capsys, sub, flag):
+    assert cli.main(["exponents", sub]) == cli.EXIT_USAGE
+    assert f"required: --{flag}" in capsys.readouterr().err
+
+
+def test_bootstrap_steps_are_capped(capsys):
+    cap = exponents.MAX_BOOTSTRAP_STEPS
+    argv = ["exponents", "bootstrap", "--alpha", "1", "--steps"]
+    code, out = run_cli(capsys, *argv, str(cap))
+    assert code == cli.EXIT_PASS and len(out["iterates"]) == cap + 1
+    code = cli.main(argv + [str(cap + 1)])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_USAGE and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
 
 
 _EVERY_EXPONENT_FLAG = sorted({flag for flags in cli.EXPONENT_FLAGS.values()

@@ -174,8 +174,6 @@ def test_node_floors_and_refinements_must_be_integers_from_one(bad):
         lambda: ext.required_grid_counts(f, PHI3, [[0, 0, 1]], min_nodes=bad),
         lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
                                         grid_n=bad),
-        lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
-                                        grid_refine=bad),
     ]
     for call in calls:
         with pytest.raises(ext.ExtensionError, match="must be an integer >= 1") as err:
@@ -318,7 +316,7 @@ def test_trace_growth_and_flat_l2():
     assert abs(fit.slope) <= 0.1
 
 
-def annulus_function(n, R, support_lo, support_hi, phi, m=48, thickness=1.0):
+def annulus_sampler(R, support_lo, support_hi, phi, thickness=1.0):
     def sampler(P):
         x_, xn = P[:, :-1], P[:, -1]
         ok = np.all((x_ >= np.asarray(support_lo)) & (x_ <= np.asarray(support_hi)),
@@ -326,16 +324,22 @@ def annulus_function(n, R, support_lo, support_hi, phi, m=48, thickness=1.0):
         ok &= np.abs(xn - phi(x_)) <= thickness / R
         return ok.astype(complex)
 
+    return sampler
+
+
+def annulus_function(n, R, support_lo, support_hi, phi, m=48, thickness=1.0):
     lo = list(support_lo) + [-0.1]
     hi = list(support_hi) + [0.7]
     dims = [m] * (n - 1) + [m]
-    return grid_from_sampler(sampler, lo, hi, dims)
+    return grid_from_sampler(annulus_sampler(R, support_lo, support_hi, phi, thickness),
+                             lo, hi, dims)
 
 
 def weighted_annulus_function(n, R, support_lo, support_hi, phi):
     """indicator x (1 + 0.3i cos 5 x_1): a complex-weighted annulus input."""
     u = annulus_function(n, R, support_lo, support_hi, phi)
-    return grid_from_sampler(lambda P: u.generator(P) * (1 + 0.3j * np.cos(5 * P[:, 0])),
+    sampler = annulus_sampler(R, support_lo, support_hi, phi)
+    return grid_from_sampler(lambda P: sampler(P) * (1 + 0.3j * np.cos(5 * P[:, 0])),
                              list(support_lo) + [-0.1], list(support_hi) + [0.7],
                              list(u.dims))
 
@@ -381,7 +385,8 @@ def test_annulus_ratio_scaling_and_homogeneity():
     f = annulus_function(2, R, [-0.75], [-0.25], PHI2)
     g = annulus_function(2, R, [0.25], [0.75], PHI2)
     base = ext.annulus_ratio(f, g, 2, R)
-    f3 = grid_from_sampler(lambda P: 3 * f.generator(P),
+    sampler = annulus_sampler(R, [-0.75], [-0.25], PHI2)
+    f3 = grid_from_sampler(lambda P: 3 * sampler(P),
                            [-0.75, -0.1], [-0.25, 0.7], list(f.dims))
     assert ext.annulus_ratio(f3, g, 2, R) == pytest.approx(base, rel=1e-9)
 

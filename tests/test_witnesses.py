@@ -75,6 +75,14 @@ def test_predicted_exponents_at_key_points():
         wit.predicted_exponent("nonsense", 3, 2, 2)
 
 
+def test_one_table_of_tube_kinds():
+    # every tube kind xray can sweep is a family, with the same exponent function
+    tubes = {name: fam.predicted for name, fam in wit.FAMILIES.items() if fam.tubes}
+    assert tubes.keys() == xray.PREDICTED_EXPONENTS.keys()
+    for name, predicted in tubes.items():
+        assert predicted is xray.PREDICTED_EXPONENTS[name]
+
+
 @pytest.mark.parametrize("kind", [wit.C1_SQUASHED, wit.C0_MODULATED, xray.K0_DELTAS])
 @pytest.mark.parametrize("n", [1, 0])
 def test_predicted_exponent_refuses_n_below_two(kind, n):
@@ -145,10 +153,15 @@ def test_run_sweep_requires_dyadic_scales():
 
 
 def test_c1_sweep_slope_and_grid_stability():
-    fit1, rows = wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, [1 / 4, 1 / 8, 1 / 16])
+    scales = [1 / 4, 1 / 8, 1 / 16]
+    fit1, rows = wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, scales)
     assert abs(fit1.slope) <= 0.15
-    fit2, _ = wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, [1 / 4, 1 / 8, 1 / 16],
-                            grid_refine=2)
+    refined = []  # every quadrature node count doubled
+    for s in scales:
+        f, g, box = wit.build_witness(wit.C1_SQUASHED, 3, s)
+        ratio, _ = domain_norm_ratio(f, g, quadratic_phase(2), 2, 5 / 3, box, grid_refine=2)
+        refined.append((s, ratio))
+    fit2 = wit.fit_sweep(wit.C1_SQUASHED, refined)
     assert abs(fit1.slope - fit2.slope) <= 0.05
 
 

@@ -170,7 +170,7 @@ def test_transform_of_an_input_with_no_live_cell_skips_the_kernel(monkeypatch):
     high = GridFunction(f.dims, f.origin[:-1] + (5.0,), f.spacing, f.samples)
     monkeypatch.setattr(xray, "_tube_sums", forbidden)
     for g in (zero, high):
-        assert xray.xray_transform(g, net).values.to_json() == []
+        assert xray.xray_transform(g, net).values.values.size == 0
     with pytest.raises(AssertionError, match="_tube_sums ran"):
         xray.xray_transform(f, net)  # a live cell takes the kernel path
 
@@ -450,10 +450,10 @@ def test_bilinear_ratio_slab_saturation_point_accepted():
     assert (p / (p - 1)) / 2 == pytest.approx(5 / 6)
     assert q / (q - 1) == pytest.approx(5 / 4)
     delta = 1 / 8
-    F, G, predicted = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
+    F, G = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
     r = xray.bilinear_kakeya_ratios(F, G, [(p, q)])[0]
     assert r > 0
-    assert predicted(p, q) == pytest.approx(0.0)
+    assert xray.PREDICTED_EXPONENTS[xray.K1_SLAB](3, p, q) == pytest.approx(0.0)
 
 
 def test_bilinear_ratio_support_enforced():
@@ -544,10 +544,21 @@ def crossing_pair(n, delta):
         for idx in (net.e1_indices, net.e2_indices))
 
 
+def origin_bush_pair(n, delta):
+    # every direction of E1 (F) and of E2 (G), all from the base at the origin
+    net = build_net(n, delta)
+    i0 = net.nearest_index(np.zeros(net.dim))
+    return tuple(xray.XrayField(net, delta, NetFunction(
+        net, dict.fromkeys(((int(w), i0) for w in idx), 1.0)))
+        for idx in (net.e1_indices, net.e2_indices))
+
+
 PRODUCT_CASES = {
-    **{f"{kind}-n{n}-{delta}": lambda k=kind, n=n, d=delta: xray.kakeya_witness(k, n, d)[:2]
-       for kind in (xray.K0_DELTAS, xray.K1_SLAB, xray.BUSH) for n in (2, 3)
+    **{f"{kind}-n{n}-{delta}": lambda k=kind, n=n, d=delta: xray.kakeya_witness(k, n, d)
+       for kind in (xray.K0_DELTAS, xray.K1_SLAB) for n in (2, 3)
        for delta in (1 / 8, 1 / 16)},
+    **{f"bush-n{n}-{delta}": lambda n=n, d=delta: origin_bush_pair(n, d)
+       for n in (2, 3) for delta in (1 / 8, 1 / 16)},
     **{f"random-n{n}-{seed}": lambda n=n, s=seed: random_pair(
         build_net(n, 1 / 16), np.random.default_rng(s)) for n in (2, 3) for seed in range(3)},
     **{f"crossing-n{n}": lambda n=n: crossing_pair(n, 1 / 16) for n in (2, 3)},
@@ -598,7 +609,7 @@ def test_bilinear_entry_points_refuse_mismatched_fields(entry, mismatch):
 
 @pytest.mark.parametrize("spacing", [0.0, -1 / 64, float("nan"), 1 / 16])
 def test_bilinear_entry_points_refuse_a_spacing_outside_the_guard(spacing):
-    F, G, _ = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 8)
+    F, G = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 8)
     for call in (lambda: xray.bilinear_kakeya_ratios(F, G, [(2, 2)], spacing=spacing),
                  lambda: xray.prop111_constant(F, G, spacing=spacing)):
         with pytest.raises(xray.XrayError, match="grid spacing"):
@@ -627,27 +638,28 @@ def test_prop111_random_constant_bound():
 
 def test_kakeya_witness_shapes():
     delta = 1 / 8
-    F, G, pred = xray.kakeya_witness(xray.K0_DELTAS, 3, delta)
+    F, G = xray.kakeya_witness(xray.K0_DELTAS, 3, delta)
     # one base per direction, all of E1 / E2
     assert len(F.values.values) == len(F.net.e1_indices)
     assert len(G.values.values) == len(G.net.e2_indices)
-    assert pred(2.0, 10 / 3) == pytest.approx(1.0)
-    assert pred(3.0, 10 / 3) == pytest.approx(0.0)
+    pred = xray.PREDICTED_EXPONENTS[xray.K0_DELTAS]
+    assert pred(3, 2.0, 10 / 3) == pytest.approx(1.0)
+    assert pred(3, 3.0, 10 / 3) == pytest.approx(0.0)
     # F's apex is the origin and G's the net point nearest -3/4 e_1, also
     # off the 1/8-lattice (0.07)
     for n in (2, 3):
         for d in (1 / 4, 1 / 8, 1 / 16, 1 / 32, 1 / 64, 0.07):
-            F, G, _pred = xray.kakeya_witness(xray.K0_DELTAS, n, d)
+            F, G = xray.kakeya_witness(xray.K0_DELTAS, n, d)
             seed = np.array([-0.75] + [0.0] * (n - 2))
             apex = G.net.nearest_index(seed)
             assert set(F.values.base) == {G.net.nearest_index(0 * seed)}
             assert set(G.values.base) == {apex}
             assert np.linalg.norm(G.net.points[apex] - seed) <= d / 2 + 1e-12
 
-    F, G, pred = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
+    F, G = xray.kakeya_witness(xray.K1_SLAB, 3, delta)
     for w in F.values.omega:
         assert abs(F.net.points[w][1]) <= delta + 1e-12
-    assert pred(5 / 2, 5.0) == pytest.approx(0.0)
+    assert xray.PREDICTED_EXPONENTS[xray.K1_SLAB](3, 5 / 2, 5.0) == pytest.approx(0.0)
 
     with pytest.raises(xray.XrayError):
         xray.kakeya_witness("nonsense", 3, delta)
@@ -655,7 +667,7 @@ def test_kakeya_witness_shapes():
 
 def test_bush_witness_value_at_origin():
     delta = 1 / 8
-    F, G, _ = xray.kakeya_witness(xray.BUSH, 3, delta)
+    F, G = origin_bush_pair(3, delta)
     grid = grid_from_sampler(lambda P: np.zeros(P.shape[0], dtype=complex),
                              [-0.1] * 3, [0.1] * 3, [8] * 3)
     out = xray.xray_adjoint(G, grid)
@@ -663,10 +675,3 @@ def test_bush_witness_value_at_origin():
     near0 = np.argmin(np.linalg.norm(centers, axis=1))
     assert out.samples.reshape(-1)[near0] == len(G.net.e2_indices)
 
-
-def test_xray_field_json():
-    delta = 1 / 8
-    net = build_net(2, delta)
-    F = xray.XrayField(net, delta, NetFunction(net, {(1, 2): 1.5}))
-    blob = F.to_json()
-    assert blob["values"] == [[1, 2, 1.5]]
