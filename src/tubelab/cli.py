@@ -360,6 +360,7 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
 def _dump_witness_field(cap, box, outdir: str, stem: str):
     """Evaluate the extension field of a cap on a coarse grid over the
     witness box and write it in the GridFunction binary format."""
+    # imported per call, so perfbench's span wrapper on grid_from_sampler (WRAPS) runs
     from .extension import evaluate_extension, required_grid_counts
     from .fields import grid_from_sampler
     from .geometry import quadratic_phase
@@ -526,6 +527,7 @@ def _suite_geometry(seed: int) -> dict:
 
 
 def _suite_xray(seed: int) -> dict:
+    # imported per call, so perfbench's span wrapper on grid_from_sampler (WRAPS) runs
     from .fields import NetFunction, grid_from_sampler
 
     out = {}

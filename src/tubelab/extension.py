@@ -7,9 +7,10 @@ _CapQuadrature per cap for both scattered points and domain grids.  For the
 quadratic phase with box caps the integral factors per axis (one complex
 GEMM per axis), so a domain norm sums each grid row of a slab as one run of
 cells (fields.row_intervals) from prefix sums of the row factor, without
-forming the slab; that is what makes large-scale sweeps affordable.  A pair
-with a generic cap forms each slab (two GEMMs per generic cap).  The annulus
-transform is likewise one contraction per axis of the product grids.
+forming the slab: O(rows) work per slab for a finite q, plus one range max
+per run at q = inf.  That is what makes large-scale sweeps affordable.  A
+pair with a generic cap forms each slab (two GEMMs per generic cap).  The
+annulus transform is likewise one contraction per axis of the product grids.
 """
 
 from __future__ import annotations
@@ -263,7 +264,7 @@ class LocalizedRatio:
 
 def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
                       phi: EllipticPhase, p: float, q: float, domain,
-                      min_nodes: int = 16, grid_refine: int = 1):
+                      min_nodes: int = 16):
     """||E f . E g||_{L^q(domain)} / (||f||_p ||g||_p)  (linear when g is None).
 
     The domain is sampled on a fixed grid of spacing DOMAIN_SPACING; cells
@@ -271,14 +272,13 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     meets the convex domain in one run of cells per grid row along its
     longest x-axis (fields.row_intervals), summed by LpAccumulator.add_rows.
     With both caps separable a row is its lead factors times the row factor,
+    so a finite q costs O(rows) per slab (q = inf adds a range max per run),
     and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the cells of
     the slab fields, formed whole.  Each cap's node counts come from the
     per-axis oscillation guard at the domain grid's corners
-    (required_grid_counts: at least min_nodes, then times grid_refine, an
-    integer >= 1).  Returns (ratio, stats) with field amplitude statistics.
+    (required_grid_counts, at least min_nodes).  Returns (ratio, stats): the
+    domain cells and each cap's node counts.
     """
-    if not isinstance(grid_refine, (int, np.integer)) or grid_refine < 1:
-        raise ExtensionError(f"grid_refine must be an integer >= 1, got {grid_refine!r}")
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
     lo, hi = domain.bounding_box()
@@ -304,9 +304,7 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         )
     corner_pts = np.array([[a[0] for a in x_axes] + [xn_axis[0]],
                            [a[-1] for a in x_axes] + [xn_axis[-1]]])
-    counts = [grid_refine * required_grid_counts(c, phi, corner_pts,
-                                                 min_nodes=min_nodes)
-              for c in caps]
+    counts = [required_grid_counts(c, phi, corner_pts, min_nodes=min_nodes) for c in caps]
     quads = [_CapQuadrature(c, phi, corner_pts, cnt) for c, cnt in zip(caps, counts)]
     if separable:  # per axis, |factor of E f . E g| as (slab, cell)
         mags = [1.0] * (n - 1)
@@ -339,8 +337,7 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         acc.add_rows(*runs(sl), run_lo, run_hi)
     if cells == 0:
         raise ExtensionError("domain contains no grid cells")
-    stats = {"sup": acc.sup, "cells": cells,
-             "grid_counts": [c.tolist() for c in counts]}
+    stats = {"cells": cells, "grid_counts": [c.tolist() for c in counts]}
     return acc.norm(q, DOMAIN_SPACING**n) / denom, stats
 
 
@@ -359,10 +356,7 @@ def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,
         gap = _support_gap(f, g)
         if gap < 0.5 - 1e-9:
             raise ExtensionError(f"cap supports separated by {gap} < required 0.5")
-    n = f.dim + 1
-    ratio, _stats = domain_norm_ratio(
-        f, g, phi, p, q, Ball(center=(0.0,) * n, radius=float(R))
-    )
+    ratio, _stats = domain_norm_ratio(f, g, phi, p, q, Ball((0.0,) * (f.dim + 1), float(R)))
     return LocalizedRatio(p=p, q=q, R=float(R), value=ratio, bilinear=bilinear)
 
 

@@ -22,45 +22,44 @@ class FieldError(TubelabError):
 
 
 class LpAccumulator:
-    """Running sup and sums of v^s over chunks of nonnegative values, for a
-    set of exponents s in (0, inf]; any other exponent is refused here.
+    """One running value per exponent s in (0, inf] over chunks of nonnegative
+    values, the sum of v^s or at s = inf the max; any other s is refused here.
 
-    norm(s, weight) is (weight * sum v^s)^{1/s}, or the sup at s = inf."""
+    norm(s, weight) is (weight * sum v^s)^{1/s}, or the max at s = inf."""
 
     def __init__(self, exponents):
-        exponents = list(exponents)
-        for s in exponents:
+        self.running = dict.fromkeys(exponents, 0.0)
+        for s in self.running:
             check_exponent(s)
-        self.sup = 0.0
-        self.sums = {s: 0.0 for s in exponents if s != np.inf}
 
     def add(self, values) -> "LpAccumulator":
         values = np.asarray(values, dtype=float)
-        self.sup = float(values.max(initial=self.sup))
-        for s in self.sums:
-            self.sums[s] += float(np.sum(values**s))
+        for s, v in self.running.items():
+            self.running[s] = (float(values.max(initial=v)) if s == np.inf
+                               else v + float(np.sum(values**s)))
         return self
 
     def add_rows(self, scale, rows, pick, lo, hi) -> "LpAccumulator":
-        """add() of the runs scale[k] * rows[pick[k], lo[k]:hi[k]]: the sums
-        from prefix sums of rows^s, the sup from one range max per run.  A run
+        """add() of the runs scale[k] * rows[pick[k], lo[k]:hi[k]]: a sum
+        from prefix sums of rows^s, the max from one range max per run.  A run
         sum is a difference of prefix sums, so its relative error is about
         1e-16 times the row's sum of v^s up to the run's end over the run's
         own: rows [[1e20, 1, 1]] give the run [1, 3) the sum 1.0 at s = 1."""
         keep = lo < hi
         scale, flat, width = scale[keep], rows.reshape(-1), rows.shape[1]
         first, last = pick[keep] * width + lo[keep], pick[keep] * width + hi[keep] - 1
-        runs = np.stack([first, last], axis=1).reshape(-1)
-        top = np.maximum(np.maximum.reduceat(flat, runs)[::2], flat[last])
-        self.sup = float(np.max(scale * top, initial=self.sup))
-        for s in self.sums:
-            prefix = np.cumsum(rows**s, axis=1).reshape(-1)
-            run_sums = prefix[last] - prefix[first] + flat[first] ** s
-            self.sums[s] += float(np.sum(scale**s * run_sums))
+        for s, v in self.running.items():
+            if s == np.inf:
+                top = np.maximum.reduceat(flat, np.column_stack([first, last]).ravel())[::2]
+                self.running[s] = float(np.max(scale * np.maximum(top, flat[last]), initial=v))
+            else:
+                prefix = np.cumsum(rows**s, axis=1).reshape(-1)
+                run_sums = prefix[last] - prefix[first] + flat[first] ** s
+                self.running[s] = v + float(np.sum(scale**s * run_sums))
         return self
 
     def norm(self, s: float, weight: float = 1.0) -> float:
-        return self.sup if s == np.inf else float((self.sums[s] * weight) ** (1.0 / s))
+        return self.running[s] if s == np.inf else float((self.running[s] * weight) ** (1.0 / s))
 
 
 def check_exponent(s: float):

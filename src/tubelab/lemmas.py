@@ -121,14 +121,17 @@ def _rects_doubled_disjoint(rects) -> bool:
     return True
 
 
-def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float,
-                              grid_m: int = 512) -> float:
+#: periodic grid points per axis of quasi_orthogonality_ratio's pieces
+QUASI_GRID_M = 512
+
+
+def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float) -> float:
     """||sum f_k||_p / (sum ||f_k||_p^{p*})^{1/p*} with p* = min(p, p') for
     random smooth f_k with Fourier support exactly on the given rectangles.
 
-    Pieces are synthesized on a periodic grid (integer frequencies, raised
-    cosine taper times random Gaussian coefficients), so disjoint support is
-    exact and the p = 2 case is Plancherel on the nose."""
+    Pieces are synthesized on a periodic QUASI_GRID_M-point grid per axis
+    (integer frequencies, raised cosine taper times random Gaussian coefficients),
+    so disjoint support is exact and the p = 2 case is Plancherel on the nose."""
     if not p >= 1:
         raise LemmaError(f"need p >= 1, got p = {p}")
     if not rects:
@@ -139,8 +142,8 @@ def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float,
     if any(len(r.centers) != dim for r in rects):
         raise LemmaError("mixed rectangle dimensions")
     rng = np.random.default_rng(seed)
-    shape = (grid_m,) * dim
-    cell = (1.0 / grid_m) ** dim
+    shape = (QUASI_GRID_M,) * dim
+    cell = (1.0 / QUASI_GRID_M) ** dim
 
     def synth(rect: FreqRect) -> np.ndarray:
         coef = np.zeros(shape, dtype=complex)
@@ -153,9 +156,9 @@ def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float,
             taper = np.multiply.outer(taper, t)
         vals = (rng.standard_normal(taper.shape)
                 + 1j * rng.standard_normal(taper.shape)) * taper
-        idx = np.meshgrid(*[f % grid_m for f in axes_freqs], indexing="ij")
+        idx = np.meshgrid(*[f % QUASI_GRID_M for f in axes_freqs], indexing="ij")
         coef[tuple(idx)] = vals
-        return np.fft.ifftn(coef) * grid_m**dim
+        return np.fft.ifftn(coef) * QUASI_GRID_M**dim
 
     pieces = [synth(r) for r in rects]
     total = np.sum(pieces, axis=0)

@@ -238,7 +238,7 @@ def build_witness(kind: str, n: int, scale: float,
     delta = float(scale)
     if delta > 0.25:
         raise WitnessError("need delta <= 1/4")
-    if not 1.0 / C / delta / delta < math.inf:
+    if not (1.0 / C / delta / delta < math.inf and C * delta**2 > 0):  # delta**2 can underflow
         raise WitnessError("delta too small: the region side "
                            "1/(box_constant delta^2) overflows")
     if kind == KNAPP_CLASSIC:

@@ -212,7 +212,7 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
         prod = np.multiply(*sums) if sums else np.zeros(0)
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
-    return {s: acc.norm(s, cellvol) for s in [*acc.sums, np.inf]}
+    return {s: acc.norm(s, cellvol) for s in acc.running}
 
 
 def kakeya_ratio(f: GridFunction, net: DirectionNet, p: float, q: float) -> float:
@@ -322,6 +322,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
     bushes (k0, F at the origin and G at the net point nearest the apex
     -3/4 e_1) or coplanar-direction slabs (k1).  The kind's exponent is its
     PREDICTED_EXPONENTS entry."""
+    # imported per call, so perfbench's span wrapper on build_net (WRAPS) is what runs
     from .geometry import build_net
 
     net = build_net(n, delta)
@@ -351,6 +352,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
 def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
     """Tube-maximal ratio for the delta-ball input, the sharpness witness
     for the delta^{1 - n/p} normalization."""
+    # imported per call, so perfbench's span wrappers on both (WRAPS) are what run
     from .geometry import build_net
     from .fields import grid_from_sampler
 

@@ -170,7 +170,6 @@ def test_node_floors_and_refinements_must_be_integers_from_one(bad):
     box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
     calls = [
         lambda: ext.domain_norm_ratio(f, g, PHI3, 2, 2, box, min_nodes=bad),
-        lambda: ext.domain_norm_ratio(f, g, PHI3, 2, 2, box, grid_refine=bad),
         lambda: ext.required_grid_counts(f, PHI3, [[0, 0, 1]], min_nodes=bad),
         lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
                                         grid_n=bad),

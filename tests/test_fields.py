@@ -274,9 +274,9 @@ def _lp_entry_points():
         ("bilinear-q-nan",
          lambda: xray.bilinear_kakeya_ratios(F, G, [(2, math.nan)])),
         ("quasi-p-half",
-         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0.5, grid_m=64)),
+         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0.5)),
         ("quasi-p-zero",
-         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0, grid_m=64)),
+         lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0)),
         ("young-sequence-nan", lambda: lemmas.young_check([1.0, 2.0], math.nan)),
     ]
 

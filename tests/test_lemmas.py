@@ -34,7 +34,7 @@ def test_quasi_constant_sweep():
 
 def test_quasi_two_dimensional():
     rects = [lemmas.FreqRect((0, 0), (3, 3)), lemmas.FreqRect((40, 40), (3, 3))]
-    ratio = lemmas.quasi_orthogonality_ratio(rects, 1, 2.0, grid_m=128)
+    ratio = lemmas.quasi_orthogonality_ratio(rects, 1, 2.0)
     assert ratio <= 1 + 1e-6
 
 

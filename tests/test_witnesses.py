@@ -131,6 +131,11 @@ def test_witness_scale_validation():
     # the region's side 1/(box_constant delta^2) would overflow
     with pytest.raises(wit.WitnessError):
         wit.build_witness(wit.KNAPP_CLASSIC, 2, 1e-12, box_constant=1e-300)
+    # ... or delta**2 underflows to 0 while 1 / C / delta / delta stays finite
+    for kind in (wit.KNAPP_CLASSIC, wit.C1_SQUASHED):
+        with pytest.raises(wit.WitnessError, match="delta too small"):
+            wit.build_witness(kind, 2, 6.989649496468677e-193,
+                              box_constant=1.1386064608808005e+76)
 
 
 def test_witness_ratio_scalar_invariance():
@@ -156,10 +161,11 @@ def test_c1_sweep_slope_and_grid_stability():
     scales = [1 / 4, 1 / 8, 1 / 16]
     fit1, rows = wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, scales)
     assert abs(fit1.slope) <= 0.15
-    refined = []  # every quadrature node count doubled
+    refined = []  # every quadrature node count doubled: 32 where the sweep has 16
     for s in scales:
         f, g, box = wit.build_witness(wit.C1_SQUASHED, 3, s)
-        ratio, _ = domain_norm_ratio(f, g, quadratic_phase(2), 2, 5 / 3, box, grid_refine=2)
+        ratio, stats = domain_norm_ratio(f, g, quadratic_phase(2), 2, 5 / 3, box, min_nodes=32)
+        assert stats["grid_counts"] == [[32, 32], [32, 32]]
         refined.append((s, ratio))
     fit2 = wit.fit_sweep(wit.C1_SQUASHED, refined)
     assert abs(fit1.slope - fit2.slope) <= 0.05

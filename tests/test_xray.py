@@ -522,7 +522,7 @@ def full_box_product_norms(F, G, acc, spacing):
                              for om, b, v in tubes))
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
-    return {s: acc.norm(s, spacing ** F.net.dim * (2.0 / m_n)) for s in [*acc.sums, np.inf]}
+    return {s: acc.norm(s, spacing ** F.net.dim * (2.0 / m_n)) for s in acc.running}
 
 
 def random_pair(net, rng, tubes=24):
@@ -570,9 +570,21 @@ PRODUCT_CASES = {
 def test_product_norms_match_the_full_box_reference(case, per_delta):
     F, G = PRODUCT_CASES[case]()
     spacing = F.delta / per_delta
-    exps = [1.0, 5 / 6, 0.7, 2.5]
+    exps = [1.0, 5 / 6, 0.7, 2.5, np.inf]
     got = xray._adjoint_product_norms(F, G, LpAccumulator(exps), spacing)
     assert got == full_box_product_norms(F, G, LpAccumulator(exps), spacing)
+
+
+@pytest.mark.parametrize("case", ["k0-deltas-n3-0.125", "k1-slab-n2-0.0625", "random-n3-1"])
+def test_bilinear_ratio_at_p_one_is_the_product_sup(case):
+    # p = 1 gives s = p'/2 = inf, so the numerator is the sup of X*F . X*G
+    F, G = PRODUCT_CASES[case]()
+    n, q = F.net.dim + 1, 3.0
+    sup = full_box_product_norms(F, G, LpAccumulator([np.inf]), F.delta / 4)[np.inf]
+    norm_f, norm_g = (mixed_norm(h.values, 1.5, SUM_I) for h in (F, G))  # q' = 3/2
+    assert sup > 0
+    assert xray.bilinear_kakeya_ratios(F, G, [(1, q)]) == [
+        sup / (F.delta ** (2.0 - 2.0 * n) * norm_f * norm_g)]
 
 
 @pytest.mark.parametrize("n", [2, 3])
