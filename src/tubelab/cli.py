@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exponents as expm
-from . import TubelabError, geometry, lemmas, witnesses, xray
+from . import TubelabError, extension, fields, geometry, lemmas, witnesses, xray
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -360,19 +360,14 @@ def cmd_sweep(cfg: ExperimentConfig, check_only: bool = False) -> int:
 def _dump_witness_field(cap, box, outdir: str, stem: str):
     """Evaluate the extension field of a cap on a coarse grid over the
     witness box and write it in the GridFunction binary format."""
-    # imported per call, so perfbench's span wrapper on grid_from_sampler (WRAPS) runs
-    from .extension import evaluate_extension, required_grid_counts
-    from .fields import grid_from_sampler
-    from .geometry import quadratic_phase
-
     lo, hi = box.bounding_box()
-    phi = quadratic_phase(len(lo) - 1)
+    phi = geometry.quadratic_phase(len(lo) - 1)
 
     def sampler(pts):
-        gn = required_grid_counts(cap, phi, pts).max()
-        return evaluate_extension(cap, phi, pts, gn)
+        gn = extension.required_grid_counts(cap, phi, pts).max()
+        return extension.evaluate_extension(cap, phi, pts, gn)
 
-    grid = grid_from_sampler(sampler, lo, hi, [17] * len(lo))
+    grid = fields.grid_from_sampler(sampler, lo, hi, [17] * len(lo))
     raw, sidecar = grid.to_binary()
     _atomic_write(os.path.join(outdir, f"{stem}.bin"), raw)
     _atomic_write(os.path.join(outdir, f"{stem}.json"), _json_dumps(sidecar))
@@ -527,9 +522,6 @@ def _suite_geometry(seed: int) -> dict:
 
 
 def _suite_xray(seed: int) -> dict:
-    # imported per call, so perfbench's span wrapper on grid_from_sampler (WRAPS) runs
-    from .fields import NetFunction, grid_from_sampler
-
     out = {}
     rng = np.random.default_rng(seed)
     ok = True
@@ -539,14 +531,14 @@ def _suite_xray(seed: int) -> dict:
         # compact support keeps the live boxes X gathers from small
         half = 1.2 if n == 2 else 0.5
         m = int(np.ceil(2 * half / (delta / 4)))
-        f = grid_from_sampler(
+        f = fields.grid_from_sampler(
             lambda P: np.exp(-2 * np.sum(P * P, axis=1))
             * (np.sum(P * P, axis=1) <= (half - delta / 4) ** 2),
             [-half] * n, [half] * n, [m] * n)
         xf = xray.xray_transform(f, net).values
         pick = slice(None, None, max(1, len(xf.values) // 50))
         gv = rng.uniform(0.1, 1.0, size=len(xf.values[pick]))
-        g = xray.XrayField(net, delta, NetFunction(
+        g = xray.XrayField(net, delta, fields.NetFunction(
             net, dict(zip(zip(xf.omega[pick], xf.base[pick]), gv))))
         xg = xray.xray_adjoint(g, f)
         lhs = net.delta**net.dim * float(np.sum(xf.values[pick] * gv))
@@ -578,8 +570,8 @@ def _suite_xray(seed: int) -> dict:
     w1 = int(net.e1_indices[len(net.e1_indices) // 2])
     w2 = int(net.e2_indices[len(net.e2_indices) // 2])
     i0 = net.nearest_index([0.0, 0.0])
-    F = xray.XrayField(net, 1 / 8, NetFunction(net, {(w1, i0): 1.0}))
-    G = xray.XrayField(net, 1 / 8, NetFunction(net, {(w2, i0): 1.0}))
+    F = xray.XrayField(net, 1 / 8, fields.NetFunction(net, {(w1, i0): 1.0}))
+    G = xray.XrayField(net, 1 / 8, fields.NetFunction(net, {(w2, i0): 1.0}))
     res = xray.prop111_constant(F, G, spacing=(1 / 8) / 16)
     out["prop111_crossing"] = {
         "pass": bool(res.relative_gap <= 0.05),

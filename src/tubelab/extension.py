@@ -3,14 +3,17 @@ evaluation, bilinear norm ratios over localized domains, the annulus
 reformulation, and the rotational-curvature determinant.
 
 All quadrature is midpoint rule on the cap's support box, held by one
-_CapQuadrature per cap for both scattered points and domain grids.  For the
-quadratic phase with box caps the integral factors per axis (one complex
-GEMM per axis), so a domain norm sums each grid row of a slab as one run of
-cells (fields.row_intervals) from prefix sums of the row factor, without
-forming the slab: O(rows) work per slab for a finite q, plus one range max
-per run at q = inf.  That is what makes large-scale sweeps affordable.  A
-pair with a generic cap forms each slab (two GEMMs per generic cap).  The
-annulus transform is likewise one contraction per axis of the product grids.
+_CapQuadrature per cap for both scattered points and domain grids.  Its node
+counts come from required_grid_counts, the one sizing rule (the per-axis
+oscillation guard); evaluate_extension is the one place that checks counts
+a caller passes in.  For the quadratic phase with box caps the integral
+factors per axis (one complex GEMM per axis), so a domain norm sums each
+grid row of a slab as one run of cells (fields.row_intervals) from prefix
+sums of the row factor, without forming the slab: O(rows) work per slab for
+a finite q, plus one range max per run at q = inf.  That is what makes
+large-scale sweeps affordable.  A pair with a generic cap forms each slab
+(two GEMMs per generic cap).  The annulus transform is likewise one
+contraction per axis of the product grids.
 """
 
 from __future__ import annotations
@@ -58,7 +61,6 @@ class CapFunction:
     support_hi: tuple
     modulation: Optional[tuple] = None
     density: Optional[object] = None  # callable on (m, n-1) points
-    amplitude: complex = 1.0
 
     def __post_init__(self):
         lo = np.asarray(self.support_lo, dtype=float)
@@ -78,10 +80,6 @@ class CapFunction:
     @property
     def measure(self) -> float:
         return float(np.prod(np.asarray(self.support_hi) - np.asarray(self.support_lo)))
-
-    def scaled(self, c: complex) -> "CapFunction":
-        return CapFunction(self.support_lo, self.support_hi, self.modulation,
-                           self.density, self.amplitude * c)
 
     def modulation_vector(self, n: int) -> np.ndarray:
         if self.modulation is None:
@@ -103,26 +101,40 @@ class CapFunction:
 
     def density_values(self, pts: np.ndarray) -> np.ndarray:
         if self.density is None:
-            return np.full(pts.shape[0], self.amplitude, dtype=complex)
-        return self.amplitude * np.asarray(self.density(pts), dtype=complex)
+            return np.ones(pts.shape[0], dtype=complex)
+        return np.asarray(self.density(pts), dtype=complex)
 
     def norm_lp(self, p: float) -> float:
         """||f||_p; exact for unit densities (modulation has modulus one),
         64 midpoint nodes per axis otherwise."""
         if self.density is None:
-            return lp([abs(self.amplitude)], p, self.measure)
+            return lp([1.0], p, self.measure)
         axes, steps = self.nodes(64)
         mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
         return lp(np.abs(self.density_values(mesh)), p, math.prod(steps))
 
 
-def _guard_need(cap: CapFunction, phi: EllipticPhase, points, counts=0) -> np.ndarray:
-    """Nodes per support axis that leave no cell more than a quarter period
-    of the integrand at `points`, one row per point set of a stack (..., m, n):
-    ceil(4 L_a max(f_a, F)) on an axis of length L_a, with g_a = max|d_a Phi|
-    (sampled at 5 points per axis), f_a = max|x_a| + max|x_n| g_a and
-    F = max(max|x_|, max|x_n| |g|).  A need, or one of `counts`, above
-    MAX_GRID_NODES raises OscillationGuardError."""
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _refuse_above_cap(nodes):
+    if not np.all(nodes <= MAX_GRID_NODES):  # also refuses NaN
+        raise OscillationGuardError(
+            f"quadrature needs {[f'{v:.6g}' for v in nodes]} nodes per support "
+            f"axis, above the {MAX_GRID_NODES} cap; shrink the scale range")
+
+
+def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
+                         min_nodes: int = 16) -> np.ndarray:
+    """Nodes per support axis, at least min_nodes (an integer >= 1), that
+    leave no cell more than a quarter period of the integrand at `points`,
+    one row per point set of a stack (..., m, n): ceil(4 L_a max(f_a, F)) on
+    an axis of length L_a, with g_a = max|d_a Phi| (sampled at 5 points per
+    axis), f_a = max|x_a| + max|x_n| g_a and F = max(max|x_|, max|x_n| |g|).
+    A need, or a count, above MAX_GRID_NODES raises OscillationGuardError."""
+    if not _is_integer(min_nodes) or min_nodes < 1:
+        raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eff = pts + cap.modulation_vector(pts.shape[-1])
     xmax = np.max(np.abs(eff[..., :-1]), axis=-2)
@@ -135,42 +147,23 @@ def _guard_need(cap: CapFunction, phi: EllipticPhase, points, counts=0) -> np.nd
         freq_global = np.maximum(np.max(xmax, axis=-1, keepdims=True),
                                  tmax * np.sqrt(np.sum(gmax * gmax)))
         need = 4.0 * lengths * np.maximum(xmax + tmax * gmax, freq_global)
-    top = np.maximum(need, counts).reshape(-1, cap.dim).max(axis=0)
-    if not np.all(top <= MAX_GRID_NODES):  # also refuses NaN
-        raise OscillationGuardError(
-            f"quadrature needs {[f'{v:.6g}' for v in top]} nodes per support "
-            f"axis, above the {MAX_GRID_NODES} cap; shrink the scale range")
-    return np.ceil(need).astype(int)
-
-
-def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
-                         min_nodes: int = 16) -> np.ndarray:
-    """Per-axis node counts, at least min_nodes (an integer >= 1), so that
-    every cell sees at most a quarter period (_guard_need, per point set); a
-    need above MAX_GRID_NODES raises OscillationGuardError."""
-    if not isinstance(min_nodes, (int, np.integer)) or min_nodes < 1:
-        raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
-    return np.maximum(min_nodes, _guard_need(cap, phi, points))
+    _refuse_above_cap(need.reshape(-1, cap.dim).max(axis=0))
+    counts = np.maximum(min_nodes, np.ceil(need))  # float: a huge floor cannot overflow
+    _refuse_above_cap(counts.reshape(-1, cap.dim).max(axis=0))
+    return counts.astype(int)
 
 
 class _CapQuadrature:
-    """Midpoint quadrature of the extension integral of one cap, with
-    grid_n nodes (an int or per-axis counts), refused below the per-axis
-    oscillation guard at `points` or above the node cap (_guard_need).
+    """Midpoint quadrature of the extension integral of one cap with the
+    given per-axis node counts, which the caller sizes or checks
+    (required_grid_counts).
 
     The modulation x0 enters only as the point shift x -> x + x0.  For the
     quadratic phase with a plain density the tensor sum factors per axis
     and is evaluated that way; otherwise the node mesh carries Phi and the
     weighted density."""
 
-    def __init__(self, cap: CapFunction, phi: EllipticPhase, points, grid_n):
-        counts = np.broadcast_to(np.asarray(grid_n, dtype=int), (cap.dim,))
-        need = np.maximum(_guard_need(cap, phi, points, counts), 1)
-        if np.any(counts < need):
-            raise OscillationGuardError(
-                f"grid_n = {counts.tolist()} per support axis violates the "
-                f"oscillation guard; need grid_n >= {need.tolist()}")
-        self.cap = cap
+    def __init__(self, cap: CapFunction, phi: EllipticPhase, counts):
         self.y_axes, self.steps = cap.nodes(counts)
         self.x0 = cap.modulation_vector(cap.dim + 1)
         self.separable = _separable(cap, phi)
@@ -184,7 +177,7 @@ class _CapQuadrature:
         """Field values at scattered points (m, n)."""
         eff = pts + self.x0
         if self.separable:
-            out = np.full(pts.shape[0], self.cap.amplitude, dtype=complex)
+            out = np.ones(pts.shape[0], dtype=complex)
             for a, (y, h) in enumerate(zip(self.y_axes, self.steps)):
                 phase = np.outer(eff[:, a], y) + 0.5 * np.outer(eff[:, -1], y * y)
                 out *= np.exp(-TWO_PI * 1j * phase).sum(axis=1) * h
@@ -202,11 +195,9 @@ class _CapQuadrature:
         factor; the field at x_n = xn_axis[s] is the outer product of the
         factors' columns s.  One GEMM per axis."""
         tau = xn_axis + self.x0[-1]
-        factors = [np.exp(-TWO_PI * 1j * np.outer(x + x0, y))
-                   @ (np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y)) * h).T
-                   for x, x0, y, h in zip(x_axes, self.x0, self.y_axes, self.steps)]
-        factors[0] = factors[0] * self.cap.amplitude
-        return factors
+        return [np.exp(-TWO_PI * 1j * np.outer(x + x0, y))
+                @ (np.exp(-TWO_PI * 1j * 0.5 * np.outer(tau, y * y)) * h).T
+                for x, x0, y, h in zip(x_axes, self.x0, self.y_axes, self.steps)]
 
     def slabs(self, x_axes, xn_axis):
         """slab(s): the field on the x-grid at x_n = xn_axis[s], from the
@@ -234,13 +225,25 @@ def _separable(cap: CapFunction, phi: EllipticPhase) -> bool:
 def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     """Midpoint-quadrature values of the extension integral at each point:
     integral over the support of e^{-2 pi i (x_ . y + x_n Phi(y))} f(y) dy,
-    with grid_n nodes (an int or per-axis counts)."""
+    with grid_n nodes (an integer or one per support axis), refused below
+    the per-axis oscillation guard at the points (required_grid_counts with
+    min_nodes=1) or above MAX_GRID_NODES."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[1] - 1 != f.dim:
         raise ExtensionError("point dimension does not match cap dimension")
     if not np.all(np.isfinite(pts)):
         raise ExtensionError("evaluation points must be finite")
-    return _CapQuadrature(f, phi, pts, grid_n).at_points(pts)
+    given = np.asarray(grid_n, dtype=object)
+    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(_is_integer, given.flat)):
+        raise ExtensionError(f"grid_n must be an integer or {f.dim} integers, got {grid_n!r}")
+    counts = np.broadcast_to(given, (f.dim,))  # Python ints until checked: no overflow
+    need = required_grid_counts(f, phi, pts, min_nodes=1)
+    _refuse_above_cap(counts)
+    if np.any(counts < need):
+        raise OscillationGuardError(
+            f"grid_n = {counts.tolist()} per support axis violates the "
+            f"oscillation guard; need grid_n >= {need.tolist()}")
+    return _CapQuadrature(f, phi, counts.astype(int)).at_points(pts)
 
 
 def _axis_cover(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -305,7 +308,7 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     corner_pts = np.array([[a[0] for a in x_axes] + [xn_axis[0]],
                            [a[-1] for a in x_axes] + [xn_axis[-1]]])
     counts = [required_grid_counts(c, phi, corner_pts, min_nodes=min_nodes) for c in caps]
-    quads = [_CapQuadrature(c, phi, corner_pts, cnt) for c, cnt in zip(caps, counts)]
+    quads = [_CapQuadrature(c, phi, cnt) for c, cnt in zip(caps, counts)]
     if separable:  # per axis, |factor of E f . E g| as (slab, cell)
         mags = [1.0] * (n - 1)
         for quad in quads:

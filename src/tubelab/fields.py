@@ -233,8 +233,10 @@ class GridFunction:
         if not len(self.origin) == len(self.spacing) == len(self.dims):
             raise FieldError(f"origin {self.origin} and spacing {self.spacing} "
                              f"must have one entry per axis of dims {self.dims}")
-        if any(s <= 0 for s in self.spacing):
-            raise FieldError("spacing must be positive")
+        if not all(0 < s < np.inf for s in self.spacing):  # also refuses NaN
+            raise FieldError(f"spacing {self.spacing} must lie in (0, inf)")
+        if not np.all(np.isfinite(self.origin)):
+            raise FieldError(f"origin {self.origin} must be finite")
 
     @property
     def ndim(self) -> int:

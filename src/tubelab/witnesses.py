@@ -188,8 +188,7 @@ def _modulated(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
         raise ModulationSearchError(
             f"best modulated amplitude {best_score:.3g} is below the floor "
             f"{floor:.3g}")
-    return CapFunction(cap.support_lo, cap.support_hi, tuple(x0s[best]),
-                       cap.density, cap.amplitude)
+    return CapFunction(cap.support_lo, cap.support_hi, tuple(x0s[best]), cap.density)
 
 
 def _probe_points(domain, n: int) -> np.ndarray:

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import TubelabError
+from . import TubelabError, fields, geometry
 from .fields import (GridFunction, LpAccumulator, NetFunction, SUM_I, SUP_I,
                      check_exponent, conjugate, lp_norm, mixed_norm, row_runs)
 from .geometry import DirectionNet, Tube, tube_intersection_exact
@@ -39,6 +39,9 @@ class XrayField:
     def __post_init__(self):
         if abs(self.delta - self.net.delta) > 1e-12:
             raise XrayError("delta does not match the net")
+        if self.values.net is not self.net and not np.array_equal(
+                self.values.net.points, self.net.points):
+            raise XrayError("values are indexed on a different net")
 
     def tubes(self):
         """(directions, bases, values) as arrays, one row per tube in
@@ -238,16 +241,12 @@ def _check_pair(F: XrayField, G: XrayField):
             raise XrayError(f"{name} has direction support outside its set")
 
 
-def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
-                           spacing: Optional[float] = None):
+def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs):
     """|| X*F X*G ||_{p'/2} / (delta^{2 - 2n/p} ||F|| ||G||) for each (p, q),
-    with the L^{q'}_omega L^1_i norms in the denominator.  The rasterized
-    product field is shared across the exponent pairs."""
+    with the L^{q'}_omega L^1_i norms in the denominator.  The product field
+    is rasterized once, at spacing delta/4, for all the exponent pairs."""
     _check_pair(F, G)
     n, delta = F.net.dim + 1, F.delta
-    if spacing is None:
-        spacing = delta / 4
-    _check_spacing([spacing], delta)
     pairs = list(pq_pairs)
     exps = {(p, q): conjugate(p) / 2 for p, q in pairs}
     acc = LpAccumulator(exps.values())
@@ -257,7 +256,7 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs,
         if norm_f == 0 or norm_g == 0:
             raise XrayError("zero denominator")
         denoms[(p, q)] = delta ** (2.0 - 2.0 * n / p) * norm_f * norm_g
-    norms = _adjoint_product_norms(F, G, acc, spacing)
+    norms = _adjoint_product_norms(F, G, acc, delta / 4)
     return [norms[exps[(p, q)]] / denoms[(p, q)] for p, q in pairs]
 
 
@@ -322,10 +321,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
     bushes (k0, F at the origin and G at the net point nearest the apex
     -3/4 e_1) or coplanar-direction slabs (k1).  The kind's exponent is its
     PREDICTED_EXPONENTS entry."""
-    # imported per call, so perfbench's span wrapper on build_net (WRAPS) is what runs
-    from .geometry import build_net
-
-    net = build_net(n, delta)
+    net = geometry.build_net(n, delta)
 
     def field_from(omega_indices, base_idx):
         return XrayField(net, delta, NetFunction(
@@ -352,11 +348,7 @@ def kakeya_witness(kind: str, n: int, delta: float):
 def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
     """Tube-maximal ratio for the delta-ball input, the sharpness witness
     for the delta^{1 - n/p} normalization."""
-    # imported per call, so perfbench's span wrappers on both (WRAPS) are what run
-    from .geometry import build_net
-    from .fields import grid_from_sampler
-
-    net = build_net(n, delta)
+    net = geometry.build_net(n, delta)
     h = delta / BALL_RESOLUTION
     pad = delta + 2 * h
 
@@ -364,7 +356,7 @@ def delta_ball_ratio(n: int, p: float, q: float, delta: float) -> float:
         return (np.sum(pts * pts, axis=1) <= delta**2).astype(complex)
 
     m = int(math.ceil(2 * pad / h))
-    f = grid_from_sampler(sampler, [-pad] * n, [pad] * n, [m] * n)
+    f = fields.grid_from_sampler(sampler, [-pad] * n, [pad] * n, [m] * n)
     return kakeya_ratio(f, net, p, q)
 
 

@@ -2,6 +2,8 @@
 domain contains, the run reduction matches the plain one, and
 domain_norm_ratio keeps its counters and its resource cap."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -109,8 +111,8 @@ def _per_cell_reference(f, g, phi, p, q, domain):
     n = len(lo)
     axes = [ext._axis_cover(lo[a], hi[a], ext.DOMAIN_SPACING) for a in range(n)]
     corners = np.array([[a[0] for a in axes], [a[-1] for a in axes]])
-    slabs = [ext._CapQuadrature(c, phi, corners, ext.required_grid_counts(
-        c, phi, corners)).slabs(axes[:-1], axes[-1]) for c in caps]
+    slabs = [ext._CapQuadrature(c, phi, ext.required_grid_counts(c, phi, corners))
+             .slabs(axes[:-1], axes[-1]) for c in caps]
     flat = np.stack(np.meshgrid(*axes[:-1], indexing="ij"), axis=-1).reshape(-1, n - 1)
     acc, cells = LpAccumulator([q]), 0
     for s, t in enumerate(axes[-1]):
@@ -187,6 +189,22 @@ def test_domain_norm_ratio_counters_are_pinned(name):
         assert stats["cells"] == cells
         assert stats["grid_counts"] == grid_counts
         assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("phi", [PHI3, perturbed_phase(2, 0.05)],
+                         ids=["quadratic", "perturbed"])
+def test_domain_norm_ratio_samples_the_slope_once_per_cap(phi):
+    # each cap's node counts are sized once, and its quadrature is built
+    # from them without sampling the phase slope again
+    calls = []
+
+    def counted(pts):
+        calls.append(len(pts))
+        return phi.gradient(pts)
+    f, g = witnesses.trace_caps(3, 8)
+    ext.domain_norm_ratio(f, g, dataclasses.replace(phi, gradient=counted), 2, 1,
+                          Ball((0.0,) * 3, 8.0))
+    assert len(calls) == 2
 
 
 def test_domain_cap_bounds_the_work_each_path_does():

@@ -56,10 +56,15 @@ def test_modulation_vector_route_matches_density_route():
     assert np.max(np.abs(va - vb)) < 1e-9
 
 
+def constant(c):
+    """A density equal to c everywhere."""
+    return lambda y: np.full(len(y), c, dtype=complex)
+
+
 def test_linearity():
     pts = np.array([[0.3, -0.2, 1.0], [1.2, 0.5, 2.5]])
     f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
-    af = f.scaled(2.0 - 1.0j)
+    af = ext.CapFunction(f.support_lo, f.support_hi, density=constant(2.0 - 1.0j))
     va = ext.evaluate_extension(af, PHI3, pts, 64)
     vb = (2.0 - 1.0j) * ext.evaluate_extension(f, PHI3, pts, 64)
     assert np.max(np.abs(va - vb)) < 1e-12
@@ -105,6 +110,18 @@ def test_oscillation_guard_is_per_axis():
     ext.evaluate_extension(f, PHI3, pts, 128)
 
 
+@pytest.mark.parametrize("grid_n", [2.5, 32.9, "32", True, [16.7, 16.2], math.nan,
+                                    [16, True], [16, 16, 16], [[16, 16]]],
+                         ids=["fraction", "fraction-high", "str", "bool", "fractions",
+                              "nan", "bool-axis", "three-axes", "nested"])
+def test_grids_must_be_integers(grid_n):
+    # a fraction, string or bool is refused, never truncated to a grid
+    f = ext.CapFunction((-1, -1), (1, 1))
+    with pytest.raises(ext.ExtensionError, match="grid_n must be an integer or 2 integers") as err:
+        ext.evaluate_extension(f, PHI3, [[0, 0, 0]], grid_n)
+    assert err.value.exit_code == 2
+
+
 @pytest.mark.parametrize("grid_n", [0, -2, [16, 0]])
 def test_grids_below_one_node_are_refused(grid_n):
     # at the origin the guard needs no node; a grid still needs one per axis
@@ -125,19 +142,19 @@ def test_grids_below_one_node_are_refused(grid_n):
 ], ids=["plain", "density", "modulated"])
 @pytest.mark.parametrize("seed", range(3))
 def test_required_grid_counts_agree_with_the_guard(cap, phi, seed):
-    # the sizing always passes the quadrature's guard, and one node fewer on
+    # the sizing always passes evaluate_extension's guard, and one node fewer on
     # an axis the guard binds (count above min_nodes) is refused
     pts = np.random.default_rng(seed).uniform(-12.0, 12.0, size=(5, 3))
-    ext._CapQuadrature(cap, phi, pts, ext.required_grid_counts(cap, phi, pts))
+    ext.evaluate_extension(cap, phi, pts, ext.required_grid_counts(cap, phi, pts))
     counts = ext.required_grid_counts(cap, phi, pts, min_nodes=1)
-    ext._CapQuadrature(cap, phi, pts, counts)
+    ext.evaluate_extension(cap, phi, pts, counts)
     binding = [a for a in range(cap.dim) if counts[a] > 1]
     assert binding
     for a in binding:
         fewer = counts.copy()
         fewer[a] -= 1
         with pytest.raises(ext.OscillationGuardError, match="oscillation guard"):
-            ext._CapQuadrature(cap, phi, pts, fewer)
+            ext.evaluate_extension(cap, phi, pts, fewer)
 
 
 @pytest.mark.parametrize("cap", [
@@ -162,8 +179,8 @@ def test_a_stack_beyond_the_node_cap_reports_the_per_axis_maximum():
         ext.required_grid_counts(f, PHI3, stack)
 
 
-@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, "2", math.nan],
-                         ids=["zero", "negative", "fraction", "float", "str", "nan"])
+@pytest.mark.parametrize("bad", [0, -1, 1.5, 2.0, "2", math.nan, True],
+                         ids=["zero", "negative", "fraction", "float", "str", "nan", "bool"])
 def test_node_floors_and_refinements_must_be_integers_from_one(bad):
     f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
     g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
@@ -218,7 +235,7 @@ def test_grid_slabs_match_scattered_points(cap, phi):
     xn_axis = np.linspace(0.25, 2.5, 4)
     corners = np.array([[-1.5, -0.5, 0.25], [1.0, 1.5, 2.5]])
     gn = ext.required_grid_counts(cap, phi, corners)
-    slab = ext._CapQuadrature(cap, phi, corners, gn).slabs(x_axes, xn_axis)
+    slab = ext._CapQuadrature(cap, phi, gn).slabs(x_axes, xn_axis)
     mesh = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, 2)
     for s, xn in enumerate(xn_axis):
         pts = np.concatenate([mesh, np.full((len(mesh), 1), xn)], axis=1)
@@ -250,6 +267,23 @@ def test_node_cap_applies_to_scattered_points():
         ext.evaluate_extension(f, PHI3, [[0, 0, 0]], ext.MAX_GRID_NODES + 1)
 
 
+@pytest.mark.parametrize("floor", [ext.MAX_GRID_NODES + 1, 10**30], ids=["cap+1", "huge"])
+def test_node_cap_applies_to_node_floors(floor):
+    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
+    g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
+    box = Box((-1.0, -1.0, -1.0), (1.0, 1.0, 1.0))
+    calls = [
+        lambda: ext.domain_norm_ratio(f, g, PHI3, 2, 2, box, min_nodes=floor),
+        lambda: ext.required_grid_counts(f, PHI3, [[0, 0, 1]], min_nodes=floor),
+        lambda: witnesses.witness_ratio(witnesses.C1_SQUASHED, 3, 1 / 4, 2, 5 / 3,
+                                        grid_n=floor),
+    ]
+    for call in calls:
+        with pytest.raises(ext.OscillationGuardError, match="cap") as err:
+            call()
+        assert err.value.exit_code == 3
+
+
 def test_parabolic_rescaling_covariance():
     # with the rescaled phase, the field of f at (a, b) equals
     # 2^{(n-1)j} times the field of f(2^j .) at (2^j a, 2^{2j} b)
@@ -272,13 +306,15 @@ def test_local_ratio_scalar_invariance():
     f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
     g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
     r1 = ext.local_ratio(f, g, PHI3, 2, 2, 8)
-    r2 = ext.local_ratio(f.scaled(3.0), g.scaled(0.5j), PHI3, 2, 2, 8)
+    r2 = ext.local_ratio(ext.CapFunction(f.support_lo, f.support_hi, density=constant(3.0)),
+                         ext.CapFunction(g.support_lo, g.support_hi, density=constant(0.5j)),
+                         PHI3, 2, 2, 8)
     assert r1.value == pytest.approx(r2.value, rel=1e-12)
     assert r1.bilinear
 
 
 def test_local_ratio_zero_denominator():
-    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), amplitude=0.0)
+    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), density=constant(0.0))
     g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
     with pytest.raises(ext.ExtensionError):
         ext.local_ratio(f, g, PHI3, 2, 1, 8)

@@ -91,6 +91,31 @@ def test_domains_refuse_bad_bounds(make, match):
     assert err.value.exit_code == 2
 
 
+def grid(origin, spacing):
+    n = len(origin)
+    return fields.GridFunction((8,) * n, origin, spacing, np.ones((8,) * n))
+
+
+@pytest.mark.parametrize("make, match", [
+    (lambda: grid((0.0, 0.0), (math.nan, 0.1)), "spacing"),
+    (lambda: grid((0.0, 0.0, 0.0), (0.01, math.nan, 0.01)), "spacing"),
+    (lambda: grid((0.0, 0.0), (0.1, math.inf)), "spacing"),
+    (lambda: grid((0.0, 0.0), (0.1, 0.0)), "spacing"),
+    (lambda: grid((0.0, 0.0), (-0.1, 0.1)), "spacing"),
+    (lambda: grid((math.nan, 0.0, 0.0), (0.01, 0.01, 0.01)), "origin"),
+    (lambda: grid((0.0, -math.inf), (0.1, 0.1)), "origin"),
+    (lambda: fields.grid_from_sampler(lambda P: np.ones(len(P)), [math.nan, 0.0],
+                                      [1.0, 1.0], [4, 4]), "spacing"),
+], ids=["nan-spacing", "nan-spacing-3d", "inf-spacing", "zero-spacing",
+        "negative-spacing", "nan-origin", "inf-origin", "nan-sampler-box"])
+def test_grids_refuse_bad_spacing_and_origin(make, match):
+    # a NaN spacing would give lp_norm, kakeya_ratio and annulus_ratio a NaN,
+    # and a NaN origin a kakeya_ratio of 0
+    with pytest.raises(fields.FieldError, match=match) as err:
+        make()
+    assert err.value.exit_code == 2
+
+
 def test_ball_domain_cells():
     u = unit_box_function(m=64)
     ball = fields.Ball((0, 0), 0.5)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -142,7 +143,9 @@ def test_witness_ratio_scalar_invariance():
     phi = quadratic_phase(2)
     f, g, box = wit.build_witness(wit.C1_SQUASHED, 3, 1 / 8)
     r1, _ = domain_norm_ratio(f, g, phi, 2, 5 / 3, box)
-    r2, _ = domain_norm_ratio(f.scaled(4.0), g.scaled(0.25), phi, 2, 5 / 3, box)
+    r2, _ = domain_norm_ratio(dataclasses.replace(f, density=lambda y: np.full(len(y), 4.0)),
+                              dataclasses.replace(g, density=lambda y: np.full(len(y), 0.25)),
+                              phi, 2, 5 / 3, box)
     assert r1 == pytest.approx(r2, rel=1e-12)
 
 
@@ -236,8 +239,7 @@ def _exhaustive_modulated(cap, phi, seed, radius, probes, active_axes, floor):
         x0 = seed.copy()
         for a, da in zip(active_axes, off):
             x0[a] += da
-        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0),
-                            cap.density, cap.amplitude)
+        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0), cap.density)
         gn = required_grid_counts(trial, phi, probes).max()
         score = float(np.abs(wit.evaluate_extension(trial, phi, probes, gn)).min())
         if score > best_score:

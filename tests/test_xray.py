@@ -622,10 +622,21 @@ def test_bilinear_entry_points_refuse_mismatched_fields(entry, mismatch):
 @pytest.mark.parametrize("spacing", [0.0, -1 / 64, float("nan"), 1 / 16])
 def test_bilinear_entry_points_refuse_a_spacing_outside_the_guard(spacing):
     F, G = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 8)
-    for call in (lambda: xray.bilinear_kakeya_ratios(F, G, [(2, 2)], spacing=spacing),
-                 lambda: xray.prop111_constant(F, G, spacing=spacing)):
-        with pytest.raises(xray.XrayError, match="grid spacing"):
-            call()
+    with pytest.raises(xray.XrayError, match="grid spacing"):
+        xray.prop111_constant(F, G, spacing=spacing)
+
+
+@pytest.mark.parametrize("base", [200, 3], ids=["index-past-the-net", "index-inside"])
+def test_xray_field_refuses_values_of_another_net(base):
+    # the delta = 1/8 net has 289 points, the delta = 1/4 net 81: index 200
+    # would overrun it, and index 3 would read a point of the wrong net
+    coarse, fine = build_net(3, 1 / 4), build_net(3, 1 / 8)
+    values = NetFunction(fine, {(int(fine.e1_indices[0]), base): 1.0})
+    with pytest.raises(xray.XrayError, match="different net") as err:
+        xray.XrayField(coarse, 1 / 4, values)
+    assert err.value.exit_code == 2
+    xray.XrayField(fine, 1 / 8, values)
+    xray.XrayField(build_net(3, 1 / 8), 1 / 8, values)  # an equal net is the same net
 
 
 def test_prop111_random_constant_bound():
