@@ -11,9 +11,9 @@ factors per axis (one complex GEMM per axis), so a domain norm sums each
 grid row of a slab as one run of cells (fields.row_intervals) from prefix
 sums of the row factor, without forming the slab: O(rows) work per slab for
 a finite q, plus one range max per run at q = inf.  That is what makes
-large-scale sweeps affordable.  A pair with a generic cap forms each slab
-(two GEMMs per generic cap).  The annulus transform is likewise one
-contraction per axis of the product grids.
+large-scale sweeps affordable.  A pair with a generic cap forms slabs only
+over each block's live box (one GEMM per support axis of a generic cap).
+The annulus transform is one contraction per axis of the product grids.
 """
 
 from __future__ import annotations
@@ -36,8 +36,8 @@ TWO_PI = 2.0 * math.pi
 #: unit-scale frequency box Q x Phi(Q), so this need not shrink with R
 DOMAIN_SPACING = 0.25
 
-#: fail-fast resource caps (quadrature nodes per axis; domain rows, or cells
-#: where the slab field is formed whole)
+#: fail-fast resource caps (quadrature nodes per axis; domain rows, or
+#: bounding-box cells where the slab field is formed)
 MAX_GRID_NODES = 1 << 17
 MAX_DOMAIN_CELLS = 1 << 28
 
@@ -200,20 +200,25 @@ class _CapQuadrature:
                 for x, x0, y, h in zip(x_axes, self.x0, self.y_axes, self.steps)]
 
     def slabs(self, x_axes, xn_axis):
-        """slab(s): the field on the x-grid at x_n = xn_axis[s], from the
-        factors (separable) or two GEMMs per slab (one for n = 2)."""
+        """slab(s, box): the field at x_n = xn_axis[s] on the x-grid cells in
+        box (one slice per x-axis, all by default): the factors' product
+        (separable), or one GEMM per support axis on its factor's rows in box."""
+        whole = [slice(None)] * len(x_axes)
         if self.separable:
             fac = self.factors(x_axes, xn_axis)
-            return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
+            return lambda s, box=whole: functools.reduce(
+                np.multiply.outer, [f[b, s] for f, b in zip(fac, box)])
         osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
                for a, y in enumerate(self.y_axes)]
         tau = xn_axis + self.x0[-1]
         shape = tuple(len(y) for y in self.y_axes)
         dens, phase_vals = self.dens.reshape(shape), self.phase_vals.reshape(shape)
 
-        def slab(s):
-            w = dens * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
-            return osc[0] @ w if len(osc) == 1 else osc[0] @ w @ osc[1].T
+        def slab(s, box=whole):
+            out = dens * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
+            for o, b in zip(osc, box):  # contract the first axis; its x-axis goes last
+                out = (out.reshape(len(out), -1).T @ o[b].T).reshape(*out.shape[1:], -1)
+            return out
         return slab
 
 
@@ -276,11 +281,12 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     longest x-axis (fields.row_intervals), summed by LpAccumulator.add_rows.
     With both caps separable a row is its lead factors times the row factor,
     so a finite q costs O(rows) per slab (q = inf adds a range max per run),
-    and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the cells of
-    the slab fields, formed whole.  Each cap's node counts come from the
-    per-axis oscillation guard at the domain grid's corners
-    (required_grid_counts, at least min_nodes).  Returns (ratio, stats): the
-    domain cells and each cap's node counts.
+    and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the bounding
+    box's cells, and each block of slabs is formed only over its live box
+    (the rows that hold a run, and their runs' columns).  Each cap's node
+    counts come from the per-axis oscillation guard at the domain grid's
+    corners (required_grid_counts, at least min_nodes).  Returns (ratio,
+    stats): the domain cells and each cap's node counts.
     """
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
@@ -317,27 +323,37 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
         mags = [np.ascontiguousarray(m) for m in mags]
         block = max(1, (1 << 16) // (per_slab + sizes[row]))  # slabs per block
 
-        def runs(sl):  # (scale of each row, row vectors, vector of each row)
+        def runs(sl, lo, hi):  # (scale of each row, row vectors, vector of each row, runs)
             lead = np.ones((len(mags[row][sl]), 1))
             for a in range(n - 1):
                 if a != row:
                     lead = (lead[:, :, None] * mags[a][sl, None, :]).reshape(len(lead), -1)
-            return lead.reshape(-1), mags[row][sl], np.arange(lead.size) // per_slab
+            return lead.reshape(-1), mags[row][sl], np.arange(lead.size) // per_slab, lo, hi
     else:
         slabs = [quad.slabs(x_axes, xn_axis) for quad in quads]
         block = max(1, (1 << 16) // (per_slab * sizes[row]))
+        other = [k for a, k in enumerate(sizes) if a != row]
 
-        def runs(sl):
-            field = np.abs([functools.reduce(np.multiply, [slab(s) for slab in slabs])
-                            for s in range(len(xn_axis))[sl]])
-            vals = np.moveaxis(field, row + 1, -1).reshape(-1, sizes[row])
-            return np.ones(len(vals)), vals, np.arange(len(vals))
+        def runs(sl, lo, hi):  # the same over the live box: the rows that hold a run
+            lo, hi = lo.reshape(-1, *other), hi.reshape(-1, *other)
+            live = hi > lo
+            box = [slice(i.min(), i.max() + 1) for i in np.nonzero(live)]
+            cols = slice(lo[live].min(), hi[live].max())
+            xbox = box[1:row + 1] + [cols] + box[row + 1:]
+            field = np.empty([b.stop - b.start for b in [box[0]] + xbox])
+            for i, s in enumerate(range(sl.start, len(xn_axis))[box[0]]):
+                np.abs(functools.reduce(np.multiply, [slab(s, xbox) for slab in slabs]),
+                       out=field[i])
+            vals = np.moveaxis(field, row + 1, -1).reshape(-1, cols.stop - cols.start)
+            lo, hi = (v[tuple(box)].reshape(-1) - cols.start for v in (lo, hi))
+            return np.ones(len(vals)), vals, np.arange(len(vals)), lo, hi
     cells = 0
     for s in range(0, len(xn_axis), block):
         sl = slice(s, s + block)
         run_lo, run_hi = row_intervals(domain, x_axes, xn_axis[sl], row)
-        cells += int(np.sum(run_hi - run_lo))
-        acc.add_rows(*runs(sl), run_lo, run_hi)
+        if np.any(run_hi > run_lo):
+            cells += int(np.sum(run_hi - run_lo))
+            acc.add_rows(*runs(sl, run_lo, run_hi))
     if cells == 0:
         raise ExtensionError("domain contains no grid cells")
     stats = {"cells": cells, "grid_counts": [c.tolist() for c in counts]}

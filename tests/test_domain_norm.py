@@ -3,9 +3,12 @@ domain contains, the run reduction matches the plain one, and
 domain_norm_ratio keeps its counters and its resource cap."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import extension as ext
 from tubelab import witnesses
@@ -149,6 +152,16 @@ CASES = {
         ext.CapFunction((0.25, -0.25), (0.75, 0.25),
                         density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
         PHI3, Ball((0.0,) * 3, 4.0)),
+    # several blocks of slabs, so live boxes lie strictly inside the bounding
+    # box: the ball's first and last slabs hold no cell (64 slabs, the
+    # outermost 7.875 from the centre, their nearest cells outside 7.876)
+    "perturbed-blocks": lambda: (*witnesses.trace_caps(3, 8), perturbed_phase(2, 0.05),
+                                 Ball((0.0,) * 3, 7.876)),
+    "mixed-sheared": lambda: (
+        ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.5, -0.3, 1.0)),
+        ext.CapFunction((0.25, -0.25), (0.75, 0.25),
+                        density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+        PHI3, ShearedBox(shear=1.0, w1=0.5, w_mid=(4.0,), w_n=8.0)),
 }
 
 
@@ -162,21 +175,94 @@ def test_domain_norm_ratio_matches_the_per_cell_reduction(case, q):
     assert got == pytest.approx(ratio, rel=1e-12)
 
 
+@st.composite
+def _random_cap(draw, d):
+    lo = [draw(st.floats(-1.0, 0.6)) for _ in range(d)]
+    hi = [a + draw(st.floats(0.1, 0.4)) for a in lo]
+    modulation = draw(st.none() | st.tuples(*[st.floats(-2.0, 2.0)] * (d + 1)))
+    coef = draw(st.none() | st.tuples(st.floats(-3.0, 3.0), st.floats(-1.0, 1.0)))
+    density = None if coef is None else (
+        lambda y: np.cos(coef[0] * y[:, 0]) + 1j * coef[1] * y[:, -1] + 0.25)
+    return ext.CapFunction(tuple(lo), tuple(hi), modulation=modulation, density=density)
+
+
+@st.composite
+def _random_domain(draw, n):
+    # up to sizes whose grid spans several blocks of slabs, so that a
+    # block's live box can lie strictly inside the bounding box
+    centre = [draw(st.floats(-1.0, 1.0)) for _ in range(n)]
+    size = st.floats(0.5, 48.0 if n == 2 else 8.0)
+    kind = draw(st.sampled_from(["ball", "box", "cylinder", "sheared"]))
+    if kind == "ball":
+        return Ball(tuple(centre), draw(size))
+    if kind == "box":
+        halves = [draw(size) for _ in range(n)]
+        return Box(tuple(np.subtract(centre, halves)), tuple(np.add(centre, halves)))
+    if kind == "cylinder":
+        disc = draw(st.sampled_from(list(itertools.combinations(range(n), 2))))
+        rest = [a for a in range(n) if a not in disc]
+        halves = [draw(size) for _ in rest]
+        return CylinderDomain(disc, tuple(centre[a] for a in disc), draw(size),
+                              tuple(centre[a] - h for a, h in zip(rest, halves)),
+                              tuple(centre[a] + h for a, h in zip(rest, halves)))
+    return ShearedBox(shear=draw(st.floats(-1.0, 1.0)), w1=draw(size),
+                      w_mid=tuple(draw(size) for _ in range(n - 2)), w_n=draw(size))
+
+
+@st.composite
+def _random_case(draw):
+    n = draw(st.sampled_from([2, 3]))
+    phi = draw(st.sampled_from([quadratic_phase(n - 1), perturbed_phase(n - 1, 0.05)]))
+    g = draw(st.none() | _random_cap(n - 1))
+    return draw(_random_cap(n - 1)), g, phi, draw(_random_domain(n))
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(case=_random_case(), q=st.sampled_from([1, 5 / 3, np.inf]))
+def test_domain_norm_ratio_matches_the_per_cell_reduction_on_random_inputs(case, q):
+    # every domain class, separable, mixed and generic pairs, single caps
+    f, g, phi, domain = case
+    ratio, cells = _per_cell_reference(f, g, phi, 2, q, domain)
+    got, stats = ext.domain_norm_ratio(f, g, phi, 2, q, domain)
+    assert stats["cells"] == cells
+    assert got == pytest.approx(ratio, rel=1e-12)
+
+
+@pytest.mark.parametrize("radius", [2.0, 3.0])
+def test_generic_slabs_contract_every_support_axis(radius):
+    # at n = 4 a density of one takes the generic path and must match the
+    # separable path on the same cap; the per-cell reference forms its slabs
+    # with the same _CapQuadrature.slabs, so it cannot be the oracle here
+    phi = quadratic_phase(3)
+    lo, hi = (-0.75, -0.25, -0.25), (-0.25, 0.25, 0.25)
+    ones = ext.CapFunction(lo, hi, density=lambda y: np.ones(len(y)))
+    ball = Ball((0.0,) * 4, radius)
+    for q in (1, 5 / 3, np.inf):
+        want, want_stats = ext.domain_norm_ratio(ext.CapFunction(lo, hi), None, phi, 2, q, ball)
+        got, stats = ext.domain_norm_ratio(ones, None, phi, 2, q, ball)
+        assert stats == want_stats
+        assert got == pytest.approx(want, rel=1e-12)
+
+
 # (q, ratio at q, ratio at q = inf, stats["cells"], stats["grid_counts"])
-# before the row-interval reduction, which perfbench's domain_norm_ratio
+# before the row-interval reduction (the perturbed entry before the generic
+# path formed slabs over live boxes), which perfbench's domain_norm_ratio
 # counters read; the q = inf ratio is the field's sup over ||f||_2 ||g||_2
 PINNED = {
     "trace-R16": (1, 14.784312348742512, 0.015596888455876952, 1099136,
                   [[16, 16], [16, 16]]),
+    "perturbed-R16": (1, 14.92499870211395, 0.015597338469205644, 1099136,
+                      [[16, 16], [16, 16]]),
     "c1-delta1/16": (5 / 3, 0.25008270560453166, 0.0009757774357652064, 823488,
                      [[16, 16], [16, 16]]),
 }
 
 
 def _pinned_call(name, q):
-    if name == "trace-R16":
+    if name in ("trace-R16", "perturbed-R16"):
         f, g = witnesses.trace_caps(3, 16)
-        return ext.domain_norm_ratio(f, g, PHI3, 2, q, Ball((0.0,) * 3, 16.0))
+        phi = PHI3 if name == "trace-R16" else perturbed_phase(2, 0.05)
+        return ext.domain_norm_ratio(f, g, phi, 2, q, Ball((0.0,) * 3, 16.0))
     f, g, box = witnesses.build_witness(witnesses.C1_SQUASHED, 3, 1 / 16)
     return ext.domain_norm_ratio(f, g, PHI3, 2, q, box)
 
