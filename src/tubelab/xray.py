@@ -6,11 +6,12 @@ Rasterization convention: a grid cell belongs to a tube iff its center does.
 X, X* and geometry.Tube.contains test it with one expression, evaluated in
 this order, so X and X* are adjoint cell by cell: (x_, x_n) is in T_omega^i
 iff |x_n| <= 1 and sum_a ((x_a - x_n omega_a) - i_a)^2 <= delta^2.  In a
-height slab a tube is that disc of cells.  X* rasterizes the discs (_disc_sums)
-only inside each slab's intersection box of its fields' discs (_slab_sums, one
-helper for xray_adjoint and the bilinear product); X sums each disc as one run
-per grid row (fields.row_runs) of the slab's values.  The guard spacing <=
-delta/4 resolves the delta-wide cross-section by at least four cells.
+height slab a tube is that disc of cells.  X* (_adjoint_slabs, for xray_adjoint
+and the bilinear product) keeps the discs near the box where its fields meet and
+the grid lines in a disc window of every field, and bincounts blocks of slabs on
+those live sub-grids; X sums each disc as one run per grid row (fields.row_runs)
+of the slab's values.  The guard spacing <= delta/4 resolves the delta-wide
+cross-section by at least four cells.
 """
 
 from __future__ import annotations
@@ -132,76 +133,110 @@ def _tube_sums(slabs, omegas, points, axes, delta):
     return *np.divmod(keys[sums > 0], len(points)), sums[sums > 0]
 
 
-def _disc_windows(shifts, bases, delta, axes):
+def _disc_windows(shifts, bases, delta, axes, codes=None):
     """(inside, d2, flat) at the points g of disc k's searchsorted window in the
     grid spanned by axes (padded to the widest): d2 = sum_a ((g_a - shifts[k, a])
-    - bases[k, a])^2 in axis order, inside = d2 <= delta^2, flat = g's index."""
+    - bases[k, a])^2 in axis order, inside = d2 <= delta^2, flat = g's index, or
+    with codes (per axis: windows [lo, hi), table, row) the sum of g's lines'
+    table[row[k] + line], where inside also needs each >= 0."""
     centers = bases + shifts
     d = len(axes)
     inside, d2, flat = np.ones((len(bases),) + (1,) * d, dtype=bool), 0.0, 0
     for a, ax in enumerate(axes):
-        lo = np.searchsorted(ax, centers[:, a] - delta - 1e-12)
-        hi = np.searchsorted(ax, centers[:, a] + delta + 1e-12)
+        lo, hi, table, row = codes[a] if codes else (
+            np.searchsorted(ax, centers[:, a] - delta - 1e-12),
+            np.searchsorted(ax, centers[:, a] + delta + 1e-12), None, None)
         idx = lo[:, None] + np.arange((hi - lo).max(initial=0))
         shape = (len(bases),) + (1,) * a + (idx.shape[1],) + (1,) * (d - 1 - a)
-        inside = inside & (idx < hi[:, None]).reshape(shape)
+        ok = idx < hi[:, None]
         idx = np.minimum(idx, len(ax) - 1)
+        line = idx if codes is None else table[row[:, None] + idx]
+        inside = inside & (ok if codes is None else ok & (line >= 0)).reshape(shape)
         dev = (ax[idx] - shifts[:, a, None]) - bases[:, a, None]
         d2 = d2 + (dev**2).reshape(shape)
-        flat = flat * len(ax) + idx.reshape(shape)
+        flat = (flat * len(ax) if codes is None else flat) + line.reshape(shape)
     return inside & (d2 <= delta**2), d2, flat
 
 
-def _disc_sums(shifts, bases, values, delta, axes):
-    """sum_k values[k] [disc k of _disc_windows holds g] at each point g of the grid
-    spanned by axes, in disc order (X* passes y_n omega and i at each height)."""
-    inside, _d2, flat = _disc_windows(shifts, bases, delta, axes)
-    dims = tuple(len(ax) for ax in axes)
-    weights = np.broadcast_to(values.reshape((-1,) + (1,) * len(axes)), inside.shape)
-    return np.bincount(np.broadcast_to(flat, inside.shape)[inside],
-                       weights[inside], math.prod(dims)).reshape(dims)
-
-
-def _slab_sums(fields, yn, x_axes, delta):
-    """(box, sums): X* at height yn of each of fields (XrayField.tubes arrays) by
-    _disc_sums on the x_axes cells in box, the slices within delta of disc centres
-    of every field, or None if box holds no cell or |yn| > 1.  The tubes near box
-    keep their order, so its cells get their whole-grid sums; outside it some field is 0."""
-    centres = [b + yn * om for om, b, _v in fields]
-    lo = np.max([c.min(axis=0, initial=np.inf) for c in centres], axis=0) - delta - 1e-12
-    hi = np.min([c.max(axis=0, initial=-np.inf) for c in centres], axis=0) + delta + 1e-12
-    box = tuple(slice(*np.searchsorted(ax, [l, h], side="right"))
-                for ax, l, h in zip(x_axes, lo, hi))
-    axes = [ax[k] for ax, k in zip(x_axes, box)]
-    if abs(yn) > 1.0 or min(map(len, axes)) == 0:
-        return box, None
-    near = [np.all((c >= lo - delta - 1e-12) & (c <= hi + delta + 1e-12), axis=1)
-            for c in centres]
-    return box, [_disc_sums(yn * om[k], b[k], v[k], delta, axes)
-                 for (om, b, v), k in zip(fields, near)]
+def _adjoint_slabs(fields, heights, x_axes, delta):
+    """Yield (s, lines, sums) for each slab s (|heights[s]| <= 1) whose live
+    sub-grid holds a cell: lines, per x-axis, are in a _disc_windows window of
+    every field (XrayField.tubes arrays), near the box where all their discs
+    meet; sums is X* of each field on the lines' product (weights bincounted in
+    disc order), off which some field is 0.  Chunks of about 2^14 disc-centre
+    coordinates and grid lines are cut at once; blocks of about 2^14 window
+    entries plus cells are rasterized by one _disc_windows pass per field."""
+    lens = [len(ax) for ax in x_axes]
+    slabs = np.nonzero(np.abs(heights) <= 1.0)[0]
+    chunk = max(1, (1 << 14) // (len(lens) * sum(len(f[1]) for f in fields) + sum(lens)))
+    for c0 in range(0, len(slabs), chunk):
+        ss = slabs[c0:c0 + chunk]
+        yn = heights[ss]
+        centres = [np.ascontiguousarray(b.T) + yn[:, None, None] * np.ascontiguousarray(om.T)
+                   for om, b, _v in fields]  # (slab, axis, disc): fast reductions over discs
+        lo = np.max([c.min(axis=2, initial=np.inf) for c in centres], axis=0) - delta - 1e-12
+        hi = np.min([c.max(axis=2, initial=-np.inf) for c in centres], axis=0) + delta + 1e-12
+        near, live = [], [np.ones((len(ss), m), dtype=bool) for m in lens]
+        for c in centres:  # the (slab, disc) pairs near the box, and their windows per axis
+            j, k = np.nonzero(np.all((c >= (lo - delta - 1e-12)[:, :, None])
+                                     & (c <= (hi + delta + 1e-12)[:, :, None]), axis=1))
+            ends = [(np.searchsorted(ax, c[j, a, k] - delta - 1e-12),
+                     np.searchsorted(ax, c[j, a, k] + delta + 1e-12))
+                    for a, ax in enumerate(x_axes)]
+            near.append((j, k, ends))
+            for mask, m, (w0, w1) in zip(live, lens, ends):  # a row's count is 0 again at m
+                cover = np.bincount(j * (m + 1) + w0, None, len(ss) * (m + 1)) - np.bincount(
+                    j * (m + 1) + w1, None, len(ss) * (m + 1))
+                mask &= np.cumsum(cover).reshape(len(ss), m + 1)[:, :-1] > 0
+        del centres, c, cover  # the windows and live lines are all the blocks need
+        counts = np.array([mask.sum(axis=1) for mask in live])
+        cells = counts.prod(axis=0)
+        off = np.cumsum(cells) - cells  # each slab's first cell in the chunk's sub-grids
+        strides = np.cumprod(np.vstack([np.ones_like(cells), counts[:0:-1]]), axis=0)[::-1]
+        codes = [np.where(mask, (np.cumsum(mask, axis=1) - 1) * st[:, None]
+                          + (a == 0) * off[:, None], -1).reshape(-1)
+                 for a, (mask, st) in enumerate(zip(live, strides))]  # rank codes, -1 off live
+        cost = cells + sum(np.bincount(j, math.prod(w1 - w0 for w0, w1 in ends), len(ss))
+                           for j, _k, ends in near)
+        block = (np.cumsum(cost) - cost) // (1 << 14)
+        edges = [0, *(np.flatnonzero(np.diff(block)) + 1), len(ss)]
+        for b0, b1 in zip(edges[:-1], edges[1:]):
+            base, size, sums = off[b0], off[b1 - 1] + cells[b1 - 1] - off[b0], []
+            for (j, k, ends), (om, b, v) in zip(near, fields) if size else ():
+                i0, i1 = np.searchsorted(j, [b0, b1])
+                j, k = j[i0:i1], k[i0:i1]
+                win = [(w0[i0:i1], w1[i0:i1], t, j * m)
+                       for (w0, w1), t, m in zip(ends, codes, lens)]
+                inside, flat = _disc_windows(yn[j, None] * om[k], b[k], delta, x_axes, win)[::2]
+                weights = np.broadcast_to(v[k].reshape((-1,) + (1,) * len(lens)), inside.shape)
+                sums.append(np.bincount(flat[inside] - base, weights[inside], size))
+                del inside, flat, weights  # before the next field's windows
+            for r in b0 + np.nonzero(cells[b0:b1])[0]:
+                yield (ss[r], [np.nonzero(mask[r])[0] for mask in live],
+                       [x[off[r] - base:][:cells[r]].reshape(counts[:, r]) for x in sums])
 
 
 def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     """X* g = sum over (omega, i) of g(omega, i) chi_tube, rasterized on the
-    template grid (counting-measure form of the adjoint) by _slab_sums."""
+    template grid (counting-measure form of the adjoint) by _adjoint_slabs."""
     _check_spacing(grid.spacing, g.delta)
     n = grid.ndim
     if n - 1 != g.net.dim:
         raise XrayError("grid dimension does not match net")
     x_axes = [grid.axis_centers(a) for a in range(n - 1)]
-    tubes, out = g.tubes(), np.zeros(grid.dims, dtype=float)
-    for s, yn in enumerate(grid.axis_centers(n - 1)):
-        box, sums = _slab_sums([tubes], yn, x_axes, g.delta)
-        if sums:
-            out[box + (s,)] = sums[0]
+    out = np.zeros(grid.dims, dtype=float)
+    for s, lines, (sums,) in _adjoint_slabs([g.tubes()], grid.axis_centers(n - 1),
+                                            x_axes, g.delta):
+        out[np.ix_(*lines) + (s,)] = sums
     return GridFunction(grid.dims, grid.origin, grid.spacing, out)
 
 
 def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
                            spacing: float):
     """|| X*F . X*G ||_s for each exponent s of acc, over a grid covering both
-    tube unions, streamed into acc by _slab_sums of F and G in each height
-    slab.  s = inf gives the sup; s = 1 the plain inner product integral."""
+    tube unions, streamed into acc one height slab at a time (in box order)
+    from _adjoint_slabs.  s = inf gives the sup; s = 1 the plain inner
+    product integral."""
     delta, tubes = F.delta, [F.tubes(), G.tubes()]
     omegas, bases, _ = (np.concatenate(ab) for ab in zip(*tubes))
     lo = (bases - np.abs(omegas) - delta).min(axis=0, initial=np.inf) - spacing
@@ -210,9 +245,9 @@ def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
               for l, m in zip(lo, np.ceil((hi - lo) / spacing).astype(int))]
     m_n = int(math.ceil(2.0 / spacing))
     cellvol = spacing ** F.net.dim * (2.0 / m_n)
-    for yn in -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n):
-        sums = _slab_sums(tubes, yn, x_axes, delta)[1]
-        prod = np.multiply(*sums) if sums else np.zeros(0)
+    for _s, _lines, sums in _adjoint_slabs(tubes, -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n),
+                                           x_axes, delta):
+        prod = np.multiply(*sums)
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
     return {s: acc.norm(s, cellvol) for s in acc.running}
@@ -276,9 +311,12 @@ def prop111_constant(F: XrayField, G: XrayField,
                      spacing: Optional[float] = None) -> Prop111Result:
     """<X*F, X*G> normalized by delta^{2-n} ||F||_{L1 L1} ||G||_{L1 L1},
     computed two ways: a grid inner product and the exact tube-pair sum
-    sum F G |T cap T'| (cross-section overlap integrals)."""
+    sum F G |T cap T'| (cross-section overlaps, of the pairs whose axes come
+    within 2 delta + 1e-9 over |x_n| <= 1: the rest add 0.0); n is 2 or 3."""
     _check_pair(F, G)
     n, delta = F.net.dim + 1, F.delta
+    if n not in (2, 3):
+        raise XrayError(f"the exact tube-pair sum takes n in {{2, 3}}, not n = {n}")
     if spacing is None:
         spacing = delta / 8
     _check_spacing([spacing], delta)
@@ -286,12 +324,14 @@ def prop111_constant(F: XrayField, G: XrayField,
     if denom == 0:
         raise XrayError("zero denominator")
     inner = _adjoint_product_norms(F, G, LpAccumulator([1.0]), spacing)[1.0]
+    (w1, b1, v1), (w2, b2, v2) = F.tubes(), G.tubes()
+    gap, slope = b1[:, None] - b2, w1[:, None] - w2  # axis gap + t slope at x_n = t
+    t = np.clip(-np.sum(gap * slope, axis=2) / np.maximum(np.sum(slope**2, axis=2), 1e-300), -1, 1)
+    meet = np.sum((gap + t[..., None] * slope) ** 2, axis=2) <= (2 * delta + 1e-9) ** 2
     pair_sum = 0.0
-    tubes_g = [(Tube(tuple(w), tuple(b), delta), v) for w, b, v in zip(*G.tubes())]
-    for omega1, base1, v1 in zip(*F.tubes()):
-        t1 = Tube(tuple(omega1), tuple(base1), delta)
-        for t2, v2 in tubes_g:  # a zero volume adds 0.0, which leaves pair_sum as it is
-            pair_sum += float(v1 * v2 * tube_intersection_exact(t1, t2, n))
+    for f, g in zip(*np.nonzero(meet)):  # in F-major order, as the full double loop
+        pair_sum += float(v1[f] * v2[g] * tube_intersection_exact(
+            Tube(tuple(w1[f]), tuple(b1[f]), delta), Tube(tuple(w2[g]), tuple(b2[g]), delta), n))
     return Prop111Result(inner / denom, pair_sum / denom, delta)
 
 

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import xray
 from tubelab.fields import (GridFunction, LpAccumulator, NetFunction, SUM_I,
@@ -200,6 +202,17 @@ def test_delta_ball_transform_bytes_are_pinned(n, delta):
     assert (len(xv.values), digest.hexdigest()) == DELTA_BALL_TRANSFORM_BYTES[(n, delta)]
 
 
+def disc_sums(shifts, bases, values, delta, axes):
+    """sum_k values[k] [disc k holds g] at each point g of the grid spanned by
+    axes, in disc order: the whole-grid windows of xray._disc_windows and one
+    bincount, as X* rasterized before it worked over live sub-grids."""
+    inside, _d2, flat = xray._disc_windows(shifts, bases, delta, axes)
+    dims = tuple(len(ax) for ax in axes)
+    weights = np.broadcast_to(values.reshape((-1,) + (1,) * len(axes)), inside.shape)
+    return np.bincount(np.broadcast_to(flat, inside.shape)[inside],
+                       weights[inside], math.prod(dims)).reshape(dims)
+
+
 def splat_transform(f, net):
     """The forward transform before the row-interval gather, kept as a
     reference: per direction, every live cell splats its value onto the net
@@ -212,8 +225,8 @@ def splat_transform(f, net):
     scale = delta ** (1 - n) * f.cell_measure
     out = {}
     for w, omega in enumerate(net.points):
-        sums = xray._disc_sums(x_ - yn[:, None] * omega, np.zeros_like(x_), vals,
-                               delta, axes).reshape(-1)
+        sums = disc_sums(x_ - yn[:, None] * omega, np.zeros_like(x_), vals,
+                         delta, axes).reshape(-1)
         out.update({(w, i): sums[i] * scale for i in np.nonzero(sums)[0].tolist()})
     return out
 
@@ -270,6 +283,31 @@ def test_transform_of_the_finest_lab_delta_ball_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def traced_peak(call):
+    """tracemalloc's peak over call()."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_bilinear_products_stay_small():
+    # X* works in blocks of about 2^14 window entries plus live sub-grid
+    # cells.  Rasterizing each slab's whole intersection box instead, this
+    # random 24-tube Prop. 1.11 pair at delta = 1/32 peaked at 2.1 MiB (0.7 in
+    # blocks) and the k0 witness at delta = 1/64 at 2.5 MiB (2.2 in blocks)
+    pairs = [(2.0, 10 / 3), (3.0, 10 / 3), (4.0, 10 / 3)]
+    small = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 8)
+    xray.bilinear_kakeya_ratios(*small, pairs)  # lazy imports and caches, untraced
+    xray.prop111_constant(*small)
+    F, G = random_pair(build_net(3, 1 / 32), np.random.default_rng(5))
+    assert traced_peak(lambda: xray.prop111_constant(F, G, spacing=F.delta / 4)) < 2**20
+    F, G = xray.kakeya_witness(xray.K0_DELTAS, 3, 1 / 64)
+    assert traced_peak(lambda: xray.bilinear_kakeya_ratios(F, G, pairs)) < 2.4 * 2**20
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -518,7 +556,7 @@ def full_box_product_norms(F, G, acc, spacing):
               for a in range(F.net.dim)]
     m_n = int(math.ceil(2.0 / spacing))
     for yn in -1.0 + (np.arange(m_n) + 0.5) * (2.0 / m_n):
-        prod = np.multiply(*(xray._disc_sums(yn * om, b, v, delta, x_axes)
+        prod = np.multiply(*(disc_sums(yn * om, b, v, delta, x_axes)
                              for om, b, v in tubes))
         if prod.max(initial=0.0) > 0:
             acc.add(prod[prod > 0])
@@ -592,9 +630,10 @@ def test_crossing_pair_boxes_meet_in_some_slabs_only(n):
     F, G = crossing_pair(n, 1 / 16)
     spacing = F.delta / 4
     x_axes = [np.arange(-1.5, 1.5, spacing) + spacing / 2] * F.net.dim
-    met = [xray._slab_sums([F.tubes(), G.tubes()], yn, x_axes, F.delta)[1] is not None
-           for yn in -1.0 + (np.arange(2 / spacing) + 0.5) * spacing]
-    assert any(met) and not all(met)
+    heights = -1.0 + (np.arange(2 / spacing) + 0.5) * spacing
+    met = {s for s, _lines, _sums in xray._adjoint_slabs(
+        [F.tubes(), G.tubes()], heights, x_axes, F.delta)}
+    assert met and len(met) < len(heights)
     norms = xray._adjoint_product_norms(F, G, LpAccumulator([1.0]), spacing)
     assert norms[1.0] > 0
 
@@ -698,3 +737,180 @@ def test_bush_witness_value_at_origin():
     near0 = np.argmin(np.linalg.norm(centers, axis=1))
     assert out.samples.reshape(-1)[near0] == len(G.net.e2_indices)
 
+
+def unfiltered_pair_volumes(F, G):
+    """(sum F G |T cap T'|, |T cap T'| of each pair) over every tube pair in
+    F-major order: the loop before the pairs whose axes never meet were left out."""
+    n, total, volumes = F.net.dim + 1, 0.0, []
+    for w1, b1, v1 in zip(*F.tubes()):
+        t1 = Tube(tuple(w1), tuple(b1), F.delta)
+        for w2, b2, v2 in zip(*G.tubes()):
+            volumes.append(tube_intersection_exact(t1, Tube(tuple(w2), tuple(b2), G.delta), n))
+            total += float(v1 * v2 * volumes[-1])
+    return total, volumes
+
+
+def pair_value_and_volumes(F, G, monkeypatch):
+    """prop111_constant's pair value, with the grid product stubbed out, and the
+    exact intersection volumes it computed."""
+    volumes = []
+
+    def counted(t1, t2, n):
+        volumes.append(tube_intersection_exact(t1, t2, n))
+        return volumes[-1]
+
+    monkeypatch.setattr(xray, "_adjoint_product_norms", lambda *args: {1.0: 0.0})
+    monkeypatch.setattr(xray, "tube_intersection_exact", counted)
+    return xray.prop111_constant(F, G).pair_value, volumes
+
+
+def pair_denominator(F, G):
+    return F.delta ** (1.0 - F.net.dim) * F.norm_l1l1() * G.norm_l1l1()
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("n", [2, 3])
+def test_pair_sum_skips_only_pairs_that_never_meet(n, seed, monkeypatch):
+    # the skipped pairs would each have added exactly 0.0, so the sum and the
+    # number of pairs that meet are those of the full double loop
+    F, G = random_pair(build_net(n, 1 / 8), np.random.default_rng(seed))
+    got, volumes = pair_value_and_volumes(F, G, monkeypatch)
+    want, every = unfiltered_pair_volumes(F, G)
+    assert want > 0 and got == want / pair_denominator(F, G)
+    assert len(volumes) < len(every)
+    assert sum(v > 0 for v in volumes) == sum(v > 0 for v in every)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, -2e-9, 2e-9])
+@pytest.mark.parametrize("where", ["end-n2", "end-n3", "middle-n3"])
+def test_pair_sum_at_the_touching_distance(where, shift, monkeypatch):
+    # one pair of axes 2 delta + shift apart at their closest: at x_n = 1 for
+    # -e1/2 from 5/8 e1 against +e1/2 from -5/8 e1, at x_n = 0 for -e1/2 from
+    # delta e2 against +e1/2 from -delta e2.  2 delta + 2e-9 is past the
+    # filter's 1e-9 and skipped; the rest are kept
+    kind, n = where.split("-n")[0], int(where[-1])
+    delta = 1 / 8
+    net = build_net(n, delta)
+    rest = [0.0] * (n - 2)
+    w1, w2 = (net.nearest_index([x] + rest) for x in (-0.5, 0.5))
+    if kind == "end":
+        (b1, b2), axis = (net.nearest_index([x] + rest) for x in (0.625, -0.625)), 0
+    else:
+        (b1, b2), axis = (net.nearest_index([0.0, x]) for x in (delta, -delta)), 1
+    points = net.points.copy()
+    points[b1, axis] += shift
+    net = dataclasses.replace(net, points=points)
+    F = xray.XrayField(net, delta, NetFunction(net, {(w1, b1): 0.5}))
+    G = xray.XrayField(net, delta, NetFunction(net, {(w2, b2): 3.0}))
+    got, volumes = pair_value_and_volumes(F, G, monkeypatch)
+    want, every = unfiltered_pair_volumes(F, G)
+    assert got == want / pair_denominator(F, G)
+    assert volumes == ([] if shift > 1e-9 else every)
+    assert (every[0] > 0) == (shift < 0)
+
+
+@pytest.mark.parametrize("overlap", [True, False], ids=["overlapping", "disjoint"])
+def test_prop111_refuses_n_4_before_the_grid_product(overlap, monkeypatch):
+    # n = 4 has no exact tube-pair sum: both pairs are refused before any grid work
+    def forbidden(*args):
+        raise AssertionError("the grid product ran")
+
+    monkeypatch.setattr(xray, "_adjoint_product_norms", forbidden)
+    delta = 1 / 4
+    net = build_net(4, delta)
+    i0 = net.nearest_index([0.0] * 3)
+    far = net.nearest_index([1.0] * 3) if not overlap else i0
+    F = xray.XrayField(net, delta, NetFunction(net, {(int(net.e1_indices[0]), i0): 1.0}))
+    G = xray.XrayField(net, delta, NetFunction(net, {(int(net.e2_indices[0]), far): 1.0}))
+    with pytest.raises(xray.XrayError, match="n = 4") as err:
+        xray.prop111_constant(F, G)
+    assert err.value.exit_code == 2
+
+
+# ---------------------------------------------------------------------------
+# properties: small random instances against the oracles above
+
+WEIGHTS = st.floats(0.125, 8.0)
+
+
+@st.composite
+def small_nets(draw):
+    n, delta = draw(st.sampled_from([2, 3])), draw(st.sampled_from([1 / 4, 1 / 8]))
+    return build_net(n, delta)
+
+
+@st.composite
+def field_on(draw, net, directions):
+    """A bush (some of directions from one base) or a sparse random field."""
+    base = st.integers(0, len(net.points) - 1)
+    if draw(st.booleans()):
+        b = draw(base)
+        omegas = draw(st.lists(st.sampled_from(directions.tolist()), min_size=1, unique=True))
+        values = {(w, b): draw(WEIGHTS) for w in omegas}
+    else:
+        values = {(draw(st.sampled_from(directions.tolist())), draw(base)): draw(WEIGHTS)
+                  for _ in range(draw(st.integers(1, 12)))}
+    return xray.XrayField(net, net.delta, NetFunction(net, values))
+
+
+@st.composite
+def product_cases(draw):
+    net = draw(small_nets())
+    F, G = draw(field_on(net, net.e1_indices)), draw(field_on(net, net.e2_indices))
+    return F, G, net.delta / draw(st.sampled_from([4, 8]))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=product_cases())
+def test_block_product_matches_the_full_box_reference_on_random_fields(case):
+    F, G, spacing = case
+    exps = [1.0, 5 / 6, 0.7, 2.5, np.inf]
+    got = xray._adjoint_product_norms(F, G, LpAccumulator(exps), spacing)
+    assert got == full_box_product_norms(F, G, LpAccumulator(exps), spacing)
+
+
+@st.composite
+def grids(draw, centre, delta):
+    """A zero grid of spacing at most delta/4 around centre, offset at random;
+    it may reach past |x_n| = 1 and past the tubes."""
+    h = delta / draw(st.sampled_from([4, 4 / 0.9, 8]))
+    dims = tuple(draw(st.integers(1, 32)) for _ in centre)
+    origin = tuple(c - m * h * draw(st.floats(0.0, 1.0)) for c, m in zip(centre, dims))
+    return GridFunction(dims, origin, (h,) * len(dims), np.zeros(dims))
+
+
+@st.composite
+def adjoint_cases(draw):
+    """A field on any tubes and a grid around a point of one of its tube axes."""
+    net = draw(small_nets())
+    g = draw(field_on(net, np.arange(len(net.points))))
+    omegas, bases, _ = g.tubes()
+    k, t = draw(st.integers(0, len(bases) - 1)), draw(st.floats(-1.25, 1.25))
+    return g, draw(grids(list(bases[k] + t * omegas[k]) + [t], net.delta))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(case=adjoint_cases())
+def test_adjoint_matches_tube_contains_on_random_fields(case):
+    g, grid = case
+    centers, expect = grid.centers(), np.zeros(math.prod(grid.dims))
+    for w, i, v in zip(*g.tubes()):
+        expect += v * Tube(tuple(w), tuple(i), g.delta).contains(centers)
+    assert np.array_equal(xray.xray_adjoint(g, grid).samples.reshape(-1), expect)
+
+
+@settings(max_examples=50, deadline=None, derandomize=True)
+@given(case=adjoint_cases(), data=st.data())
+def test_transform_and_adjoint_are_adjoint_on_random_inputs(case, data):
+    # <Xf, g> with the delta^{n-1} direction measure is <f, X* g> with the cell measure
+    g, grid = case
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    f = GridFunction(grid.dims, grid.origin, grid.spacing,
+                     (rng.random(grid.dims) < 0.3) * rng.uniform(0.1, 2.0, grid.dims))
+    xv = xray.xray_transform(f, g.net).values
+    xf = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
+    gv = g.values
+    lhs = g.delta ** g.net.dim * sum(xf.get(key, 0.0) * v for key, v in zip(
+        zip(gv.omega.tolist(), gv.base.tolist()), gv.values.tolist()))
+    rhs = float(np.sum(f.samples * xray.xray_adjoint(g, f).samples)) * f.cell_measure
+    assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
