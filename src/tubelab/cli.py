@@ -114,6 +114,7 @@ def _check_ranges(cfg: ExperimentConfig, where: dict):
 
     check("n", cfg.n >= 2, f"{cfg.n} (need n >= 2)")
     check("grid_n", cfg.grid_n >= 1, f"{cfg.grid_n} (need grid_n >= 1)")
+    check("seed", cfg.seed is None or cfg.seed >= 0, f"{cfg.seed} (need seed >= 0)")
     for key, values in (("p", [cfg.p_value]), ("q", [cfg.q_value]),
                         ("scales", cfg.scales), ("box_constant", [cfg.box_constant])):
         check(key, all(0 < v < math.inf for v in values),

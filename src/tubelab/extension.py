@@ -6,13 +6,14 @@ All quadrature is midpoint rule on the cap's support box, held by one
 _CapQuadrature per cap for both scattered points and domain grids.  Its node
 counts come from required_grid_counts, the one sizing rule (the per-axis
 oscillation guard); evaluate_extension is the one place that checks counts
-a caller passes in.  For the quadratic phase with box caps the integral
-factors per axis (one complex GEMM per axis), so a domain norm sums each
-grid row of a slab as one run of cells (fields.row_intervals) from prefix
-sums of the row factor, without forming the slab: O(rows) work per slab for
-a finite q, plus one range max per run at q = inf.  That is what makes
-large-scale sweeps affordable.  A pair with a generic cap forms slabs only
-over each block's live box (one GEMM per support axis of a generic cap).
+a caller passes in.  A cap is the indicator of a box, so the phase alone
+decides the evaluator.  For the quadratic phase the integral factors per
+axis (one complex GEMM per axis), so a domain norm sums each grid row of a
+slab as one run of cells (fields.row_intervals) from prefix sums of the row
+factor, without forming the slab: O(rows) work per slab for a finite q,
+plus one range max per run at q = inf.  That is what makes large-scale
+sweeps affordable.  Any other phase forms slabs only over each block's live
+box (one GEMM per support axis).
 The annulus transform is one contraction per axis of the product grids.
 """
 
@@ -28,7 +29,7 @@ import numpy as np
 from . import TubelabError
 from .fields import (Ball, GridFunction, LpAccumulator, lp, lp_norm,
                      row_intervals)
-from .geometry import EllipticPhase, quadratic_phase
+from .geometry import EllipticPhase, product_grid, quadratic_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -54,13 +55,12 @@ class OscillationGuardError(ExtensionError):
 
 @dataclass
 class CapFunction:
-    """Indicator-type density on a sub-box of Q, optionally modulated by
+    """Indicator of a sub-box of Q, optionally modulated by
     e^{-2 pi i x0 . (y, Phi(y))} with x0 in R^n."""
 
     support_lo: tuple
     support_hi: tuple
     modulation: Optional[tuple] = None
-    density: Optional[object] = None  # callable on (m, n-1) points
 
     def __post_init__(self):
         lo = np.asarray(self.support_lo, dtype=float)
@@ -99,19 +99,9 @@ class CapFunction:
                 for lo, m, h in zip(self.support_lo, counts, steps)]
         return axes, steps
 
-    def density_values(self, pts: np.ndarray) -> np.ndarray:
-        if self.density is None:
-            return np.ones(pts.shape[0], dtype=complex)
-        return np.asarray(self.density(pts), dtype=complex)
-
     def norm_lp(self, p: float) -> float:
-        """||f||_p; exact for unit densities (modulation has modulus one),
-        64 midpoint nodes per axis otherwise."""
-        if self.density is None:
-            return lp([1.0], p, self.measure)
-        axes, steps = self.nodes(64)
-        mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, self.dim)
-        return lp(np.abs(self.density_values(mesh)), p, math.prod(steps))
+        """||f||_p, exact: the modulation has modulus one."""
+        return lp([1.0], p, self.measure)
 
 
 def _is_integer(value) -> bool:
@@ -139,8 +129,8 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     eff = pts + cap.modulation_vector(pts.shape[-1])
     xmax = np.max(np.abs(eff[..., :-1]), axis=-2)
     tmax = np.max(np.abs(eff[..., -1]), axis=-1)[..., None]
-    axes = [np.linspace(lo, hi, 5) for lo, hi in zip(cap.support_lo, cap.support_hi)]
-    mesh = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
+    mesh = product_grid([np.linspace(lo, hi, 5)
+                         for lo, hi in zip(cap.support_lo, cap.support_hi)])
     gmax = np.max(np.abs(phi.grad(mesh)), axis=0)
     lengths = np.subtract(cap.support_hi, cap.support_lo, dtype=float)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
@@ -159,19 +149,18 @@ class _CapQuadrature:
     (required_grid_counts).
 
     The modulation x0 enters only as the point shift x -> x + x0.  For the
-    quadratic phase with a plain density the tensor sum factors per axis
-    and is evaluated that way; otherwise the node mesh carries Phi and the
-    weighted density."""
+    quadratic phase the tensor sum factors per axis and is evaluated that
+    way; otherwise the node mesh carries Phi and the node weight."""
 
     def __init__(self, cap: CapFunction, phi: EllipticPhase, counts):
         self.y_axes, self.steps = cap.nodes(counts)
         self.x0 = cap.modulation_vector(cap.dim + 1)
-        self.separable = _separable(cap, phi)
+        self.separable = phi.tag == "quadratic"
         if not self.separable:
-            self.mesh = np.stack(np.meshgrid(*self.y_axes, indexing="ij"),
-                                 axis=-1).reshape(-1, cap.dim)
+            self.mesh = product_grid(self.y_axes)
             self.phase_vals = phi(self.mesh)
-            self.dens = cap.density_values(self.mesh) * math.prod(self.steps)
+            # per node, not a scalar: scaling the summed terms rounds otherwise
+            self.weights = np.full(len(self.mesh), math.prod(self.steps), dtype=complex)
 
     def at_points(self, pts: np.ndarray) -> np.ndarray:
         """Field values at scattered points (m, n)."""
@@ -187,11 +176,11 @@ class _CapQuadrature:
         for s in range(0, pts.shape[0], chunk):
             blk = eff[s:s + chunk]
             ph = blk[:, :-1] @ self.mesh.T + np.outer(blk[:, -1], self.phase_vals)
-            out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ self.dens
+            out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ self.weights
         return out
 
     def factors(self, x_axes, xn_axis):
-        """Separable caps: per axis a, the (len(x_axes[a]), len(xn_axis))
+        """The quadratic phase: per axis a, the (len(x_axes[a]), len(xn_axis))
         factor; the field at x_n = xn_axis[s] is the outer product of the
         factors' columns s.  One GEMM per axis."""
         tau = xn_axis + self.x0[-1]
@@ -200,31 +189,22 @@ class _CapQuadrature:
                 for x, x0, y, h in zip(x_axes, self.x0, self.y_axes, self.steps)]
 
     def slabs(self, x_axes, xn_axis):
-        """slab(s, box): the field at x_n = xn_axis[s] on the x-grid cells in
-        box (one slice per x-axis, all by default): the factors' product
-        (separable), or one GEMM per support axis on its factor's rows in box."""
+        """Any other phase: slab(s, box), the field at x_n = xn_axis[s] on
+        the x-grid cells in box (one slice per x-axis, all by default), by one
+        GEMM per support axis on its oscillation factor's rows in box."""
         whole = [slice(None)] * len(x_axes)
-        if self.separable:
-            fac = self.factors(x_axes, xn_axis)
-            return lambda s, box=whole: functools.reduce(
-                np.multiply.outer, [f[b, s] for f, b in zip(fac, box)])
         osc = [np.exp(-TWO_PI * 1j * np.outer(x_axes[a] + self.x0[a], y))
                for a, y in enumerate(self.y_axes)]
         tau = xn_axis + self.x0[-1]
         shape = tuple(len(y) for y in self.y_axes)
-        dens, phase_vals = self.dens.reshape(shape), self.phase_vals.reshape(shape)
+        weights, phase_vals = self.weights.reshape(shape), self.phase_vals.reshape(shape)
 
         def slab(s, box=whole):
-            out = dens * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
+            out = weights * np.exp(-TWO_PI * 1j * tau[s] * phase_vals)
             for o, b in zip(osc, box):  # contract the first axis; its x-axis goes last
                 out = (out.reshape(len(out), -1).T @ o[b].T).reshape(*out.shape[1:], -1)
             return out
         return slab
-
-
-def _separable(cap: CapFunction, phi: EllipticPhase) -> bool:
-    """The quadratic phase with a plain density: the integral factors per axis."""
-    return getattr(phi, "tag", "generic") == "quadratic" and cap.density is None
 
 
 def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
@@ -279,14 +259,14 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     whose centers fall in the domain contribute with full measure.  A slab
     meets the convex domain in one run of cells per grid row along its
     longest x-axis (fields.row_intervals), summed by LpAccumulator.add_rows.
-    With both caps separable a row is its lead factors times the row factor,
-    so a finite q costs O(rows) per slab (q = inf adds a range max per run),
-    and MAX_DOMAIN_CELLS bounds the rows; otherwise it bounds the bounding
-    box's cells, and each block of slabs is formed only over its live box
-    (the rows that hold a run, and their runs' columns).  Each cap's node
-    counts come from the per-axis oscillation guard at the domain grid's
-    corners (required_grid_counts, at least min_nodes).  Returns (ratio,
-    stats): the domain cells and each cap's node counts.
+    Under the quadratic phase a row is its lead factors times the row
+    factor, so a finite q costs O(rows) per slab (q = inf adds a range max
+    per run), and MAX_DOMAIN_CELLS bounds the rows; under any other phase it
+    bounds the bounding box's cells, and each block of slabs is formed only
+    over its live box (the rows that hold a run, and their runs' columns).
+    Each cap's node counts come from the per-axis oscillation guard at the
+    domain grid's corners (required_grid_counts, at least min_nodes).
+    Returns (ratio, stats): the domain cells and each cap's node counts.
     """
     acc = LpAccumulator([q])
     caps = [f] if g is None else [f, g]
@@ -303,7 +283,7 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
     sizes = [len(a) for a in x_axes]
     row = n - 2 - int(np.argmax(sizes[::-1]))  # the last of the longest axes
     per_slab = math.prod(sizes) // sizes[row]  # rows per slab
-    separable = all(_separable(c, phi) for c in caps)
+    separable = phi.tag == "quadratic"
     work = per_slab * len(xn_axis) * (1 if separable else sizes[row])
     if work > MAX_DOMAIN_CELLS:
         raise OscillationGuardError(

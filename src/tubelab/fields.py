@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import TubelabError
-from .geometry import DirectionNet
+from .geometry import DirectionNet, product_grid
 
 
 class FieldError(TubelabError):
@@ -41,10 +41,11 @@ class LpAccumulator:
 
     def add_rows(self, scale, rows, pick, lo, hi) -> "LpAccumulator":
         """add() of the runs scale[k] * rows[pick[k], lo[k]:hi[k]]: a sum
-        from prefix sums of rows^s, the max from one range max per run.  A run
-        sum is a difference of prefix sums, so its relative error is about
-        1e-16 times the row's sum of v^s up to the run's end over the run's
-        own: rows [[1e20, 1, 1]] give the run [1, 3) the sum 1.0 at s = 1."""
+        from prefix sums of rows^s, the max from one range max per run.  A
+        difference of prefix sums errs by about width * 1e-16 times the row's
+        sum of v^s up to the run's end, so a run whose sum that prefix exceeds
+        2^20-fold (rows [[1e20, 1, 1]], run [1, 3)), or that overflowed, is
+        summed directly."""
         keep = lo < hi
         scale, flat, width = scale[keep], rows.reshape(-1), rows.shape[1]
         first, last = pick[keep] * width + lo[keep], pick[keep] * width + hi[keep] - 1
@@ -53,8 +54,14 @@ class LpAccumulator:
                 top = np.maximum.reduceat(flat, np.column_stack([first, last]).ravel())[::2]
                 self.running[s] = float(np.max(scale * np.maximum(top, flat[last]), initial=v))
             else:
-                prefix = np.cumsum(rows**s, axis=1).reshape(-1)
+                powered = rows**s
+                prefix = np.cumsum(powered, axis=1).reshape(-1)
                 run_sums = prefix[last] - prefix[first] + flat[first] ** s
+                end = prefix[last]  # NaN run sums (inf - inf) are far too
+                far = ~(end <= 2.0**20 * run_sums) | (end == np.inf)
+                if far.any():
+                    ends = np.column_stack([first[far], last[far] + 1]).ravel()
+                    run_sums[far] = np.add.reduceat(np.append(powered, 0.0), ends)[::2]
                 self.running[s] = v + float(np.sum(scale**s * run_sums))
         return self
 
@@ -251,9 +258,7 @@ class GridFunction:
 
     def centers(self) -> np.ndarray:
         """All cell centers, shape (prod(dims), ndim)."""
-        axes = [self.axis_centers(a) for a in range(self.ndim)]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack(mesh, axis=-1).reshape(-1, self.ndim)
+        return product_grid([self.axis_centers(a) for a in range(self.ndim)])
 
     def to_binary(self):
         """(bytes, sidecar dict): little-endian f64 (re, im) pairs + metadata."""
@@ -278,15 +283,15 @@ class GridFunction:
 
 
 def grid_from_sampler(sampler, lo, hi, dims) -> GridFunction:
-    """Midpoint grid over the box [lo, hi] with the given cell counts."""
+    """Midpoint grid over the box [lo, hi] with the given cell counts (at
+    most MAX_GRID_POINTS cells: geometry.product_grid)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
     dims = tuple(int(d) for d in np.atleast_1d(dims))
     spacing = tuple((h - l) / d for l, h, d in zip(lo, hi, dims))
     origin = tuple(l + s / 2 for l, s in zip(lo, spacing))
-    g = GridFunction(dims, origin, spacing, np.zeros(dims, dtype=complex))
-    g.samples = np.asarray(sampler(g.centers())).reshape(dims)
-    return g
+    pts = product_grid([o + s * np.arange(d) for o, s, d in zip(origin, spacing, dims)])
+    return GridFunction(dims, origin, spacing, np.asarray(sampler(pts)).reshape(dims))
 
 
 def lp_norm(u: GridFunction, p: float) -> float:

@@ -224,7 +224,7 @@ class EllipticPhase:
             raise GeometryError("phase does not vanish at 0")
         if float(np.max(np.abs(self.grad(zero)))) > tol:
             raise GeometryError("phase gradient does not vanish at 0")
-        H = self.hess(_sample_grid(self.dim, samples_per_axis))
+        H = self.hess(product_grid([np.linspace(-1.0, 1.0, samples_per_axis)] * self.dim))
         eigs = np.linalg.eigvalsh(H)
         lo, hi = float(eigs.min()), float(eigs.max())
         if lo < 1 - self.eps0 - tol or hi > 1 + self.eps0 + tol:
@@ -234,9 +234,19 @@ class EllipticPhase:
         return lo, hi
 
 
-def _sample_grid(dim: int, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(-1.0, 1.0, per_axis)] * dim
-    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, dim)
+#: fail-fast cap on the points of one product grid
+MAX_GRID_POINTS = 1 << 28
+
+
+def product_grid(axes) -> np.ndarray:
+    """The product of the axes as (points, len(axes)), first axis major.  Its
+    size is counted exactly first: above MAX_GRID_POINTS, MemoryError (a
+    resource error) before numpy forms any array."""
+    size = math.prod(len(a) for a in axes)
+    if size > MAX_GRID_POINTS:
+        raise MemoryError(f"a grid of {len(axes)} axes needs {size} points, "
+                          f"above the {MAX_GRID_POINTS} cap; lower n or the scale")
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(axes))
 
 
 def quadratic_phase(dim: int) -> EllipticPhase:
@@ -288,7 +298,7 @@ def perturbed_phase(dim: int, eps0: float) -> EllipticPhase:
         return np.sum(terms, axis=1)
 
     # normalize so the Hessian 2-norm of psi is exactly <= 1 on Q
-    grid = _sample_grid(dim, 41)
+    grid = product_grid([np.linspace(-1.0, 1.0, 41)] * dim)
     H = raw_hess(grid)
     scale = float(np.max(np.abs(np.linalg.eigvalsh(H))))
     g0 = raw(np.zeros((1, dim)))[0]
@@ -389,8 +399,7 @@ def build_net(n: int, delta: float) -> DirectionNet:
     dim = n - 1
     kmax = int(math.floor(1.0 / delta + 1e-9))
     axis = np.arange(-kmax, kmax + 1, dtype=float) * delta
-    # the "ij" mesh is in lexicographic order, first axis major
-    pts = np.stack(np.meshgrid(*([axis] * dim), indexing="ij"), axis=-1).reshape(-1, dim)
+    pts = product_grid([axis] * dim)  # lexicographic order, first axis major
 
     def in_subcube(center1):
         # half-open boxes keep the lattice count at exactly (2 delta)^{1-n},

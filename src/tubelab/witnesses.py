@@ -19,7 +19,7 @@ from . import TubelabError, xray
 from .extension import (CapFunction, EllipticPhase, domain_norm_ratio,
                         evaluate_extension, required_grid_counts)
 from .fields import Box, CylinderDomain
-from .geometry import quadratic_phase
+from .geometry import product_grid, quadratic_phase
 
 C0_MODULATED = "c0-modulated"
 C1_SQUASHED = "c1-squashed"
@@ -171,10 +171,9 @@ def _modulated(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
     sizes all trials (the cap at probes + x0).  A trial no better than the
     best at the best's weakest probe cannot win and is not scored further."""
     assert cap.modulation is None
-    offsets = np.linspace(-radius, radius, 9)
-    grids = np.meshgrid(*[offsets] * len(active_axes), indexing="ij")
-    x0s = np.tile(seed, (grids[0].size, 1))
-    x0s[:, active_axes] += np.stack([g.reshape(-1) for g in grids], axis=-1)
+    lattice = product_grid([np.linspace(-radius, radius, 9)] * len(active_axes))
+    x0s = np.tile(seed, (len(lattice), 1))
+    x0s[:, active_axes] += lattice
     shifted = probes + x0s[:, None, :]
     best, best_score, weakest = None, -1.0, 0
     for k, grid_n in enumerate(required_grid_counts(cap, phi, shifted).max(axis=-1)):
@@ -188,15 +187,14 @@ def _modulated(cap: CapFunction, phi: EllipticPhase, seed: np.ndarray,
         raise ModulationSearchError(
             f"best modulated amplitude {best_score:.3g} is below the floor "
             f"{floor:.3g}")
-    return CapFunction(cap.support_lo, cap.support_hi, tuple(x0s[best]), cap.density)
+    return CapFunction(cap.support_lo, cap.support_hi, tuple(x0s[best]))
 
 
-def _probe_points(domain, n: int) -> np.ndarray:
+def _probe_points(domain) -> np.ndarray:
     lo, hi = domain.bounding_box()
     center = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo) * 0.7
-    axes = [np.array([c - h, c, c + h]) for c, h in zip(center, half)]
-    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, n)
+    pts = product_grid([np.array([c - h, c, c + h]) for c, h in zip(center, half)])
     return pts[domain.contains(pts)]
 
 
@@ -231,7 +229,7 @@ def build_witness(kind: str, n: int, scale: float,
         seed = np.zeros(n)
         seed[0] = -2 * CAP_CENTER * t0
         # the floor is half the predicted amplitude t0^{-(n-1)/2}
-        g = _modulated(g0, phi, seed, R / 4, _probe_points(box, n), [0],
+        g = _modulated(g0, phi, seed, R / 4, _probe_points(box), [0],
                        floor=0.5 * t0 ** (-(n - 1) / 2.0))
         return f, g, box
     delta = float(scale)
@@ -258,7 +256,7 @@ def build_witness(kind: str, n: int, scale: float,
     if kind == C1_SQUASHED:
         return (*_cap_pair(delta**2, n, delta), box)
     shift = 8.0 * rho
-    probes = _probe_points(box, n)
+    probes = _probe_points(box)
     predicted_amp = (2 * delta) ** (n - 2) * shift ** -0.5
     caps = []
     for sign, cap in zip((+1, -1), _cap_pair(CAP_HALF, n, delta)):

@@ -83,8 +83,7 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     if n - 1 != net.dim:
         raise XrayError("grid dimension does not match net")
     axes = [np.unique(net.points[:, a]) for a in range(net.dim)]
-    lattice = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    if not np.array_equal(lattice.reshape(-1, net.dim), net.points):
+    if not np.array_equal(geometry.product_grid(axes), net.points):
         raise XrayError("net points are not the full product of their axes "
                         "in lexicographic order")
     slabs = []  # (t, live box x-axes, its values with one zero column after each row)

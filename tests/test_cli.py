@@ -518,6 +518,54 @@ def test_node_count_overflow_exits_resource(tmp_path, capsys, argv):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize("command", [
+    *[pytest.param(f"sweep {family} {n}", id=f"sweep-{family}-n{n}")
+      for family in ("k0-deltas", "delta-ball") for n in (33, 66)],
+    *[pytest.param(f"witness --family {family} --n {n} --scale {scale}",
+                   id=f"witness-{family}-n{n}")
+      for family, scale in (("c2-stretched", "0.125"), ("c0-modulated", "8"))
+      for n in (33, 40)],
+    *[pytest.param(f"witness --family c1-squashed --n {n} --scale 0.125 --dump-dir dump",
+                   id=f"dump-c1-squashed-n{n}") for n in (33, 70)],
+])
+def test_grids_past_the_point_cap_exit_resource(tmp_path, capsys, command):
+    # the net, probe mesh or dump grid of 9^32, 3^33 or 17^33 points and up
+    # (past numpy's dimension and size limits) is refused by its exact count
+    argv = command.split()
+    if argv[0] == "sweep":
+        cfg = pathlib.Path(sweep_config(tmp_path, tmp_path / "o", family=argv[1]))
+        cfg.write_text(cfg.read_text().replace("n = 3", f"n = {argv[2]}"))
+        argv = ["sweep", "--config", str(cfg)]
+    code = cli.main([str(tmp_path / a) if a == "dump" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == cli.EXIT_RESOURCE and captured.out == ""
+    assert captured.err.startswith("resource error: a grid of ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists() and not (tmp_path / "dump").exists()
+
+
+@pytest.mark.parametrize("family", ["knapp-classic", "c1-squashed"])
+def test_witnesses_that_form_no_grid_run_at_n_33(capsys, family):
+    code, out = run_cli(capsys, "witness", "--family", family, "--n", "33",
+                        "--scale", "0.125")
+    assert code == 0 and len(out["f"]["support_lo"]) == 32
+
+
+def test_sweep_refuses_a_negative_seed(tmp_path, capsys):
+    # as verify refuses --seed -1: on the config line, and as the flag
+    cfg = pathlib.Path(sweep_config(tmp_path, tmp_path / "o"))
+    text = cfg.read_text()
+    for lines, flags, message in (
+            (text.replace("seed = 7", "seed = -7"), [], "line 7: bad value for 'seed': -7"),
+            (text, ["--seed", "-1"], "--seed: bad value for 'seed': -1")):
+        cfg.write_text(lines)
+        code = cli.main(["sweep", "--config", str(cfg), *flags])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE and captured.out == ""
+        assert captured.err == f"error: {message} (need seed >= 0)\n"
+    assert not (tmp_path / "o").exists()
+
+
 def test_every_library_error_derives_from_one_base():
     from tubelab import (TubelabError, extension, fields, geometry, lemmas,
                          xray)

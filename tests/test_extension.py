@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -26,48 +27,37 @@ def test_full_cap_at_origin_gives_measure():
     assert val[0] == pytest.approx(4.0)
 
 
+def midpoint_sum(cap, phi, pts, m):
+    """The extension integral's midpoint sum with m nodes per axis, written
+    out: the sum over the nodes y of e^{-2 pi i (x + x0) . (y, Phi(y))}
+    times the cell measure, one row per point x."""
+    axes = [lo + (np.arange(m) + 0.5) * (hi - lo) / m
+            for lo, hi in zip(cap.support_lo, cap.support_hi)]
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
+    x = np.asarray(pts, dtype=float) + cap.modulation_vector(cap.dim + 1)
+    return np.exp(-2j * np.pi * x @ np.column_stack([y, phi(y)]).T).sum(axis=1) \
+        * cap.measure / m**cap.dim
+
+
 def test_modulation_covariance():
+    # the modulated cap at x is the plain cap at x + x0, on both routes
     pts = np.array([[0.5, 0.4, 1.2], [1.0, -0.3, 2.0], [0.0, 0.0, 0.5]])
-    shift = np.array([0.3, -0.2, 0.0])
+    shift = (0.3, -0.2, 0.0)
     plain = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
-    # density route (generic quadrature), against shifted evaluation
-    dens = ext.CapFunction(
-        (-0.75, -0.25), (-0.25, 0.25),
-        density=lambda y: np.exp(-2j * np.pi * (y @ shift[:2])))
-    va = ext.evaluate_extension(dens, PHI3, pts, 64)
-    vb = ext.evaluate_extension(plain, PHI3, pts + shift, 64)
-    assert np.max(np.abs(va - vb)) < 1e-10
+    modulated = ext.CapFunction(plain.support_lo, plain.support_hi, modulation=shift)
+    want = midpoint_sum(plain, PHI3, pts + shift, 64)
+    for phi in (PHI3, GENERIC_QUADRATIC):
+        va = ext.evaluate_extension(modulated, phi, pts, 64)
+        assert np.max(np.abs(va - want)) < 1e-10
 
 
-def test_modulation_vector_route_matches_density_route():
+def test_modulation_vector_route_matches_a_direct_midpoint_sum():
     pts = np.array([[0.2, 0.1, 0.7], [1.5, 0.0, 3.0]])
-    x0 = (0.4, -0.1, 0.8)
-    cap_mod = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=x0)
-    phi = PHI3
-
-    def density(y):
-        return np.exp(-2j * np.pi * (y @ np.asarray(x0[:2])
-                                     + phi(y) * x0[2]))
-
-    cap_dens = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), density=density)
-    gn = ext.required_grid_counts(cap_mod, phi, pts).max()
-    va = ext.evaluate_extension(cap_mod, phi, pts, gn)
-    vb = ext.evaluate_extension(cap_dens, phi, pts, gn)
-    assert np.max(np.abs(va - vb)) < 1e-9
-
-
-def constant(c):
-    """A density equal to c everywhere."""
-    return lambda y: np.full(len(y), c, dtype=complex)
-
-
-def test_linearity():
-    pts = np.array([[0.3, -0.2, 1.0], [1.2, 0.5, 2.5]])
-    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
-    af = ext.CapFunction(f.support_lo, f.support_hi, density=constant(2.0 - 1.0j))
-    va = ext.evaluate_extension(af, PHI3, pts, 64)
-    vb = (2.0 - 1.0j) * ext.evaluate_extension(f, PHI3, pts, 64)
-    assert np.max(np.abs(va - vb)) < 1e-12
+    cap = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.4, -0.1, 0.8))
+    for phi in (PHI3, GENERIC_QUADRATIC, perturbed_phase(2, 0.05)):
+        gn = int(ext.required_grid_counts(cap, phi, pts).max())
+        va = ext.evaluate_extension(cap, phi, pts, gn)
+        assert np.max(np.abs(va - midpoint_sum(cap, phi, pts, gn))) < 1e-9
 
 
 def test_uniform_bound_by_l1():
@@ -136,10 +126,9 @@ def test_grids_below_one_node_are_refused(grid_n):
 ], ids=["quadratic", "perturbed", "rescaled"])
 @pytest.mark.parametrize("cap", [
     ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
-    ext.CapFunction((0.25, -1.0), (1.0, -0.5),
-                    density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
+    ext.CapFunction((0.25, -1.0), (1.0, -0.5)),
     ext.CapFunction((-0.5, 0.0), (0.0, 1.0), modulation=(2.0, -3.0, 1.5)),
-], ids=["plain", "density", "modulated"])
+], ids=["plain", "corner", "modulated"])
 @pytest.mark.parametrize("seed", range(3))
 def test_required_grid_counts_agree_with_the_guard(cap, phi, seed):
     # the sizing always passes evaluate_extension's guard, and one node fewer on
@@ -220,22 +209,29 @@ def test_domain_norm_ratio_modulated_separable_matches_generic(q):
     assert rb == pytest.approx(ra, rel=1e-12)
 
 
+def grid_slabs(quad, x_axes, xn_axis):
+    """slab(s): the field at x_n = xn_axis[s] on the x-grid, from the
+    factors' columns s under the quadratic phase, else quad.slabs."""
+    if not quad.separable:
+        return quad.slabs(x_axes, xn_axis)
+    fac = quad.factors(x_axes, xn_axis)
+    return lambda s: functools.reduce(np.multiply.outer, [f[:, s] for f in fac])
+
+
 @pytest.mark.parametrize("phi", [PHI3, GENERIC_QUADRATIC, perturbed_phase(2, 0.05)],
                          ids=["separable", "tagless-quadratic", "perturbed"])
 @pytest.mark.parametrize("cap", [
     ext.CapFunction((-0.75, -0.25), (-0.25, 0.25)),
     ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(0.5, -0.3, 1.0)),
-    ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), modulation=(-0.4, 0.2, -0.5),
-                    density=lambda y: np.cos(3 * y[:, 0]) + 1j * y[:, 1]),
-], ids=["plain", "modulated", "modulated-density"])
+], ids=["plain", "modulated"])
 def test_grid_slabs_match_scattered_points(cap, phi):
-    # the domain-grid slabs and the scattered-point values are the same
-    # midpoint sum at the same points
+    # the domain-grid slabs (the factors' columns under the quadratic phase)
+    # and the scattered-point values are the same midpoint sum at the same points
     x_axes = [np.linspace(-1.5, 1.0, 6), np.linspace(-0.5, 1.5, 5)]
     xn_axis = np.linspace(0.25, 2.5, 4)
     corners = np.array([[-1.5, -0.5, 0.25], [1.0, 1.5, 2.5]])
     gn = ext.required_grid_counts(cap, phi, corners)
-    slab = ext._CapQuadrature(cap, phi, gn).slabs(x_axes, xn_axis)
+    slab = grid_slabs(ext._CapQuadrature(cap, phi, gn), x_axes, xn_axis)
     mesh = np.stack(np.meshgrid(*x_axes, indexing="ij"), axis=-1).reshape(-1, 2)
     for s, xn in enumerate(xn_axis):
         pts = np.concatenate([mesh, np.full((len(mesh), 1), xn)], axis=1)
@@ -302,21 +298,12 @@ def test_parabolic_rescaling_covariance():
     assert np.max(np.abs(lhs - rhs)) < 1e-8
 
 
-def test_local_ratio_scalar_invariance():
-    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25))
-    g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
-    r1 = ext.local_ratio(f, g, PHI3, 2, 2, 8)
-    r2 = ext.local_ratio(ext.CapFunction(f.support_lo, f.support_hi, density=constant(3.0)),
-                         ext.CapFunction(g.support_lo, g.support_hi, density=constant(0.5j)),
-                         PHI3, 2, 2, 8)
-    assert r1.value == pytest.approx(r2.value, rel=1e-12)
-    assert r1.bilinear
-
-
 def test_local_ratio_zero_denominator():
-    f = ext.CapFunction((-0.75, -0.25), (-0.25, 0.25), density=constant(0.0))
-    g = ext.CapFunction((0.25, -0.25), (0.75, 0.25))
-    with pytest.raises(ext.ExtensionError):
+    # the support's measure 1e-200 * 1e-200 underflows to 0.0
+    f = ext.CapFunction((0.0, 0.0), (1e-200, 1e-200))
+    g = ext.CapFunction((0.5, -0.25), (1.0, 0.25))
+    assert f.measure == 0.0
+    with pytest.raises(ext.ExtensionError, match="zero denominator"):
         ext.local_ratio(f, g, PHI3, 2, 1, 8)
 
 
@@ -338,8 +325,9 @@ def test_trace_growth_and_flat_l2():
     # bilinear trace behaviour: p=2, q=1 grows ~ R; n=2 (2,2) stays bounded
     rows = []
     for R in (8, 16, 32):
-        f, g = witnesses.trace_caps(3, R)
-        rows.append((R, ext.local_ratio(f, g, PHI3, 2, 1, R).value))
+        ratio = ext.local_ratio(*witnesses.trace_caps(3, R), PHI3, 2, 1, R)
+        assert ratio.bilinear
+        rows.append((R, ratio.value))
     fit = witnesses.fit_power_law(rows)
     assert 0.8 <= fit.slope <= 1.2
 

@@ -265,8 +265,6 @@ def _lp_entry_points():
     from tubelab.geometry import quadratic_phase
 
     cap = extension.CapFunction((-1.0, -1.0), (1.0, 1.0))
-    dense = extension.CapFunction((-0.5,), (0.5,),
-                                  density=lambda y: 1.0 + y[:, 0] ** 2)
     f, g = witnesses.trace_caps(3, 4)
     phi = quadratic_phase(2)
     empty = fields.NetFunction(build_net(2, 1 / 8), {})
@@ -282,7 +280,6 @@ def _lp_entry_points():
     return [
         ("norm_lp-zero", lambda: cap.norm_lp(0)),
         ("norm_lp-negative", lambda: cap.norm_lp(-1)),
-        ("norm_lp-density-negative", lambda: dense.norm_lp(-1)),
         ("local_ratio-q-zero", lambda: extension.local_ratio(f, g, phi, 2, 0, 4)),
         ("local_ratio-q-negative",
          lambda: extension.local_ratio(f, g, phi, 2, -1, 4)),

@@ -360,6 +360,21 @@ def test_build_net_points_are_lexicographic(n):
         assert np.array_equal(np.lexsort(pts.T[::-1]), np.arange(len(pts)))
 
 
+def test_product_grid_is_first_axis_major():
+    got = geo.product_grid([np.array([0.0, 1.0]), np.array([5.0, 6.0, 7.0])])
+    assert got.tolist() == [[0, 5], [0, 6], [0, 7], [1, 5], [1, 6], [1, 7]]
+
+
+@pytest.mark.parametrize("axes", [[2] * 29, [3] * 33, [9] * 65],
+                         ids=["2^29", "3^33", "9^65"])
+def test_product_grid_refuses_past_the_point_cap_before_forming_it(monkeypatch, axes):
+    # counted as a Python int, so past numpy's size and dimension limits too
+    monkeypatch.setattr(np, "meshgrid", None)  # any attempt to form it fails
+    with pytest.raises(MemoryError, match=rf"needs {math.prod(axes)} points, "
+                                          rf"above the {geo.MAX_GRID_POINTS} cap"):
+        geo.product_grid([np.zeros(m) for m in axes])
+
+
 def test_build_net_separation_and_covering():
     net = geo.build_net(3, 1 / 8)
     for e1 in net.e1:

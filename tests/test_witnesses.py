@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -139,16 +138,6 @@ def test_witness_scale_validation():
                               box_constant=1.1386064608808005e+76)
 
 
-def test_witness_ratio_scalar_invariance():
-    phi = quadratic_phase(2)
-    f, g, box = wit.build_witness(wit.C1_SQUASHED, 3, 1 / 8)
-    r1, _ = domain_norm_ratio(f, g, phi, 2, 5 / 3, box)
-    r2, _ = domain_norm_ratio(dataclasses.replace(f, density=lambda y: np.full(len(y), 4.0)),
-                              dataclasses.replace(g, density=lambda y: np.full(len(y), 0.25)),
-                              phi, 2, 5 / 3, box)
-    assert r1 == pytest.approx(r2, rel=1e-12)
-
-
 def test_run_sweep_requires_dyadic_scales():
     with pytest.raises(wit.WitnessError):
         wit.run_sweep(wit.C1_SQUASHED, 3, 2, 5 / 3, [1 / 4, 1 / 8])
@@ -239,7 +228,7 @@ def _exhaustive_modulated(cap, phi, seed, radius, probes, active_axes, floor):
         x0 = seed.copy()
         for a, da in zip(active_axes, off):
             x0[a] += da
-        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0), cap.density)
+        trial = CapFunction(cap.support_lo, cap.support_hi, tuple(x0))
         gn = required_grid_counts(trial, phi, probes).max()
         score = float(np.abs(wit.evaluate_extension(trial, phi, probes, gn)).min())
         if score > best_score:

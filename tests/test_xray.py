@@ -914,3 +914,31 @@ def test_transform_and_adjoint_are_adjoint_on_random_inputs(case, data):
         zip(gv.omega.tolist(), gv.base.tolist()), gv.values.tolist()))
     rhs = float(np.sum(f.samples * xray.xray_adjoint(g, f).samples)) * f.cell_measure
     assert lhs == pytest.approx(rhs, rel=1e-12, abs=0)
+
+
+@st.composite
+def transform_cases(draw):
+    """A sparse random field, 0/1 or weighted over twelve decades, on a grid
+    around a random point that may reach past |x_n| = 1, and its net."""
+    net = draw(small_nets())
+    centre = [draw(st.floats(-1.25, 1.25)) for _ in range(net.dim + 1)]
+    grid = draw(grids(centre, net.delta))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    live = rng.random(grid.dims) < draw(st.sampled_from([0.02, 0.3]))
+    weighted = draw(st.booleans())
+    values = live * (10.0 ** rng.uniform(-6, 6, grid.dims) if weighted else 1.0)
+    return GridFunction(grid.dims, grid.origin, grid.spacing, values), net, weighted
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=transform_cases())
+def test_transform_matches_the_splat_reference_on_random_fields(case):
+    f, net, weighted = case
+    xv = xray.xray_transform(f, net).values
+    got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
+    want = splat_transform(f, net)
+    assert got.keys() == want.keys()
+    if weighted:
+        assert all(abs(got[key] - v) <= 1e-12 * v for key, v in want.items())
+    else:  # 0/1 input: exact cell counts times one scale
+        assert got == want
