@@ -29,7 +29,7 @@ import numpy as np
 from . import TubelabError
 from .fields import (Ball, GridFunction, LpAccumulator, lp, lp_norm,
                      row_intervals)
-from .geometry import EllipticPhase, product_grid, quadratic_phase
+from .geometry import EllipticPhase, _is_int, product_grid, quadratic_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -104,10 +104,6 @@ class CapFunction:
         return lp([1.0], p, self.measure)
 
 
-def _is_integer(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def _refuse_above_cap(nodes):
     if not np.all(nodes <= MAX_GRID_NODES):  # also refuses NaN
         raise OscillationGuardError(
@@ -123,7 +119,7 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     an axis of length L_a, with g_a = max|d_a Phi| (sampled at 5 points per
     axis), f_a = max|x_a| + max|x_n| g_a and F = max(max|x_|, max|x_n| |g|).
     A need, or a count, above MAX_GRID_NODES raises OscillationGuardError."""
-    if not _is_integer(min_nodes) or min_nodes < 1:
+    if not _is_int(min_nodes) or min_nodes < 1:
         raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     eff = pts + cap.modulation_vector(pts.shape[-1])
@@ -219,7 +215,7 @@ def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     if not np.all(np.isfinite(pts)):
         raise ExtensionError("evaluation points must be finite")
     given = np.asarray(grid_n, dtype=object)
-    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(_is_integer, given.flat)):
+    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(_is_int, given.flat)):
         raise ExtensionError(f"grid_n must be an integer or {f.dim} integers, got {grid_n!r}")
     counts = np.broadcast_to(given, (f.dim,))  # Python ints until checked: no overflow
     need = required_grid_counts(f, phi, pts, min_nodes=1)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import TubelabError
-from .geometry import DirectionNet, product_grid
+from .geometry import DirectionNet, _is_int, product_grid
 
 
 class FieldError(TubelabError):
@@ -155,6 +155,14 @@ class CylinderDomain:
     rest_hi: tuple
 
     def __post_init__(self):
+        if len(self.rest_lo) != len(self.rest_hi):
+            raise FieldError(f"rest bounds of lengths {len(self.rest_lo)} and {len(self.rest_hi)}")
+        axes, dim = tuple(self.disc_axes), 2 + len(self.rest_lo)
+        if (len(axes) != 2 or axes[0] == axes[1]
+                or not all(_is_int(a) and 0 <= a < dim for a in axes)):
+            raise FieldError(f"disc axes {axes} must be two distinct axes in [0, {dim})")
+        if len(self.disc_center) != 2:
+            raise FieldError(f"disc centre {self.disc_center} must have 2 coordinates")
         _check_bounds([*self.disc_center, *self.rest_lo, *self.rest_hi], self.disc_radius)
 
     def contains(self, pts: np.ndarray) -> np.ndarray:
@@ -223,31 +231,32 @@ def row_intervals(domain, x_axes, t, axis: int):
 
 @dataclass
 class GridFunction:
-    """Complex samples on a uniform rectangular grid.
+    """Complex samples on a uniform rectangular grid of samples.shape cells.
 
     origin is the center of cell (0, ..., 0); spacing is per-axis.
     """
 
-    dims: tuple
     origin: tuple
     spacing: tuple
     samples: np.ndarray
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples)
-        if self.samples.shape != tuple(self.dims):
-            raise FieldError(f"samples shape {self.samples.shape} != dims {self.dims}")
-        if not len(self.origin) == len(self.spacing) == len(self.dims):
-            raise FieldError(f"origin {self.origin} and spacing {self.spacing} "
-                             f"must have one entry per axis of dims {self.dims}")
+        if not len(self.origin) == len(self.spacing) == self.samples.ndim:
+            raise FieldError(f"origin {self.origin} and spacing {self.spacing} must "
+                             f"have one entry per axis of samples of shape {self.dims}")
         if not all(0 < s < np.inf for s in self.spacing):  # also refuses NaN
             raise FieldError(f"spacing {self.spacing} must lie in (0, inf)")
         if not np.all(np.isfinite(self.origin)):
             raise FieldError(f"origin {self.origin} must be finite")
 
     @property
+    def dims(self) -> tuple:
+        return self.samples.shape
+
+    @property
     def ndim(self) -> int:
-        return len(self.dims)
+        return self.samples.ndim
 
     @property
     def cell_measure(self) -> float:
@@ -261,25 +270,29 @@ class GridFunction:
         return product_grid([self.axis_centers(a) for a in range(self.ndim)])
 
     def to_binary(self):
-        """(bytes, sidecar dict): little-endian f64 (re, im) pairs + metadata."""
-        flat = np.ascontiguousarray(self.samples, dtype=np.complex128).reshape(-1)
-        raw = np.empty(2 * flat.size, dtype="<f8")
-        raw[0::2] = flat.real
-        raw[1::2] = flat.imag
+        """(bytes, sidecar dict): the samples in C order as little-endian
+        complex128, i.e. f64 (re, im) pairs, and the metadata."""
         sidecar = {
             "dims": list(self.dims),
             "origin": [float(v) for v in self.origin],
             "spacing": [float(v) for v in self.spacing],
         }
-        return raw.tobytes(), sidecar
+        return np.ascontiguousarray(self.samples, dtype="<c16").tobytes(), sidecar
 
     @classmethod
     def from_binary(cls, raw: bytes, sidecar: dict) -> "GridFunction":
-        arr = np.frombuffer(raw, dtype="<f8")
-        flat = arr[0::2] + 1j * arr[1::2]
+        """The exact inverse of to_binary, with writable samples; a payload
+        that does not hold the sidecar's dims of samples is refused."""
         dims = tuple(sidecar["dims"])
-        return cls(dims, tuple(sidecar["origin"]), tuple(sidecar["spacing"]),
-                   flat.reshape(dims))
+        try:
+            samples = np.frombuffer(raw, dtype="<c16").reshape(dims)
+            if samples.shape != dims:  # reshape reads a -1 as "the rest"
+                raise ValueError
+        except (TypeError, ValueError):
+            raise FieldError(f"a payload of {len(raw)} bytes does not hold "
+                             f"complex128 samples of shape {dims}") from None
+        return cls(tuple(sidecar["origin"]), tuple(sidecar["spacing"]),
+                   samples.astype(np.complex128))
 
 
 def grid_from_sampler(sampler, lo, hi, dims) -> GridFunction:
@@ -291,7 +304,7 @@ def grid_from_sampler(sampler, lo, hi, dims) -> GridFunction:
     spacing = tuple((h - l) / d for l, h, d in zip(lo, hi, dims))
     origin = tuple(l + s / 2 for l, s in zip(lo, spacing))
     pts = product_grid([o + s * np.arange(d) for o, s, d in zip(origin, spacing, dims)])
-    return GridFunction(dims, origin, spacing, np.asarray(sampler(pts)).reshape(dims))
+    return GridFunction(origin, spacing, np.asarray(sampler(pts)).reshape(dims))
 
 
 def lp_norm(u: GridFunction, p: float) -> float:

@@ -180,8 +180,6 @@ def whitney_locate(x, y, max_level: int):
         )
     c1 = DyadicCube(j, tuple(_locate_index(v, j) for v in x.tolist()))
     c2 = DyadicCube(j, tuple(_locate_index(v, j) for v in y.tolist()))
-    if not cubes_close(c1, c2):  # cannot happen: level j-1 was adjacent
-        raise GeometryError("close-pair structure violated")
     return j, c1, c2
 
 
@@ -329,14 +327,17 @@ def parabolic_rescale(phi: EllipticPhase, j: int, center) -> EllipticPhase:
     new(x) = 2^{2j} (Phi(c + 2^{-j} x) - Phi(c) - grad Phi(c) . 2^{-j} x).
 
     Ellipticity parameters are preserved (the Hessian is just resampled).
+    j is an integer in [-511, 511], where 4^j and 4^-j are finite doubles.
     """
+    if not _is_int(j) or not -511 <= j <= 511:
+        raise GeometryError(f"bad j {j!r}: need an integer in [-511, 511]")
     center = np.asarray(center, dtype=float).reshape(1, -1)
     if center.shape[1] != phi.dim:
         raise GeometryError("center dimension mismatch")
     lam = 2.0**j
     phi_c = float(phi(center)[0])
     grad_c = phi.grad(center)[0]
-    if not np.all(np.isfinite([lam, phi_c])) or not np.all(np.isfinite(grad_c)):
+    if not np.isfinite(phi_c) or not np.all(np.isfinite(grad_c)):
         raise GeometryError("rescaled phase escapes numerical range")
 
     def ev(p):
@@ -370,7 +371,6 @@ class DirectionNet:
     points: np.ndarray          # (m, n-1), lexicographically ordered
     e1_indices: np.ndarray      # indices into points
     e2_indices: np.ndarray
-    separation: float
 
     @property
     def dim(self) -> int:
@@ -391,7 +391,8 @@ class DirectionNet:
 
 def build_net(n: int, delta: float) -> DirectionNet:
     """Lattice net delta Z^{n-1} cap Q, with E1/E2 the net points inside the
-    sub-cubes of side 1/2 centered at -+ (1/2) e1, at least 1/2 apart."""
+    half-open sub-cubes of side 1/2 centered at -+ (1/2) e1: for delta <= 1/4
+    each holds a lattice point, and their gap along e1 exceeds 1/2."""
     if n < 2:
         raise GeometryError(f"need n >= 2, got n = {n}")
     if not (0 < delta <= 0.25):
@@ -409,16 +410,8 @@ def build_net(n: int, delta: float) -> DirectionNet:
             ok &= (pts[:, a] >= -0.25 - 1e-12) & (pts[:, a] < 0.25 - 1e-12)
         return np.nonzero(ok)[0]
 
-    e1 = in_subcube(-0.5)
-    e2 = in_subcube(+0.5)
-    if len(e1) == 0 or len(e2) == 0:
-        raise GeometryError(f"delta = {delta} too coarse to populate E1/E2")
-    net = DirectionNet(delta=float(delta), points=pts,
-                       e1_indices=e1, e2_indices=e2, separation=0.5)
-    gap = np.min(net.e2[:, 0]) - np.max(net.e1[:, 0])
-    if gap < net.separation - 1e-12:
-        raise GeometryError("E1/E2 separation not met")
-    return net
+    return DirectionNet(delta=float(delta), points=pts,
+                        e1_indices=in_subcube(-0.5), e2_indices=in_subcube(+0.5))
 
 
 @dataclass(frozen=True)

@@ -70,9 +70,6 @@ class OmegaSet:
     def cube_cells_total(self, j: int) -> int:
         return (2 ** (self.resolution_j - j)) ** (self.n - 1)
 
-    def intersect_complement(self, other_mask: np.ndarray) -> "OmegaSet":
-        return OmegaSet(self.n, self.resolution_j, self.mask & ~other_mask)
-
 
 def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
     """Seeded random dyadic subset: scattered cells joined with random boxes."""
@@ -190,6 +187,8 @@ def xr_bounds_check(omega: OmegaSet, j: int, p: float, alpha: Fraction):
 
     rhs_big applies for p >= 1, rhs_small for p <= 1; the alpha density
     hypothesis is verified, not assumed.  Returns (lhs, rhs_big, rhs_small)."""
+    if not 0 < p < np.inf:  # also refuses NaN
+        raise LemmaError(f"need 0 < p < inf, got p = {p}")
     alpha = Fraction(alpha)
     if not 0 <= alpha <= 1:
         raise LemmaError("alpha must lie in [0, 1]")
@@ -224,7 +223,7 @@ def young_check(a, p: float, fs: Optional[List[GridFunction]] = None,
         total = fs[0].samples.copy()
         for f in fs[1:]:
             total = total + f.samples
-        combined = GridFunction(fs[0].dims, fs[0].origin, fs[0].spacing, total)
+        combined = GridFunction(fs[0].origin, fs[0].spacing, total)
         lhs_f = lp_norm(combined, q)
         rhs_f = lp([lp_norm(f, q) for f in fs], q)
         func_ok = lhs_f <= rhs_f * (1 + 1e-12)
@@ -240,7 +239,11 @@ class CZDecomposition:
     good_set: OmegaSet
     bad_cubes: List  # (DyadicCube, trapped measure as Fraction)
     thresholds: Dict[int, Fraction]
-    flagged_max_level: bool = False
+
+    @property
+    def flagged_max_level(self) -> bool:
+        """Whether a selected cube is a single cell of the grid."""
+        return any(cube.level_j == self.good_set.resolution_j for cube, _t in self.bad_cubes)
 
     def validate(self, omega: OmegaSet):
         """Replay the defining inequalities exactly (integer cell counts)."""
@@ -251,7 +254,7 @@ class CZDecomposition:
         seen = np.zeros_like(omega.mask, dtype=bool)
         covered = np.zeros_like(omega.mask, dtype=bool)
         for cube, trapped in self.bad_cubes:
-            sel = _cube_slices(cube, J)
+            sel = _cube_slices(cube.level_j, cube.index_k, J)
             if seen[sel].any():
                 raise LemmaError("selected cubes overlap")
             seen[sel] = True
@@ -282,9 +285,10 @@ class CZDecomposition:
         return True
 
 
-def _cube_slices(cube: DyadicCube, resolution_j: int):
-    b = 2 ** (resolution_j - cube.level_j)
-    return tuple(slice(k * b, (k + 1) * b) for k in cube.index_k)
+def _cube_slices(level_j: int, index_k: tuple, resolution_j: int):
+    """The slices of the cells of the level-j cube with index k in a mask."""
+    b = 2 ** (resolution_j - level_j)
+    return tuple(slice(k * b, (k + 1) * b) for k in index_k)
 
 
 def stopping_thresholds(j0: int, r: float, m: int = 4, max_level: int = 16) -> Dict[int, Fraction]:
@@ -315,7 +319,6 @@ def cz_decompose(omega: OmegaSet, thresholds: Dict[int, Fraction]) -> CZDecompos
     """Top-down maximal-cube selection: at each level take the not-yet-covered
     cubes whose density exceeds alpha_j; the remainder is the good set."""
     J = omega.resolution_j
-    n = omega.n
     thresholds = {j: Fraction(t) for j, t in thresholds.items()}
     for j in range(0, J + 1):
         alpha = thresholds.get(j, Fraction(1))
@@ -324,29 +327,20 @@ def cz_decompose(omega: OmegaSet, thresholds: Dict[int, Fraction]) -> CZDecompos
         thresholds[j] = alpha
     blocked = np.zeros_like(omega.mask, dtype=bool)
     bad: List = []
-    flagged = False
     for j in range(0, J + 1):
         alpha = thresholds[j]
         counts = omega.cube_counts(j)
         cells = omega.cube_cells_total(j)
         over = counts * alpha.denominator > alpha.numerator * cells
-        if not over.any():
-            continue
-        b = 2 ** (J - j)
         for idx in np.argwhere(over):
             idx = tuple(int(v) for v in idx)
-            sel = tuple(slice(k * b, (k + 1) * b) for k in idx)
+            sel = _cube_slices(j, idx, J)
             if blocked[sel].any():
                 continue  # inside an earlier selection
             blocked[sel] = True
-            cube = DyadicCube(j, idx)
-            trapped = Fraction(int(counts[idx])) * omega.cell_measure
-            bad.append((cube, trapped))
-            if j == J:
-                flagged = True
-    good = omega.intersect_complement(blocked)
-    return CZDecomposition(good_set=good, bad_cubes=bad, thresholds=thresholds,
-                           flagged_max_level=flagged)
+            bad.append((DyadicCube(j, idx), Fraction(int(counts[idx])) * omega.cell_measure))
+    good = OmegaSet(omega.n, J, omega.mask & ~blocked)
+    return CZDecomposition(good_set=good, bad_cubes=bad, thresholds=thresholds)
 
 
 # ---------------------------------------------------------------------------
@@ -366,8 +360,8 @@ def xr_norm(omega: OmegaSet, r: float) -> XrNormResult:
     |cells| 16^{-J} / 3 to the fourth power (densities there are 0 or 1)."""
     if omega.n != 3:
         raise LemmaError("the functional is specific to n = 3")
-    if r <= 0:
-        raise LemmaError("need r > 0")
+    if not r > 0:  # also refuses NaN
+        raise LemmaError(f"need r > 0, got r = {r}")
     J = omega.resolution_j
     total = 0.0
     for j in range(0, J + 1):

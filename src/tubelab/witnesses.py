@@ -114,23 +114,18 @@ class PowerLawFit:
     max_residual: float
     points: List[Tuple[float, float]]
 
-    def __post_init__(self):
-        if len(self.points) < 2:
-            raise WitnessError("need at least two points")
-        scales = [s for s, _v in self.points]
-        if any(b <= a for a, b in zip(scales, scales[1:])):
-            raise WitnessError("scales must be strictly increasing")
-
 
 def _log_log_points(points):
     """The points sorted by scale; every scale and value must be positive
-    and finite."""
+    and finite, and no scale may repeat."""
     pts = sorted((float(s), float(v)) for s, v in points)
     if len(pts) < 2:
         raise WitnessError("need at least two points")
     if not all(0 < x < math.inf for pt in pts for x in pt):
         raise WitnessError("scales and values must be positive and finite "
                            "for a log-log fit")
+    if any(b[0] == a[0] for a, b in zip(pts, pts[1:])):
+        raise WitnessError("scales must be distinct")
     return pts
 
 

@@ -227,7 +227,7 @@ def xray_adjoint(g: XrayField, grid: GridFunction) -> GridFunction:
     for s, lines, (sums,) in _adjoint_slabs([g.tubes()], grid.axis_centers(n - 1),
                                             x_axes, g.delta):
         out[np.ix_(*lines) + (s,)] = sums
-    return GridFunction(grid.dims, grid.origin, grid.spacing, out)
+    return GridFunction(grid.origin, grid.spacing, out)
 
 
 def _adjoint_product_norms(F: XrayField, G: XrayField, acc: LpAccumulator,
@@ -298,7 +298,6 @@ def bilinear_kakeya_ratios(F: XrayField, G: XrayField, pq_pairs):
 class Prop111Result:
     grid_value: float
     pair_value: float
-    delta: float
 
     @property
     def relative_gap(self) -> float:
@@ -331,7 +330,7 @@ def prop111_constant(F: XrayField, G: XrayField,
     for f, g in zip(*np.nonzero(meet)):  # in F-major order, as the full double loop
         pair_sum += float(v1[f] * v2[g] * tube_intersection_exact(
             Tube(tuple(w1[f]), tuple(b1[f]), delta), Tube(tuple(w2[g]), tuple(b2[g]), delta), n))
-    return Prop111Result(inner / denom, pair_sum / denom, delta)
+    return Prop111Result(inner / denom, pair_sum / denom)
 
 
 # ---------------------------------------------------------------------------

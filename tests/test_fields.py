@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import fields
 from tubelab.geometry import build_net
@@ -93,7 +95,7 @@ def test_domains_refuse_bad_bounds(make, match):
 
 def grid(origin, spacing):
     n = len(origin)
-    return fields.GridFunction((8,) * n, origin, spacing, np.ones((8,) * n))
+    return fields.GridFunction(origin, spacing, np.ones((8,) * n))
 
 
 @pytest.mark.parametrize("make, match", [
@@ -188,6 +190,25 @@ def test_binary_roundtrip():
     assert v.spacing == pytest.approx(u.spacing)
 
 
+#: real and imaginary parts: signed zeros, infinities, NaN, subnormals, any double
+_PARTS = (st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -2.5e-310])
+          | st.floats())
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(dims=st.lists(st.integers(1, 3), min_size=1, max_size=3).map(tuple), data=st.data())
+def test_binary_round_trip_is_exact(dims, data):
+    size = 2 * math.prod(dims)
+    parts = data.draw(st.lists(_PARTS, min_size=size, max_size=size))
+    samples = np.array(parts, dtype=float).view(np.complex128).reshape(dims)
+    u = fields.GridFunction(tuple(-0.5 * a for a in range(len(dims))), (0.25,) * len(dims), samples)
+    raw, sidecar = u.to_binary()
+    v = fields.GridFunction.from_binary(raw, sidecar)
+    assert v.dims == dims and v.samples.tobytes() == samples.tobytes()
+    assert v.to_binary() == (raw, sidecar)
+    v.samples[(0,) * len(dims)] = 1.0  # a writable copy
+
+
 def test_netfunction_validation():
     net = build_net(2, 1 / 32)  # 65 points, so 40.5 lies inside the range
     nan, inf = float("nan"), float("inf")
@@ -271,9 +292,10 @@ def _lp_entry_points():
     F, G = xray.kakeya_witness(xray.K1_SLAB, 2, 1 / 8)
     u = unit_box_function(m=4)
     rects = [lemmas.FreqRect((c,), (2,)) for c in (-20, 0, 20)]
+    omega = lemmas.random_omega_set(3, 2, 0)
 
     def annulus(s):
-        dot = fields.GridFunction((1, 1), (0.0, 0.0), (0.1, 0.1),
+        dot = fields.GridFunction((0.0, 0.0), (0.1, 0.1),
                                   np.ones((1, 1), dtype=complex))
         return extension.annulus_ratio(dot, dot, s, 2.0)
 
@@ -300,6 +322,11 @@ def _lp_entry_points():
         ("quasi-p-zero",
          lambda: lemmas.quasi_orthogonality_ratio(rects, 0, 0)),
         ("young-sequence-nan", lambda: lemmas.young_check([1.0, 2.0], math.nan)),
+        ("xr_bounds-p-nan", lambda: lemmas.xr_bounds_check(omega, 1, math.nan, 1)),
+        ("xr_bounds-p-inf", lambda: lemmas.xr_bounds_check(omega, 1, math.inf, 1)),
+        ("xr_bounds-p-zero", lambda: lemmas.xr_bounds_check(omega, 1, 0, 1)),
+        ("xr_bounds-p-negative", lambda: lemmas.xr_bounds_check(omega, 1, -1, 1)),
+        ("xr_norm-r-nan", lambda: lemmas.xr_norm(omega, math.nan)),
     ]
 
 
@@ -316,6 +343,11 @@ def _cap(dim):
     return CapFunction((-0.5,) * dim, (0.5,) * dim)
 
 
+def from_binary(raw, dims):
+    return fields.GridFunction.from_binary(
+        raw, {"dims": dims, "origin": [0.0] * len(dims), "spacing": [1.0] * len(dims)})
+
+
 def _ratio(f, g, domain):
     from tubelab.extension import domain_norm_ratio
     from tubelab.geometry import quadratic_phase
@@ -327,12 +359,24 @@ def _ratio(f, g, domain):
     lambda: _ratio(_cap(2), None, fields.Box((0, 0), (1, 1))),
     lambda: _ratio(_cap(2), _cap(1), fields.Ball((0, 0, 0), 1.0)),
     lambda: fields.Box((0, 0), (1,)),
-    lambda: fields.GridFunction((4, 4), (0.0,), (1.0,), np.zeros((4, 4))),
-    lambda: fields.GridFunction((4, 4), (0.0, 0.0), (1.0,), np.zeros((4, 4))),
+    lambda: fields.GridFunction((0.0,), (1.0,), np.zeros((4, 4))),
+    lambda: fields.GridFunction((0.0, 0.0), (1.0,), np.zeros((4, 4))),
     lambda: fields.GridFunction.from_binary(
         np.zeros(32).tobytes(), {"dims": [4, 4], "origin": [0.0], "spacing": [1.0]}),
+    lambda: from_binary(bytes(16 * 15), [4, 4]),
+    lambda: from_binary(bytes(16 * 16 - 1), [4, 4]),
+    lambda: from_binary(bytes(16 * 17), [4, 4]),
+    lambda: from_binary(bytes(16 * 16), [-1, 4]),
+    lambda: fields.CylinderDomain((0, 2), (0, 0), 2.0, (-1,), (1, 2)),
+    lambda: fields.CylinderDomain((0, 0), (0, 0), 2.0, (-1,), (1,)),
+    lambda: fields.CylinderDomain((0, 5), (0, 0), 2.0, (-1,), (1,)),
+    lambda: fields.CylinderDomain((0, 2), (0, 0, 0), 2.0, (-1,), (1,)),
 ], ids=["ratio-3d-cap-2d-ball", "ratio-3d-cap-2d-box", "ratio-caps-of-two-dims",
-        "box-bounds-of-two-lengths", "grid-origin-short", "grid-spacing-short", "grid-from-binary-sidecar"])
+        "box-bounds-of-two-lengths", "grid-origin-short", "grid-spacing-short", "grid-from-binary-sidecar",
+        "grid-from-binary-short", "grid-from-binary-odd-bytes", "grid-from-binary-long",
+        "grid-from-binary-wildcard-dims", "cylinder-rest-bounds-of-two-lengths",
+        "cylinder-repeated-disc-axis", "cylinder-disc-axis-out-of-range",
+        "cylinder-disc-center-of-three"])
 def test_dimensions_must_agree(call):
     """A domain, cap pair or grid whose parts have different dimensions is
     refused with a library error (exit code 2), never broadcast or answered."""

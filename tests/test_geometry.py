@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from tubelab import geometry as geo, witnesses as wit, xray
 
@@ -379,11 +381,29 @@ def test_build_net_separation_and_covering():
     net = geo.build_net(3, 1 / 8)
     for e1 in net.e1:
         for e2 in net.e2:
-            assert np.linalg.norm(e1 - e2) >= net.separation - 1e-12
+            assert np.linalg.norm(e1 - e2) >= 0.5 - 1e-12
     rng = np.random.default_rng(1)
     q = rng.uniform(-1, 1, size=(1000, 2))
     d = np.min(np.linalg.norm(q[:, None, :] - net.points[None], axis=2), axis=1)
     assert float(d.max()) <= net.delta
+
+
+#: smallest delta drawn per n: the net holds (2 kmax + 1)^{n-1} points
+NET_FLOOR = {2: 1e-4, 3: 1 / 128, 4: 1 / 32}
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(case=st.sampled_from([2, 3, 4]).flatmap(
+    lambda n: st.tuples(st.just(n), st.floats(NET_FLOOR[n], 0.25))))
+@example(case=(2, 0.25))
+@example(case=(3, 0.25))
+@example(case=(4, 0.25))
+def test_build_net_subsets_are_populated_and_half_apart(case):
+    # the half-open sub-cubes hold a lattice point for every delta <= 1/4,
+    # and E1's last and E2's first coordinate along e1 lie more than 1/2 apart
+    net = geo.build_net(*case)
+    assert len(net.e1_indices) > 0 and len(net.e2_indices) > 0
+    assert np.min(net.e2[:, 0]) - np.max(net.e1[:, 0]) > 0.5
 
 
 def test_build_net_normalized_counts():
@@ -445,6 +465,15 @@ def test_parabolic_rescale_recenters():
     zero = np.zeros((1, 2))
     assert abs(float(resc(zero)[0])) < 1e-12
     assert float(np.max(np.abs(resc.grad(zero)))) < 1e-10
+
+
+@pytest.mark.parametrize("j", [1.5, 2.0, True, 512, 1030, -512, -2000])
+def test_parabolic_rescale_refuses_j_outside_the_double_range(j):
+    # the values scale by 4^j: j = 512 and 1030 raised a bare OverflowError,
+    # and 2.0**-2000 = 0 made every value NaN
+    with pytest.raises(geo.GeometryError, match="bad j") as err:
+        geo.parabolic_rescale(geo.quadratic_phase(2), j, [0.0, 0.0])
+    assert err.value.exit_code == 2
 
 
 def test_parabolic_rescale_preserves_band():

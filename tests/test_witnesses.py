@@ -51,6 +51,25 @@ def test_fit_rejects_non_finite_and_non_positive_points(points):
         wit.fit_sweep(wit.C0_MODULATED, points)  # inverts the scales first
 
 
+@pytest.mark.parametrize("points", [
+    [(1, 1), (1, 2)],
+    [(2, 1), (4, 3), (2.0, 4)],
+], ids=["pair", "unsorted"])
+def test_fit_rejects_repeated_scales(points):
+    with pytest.raises(wit.WitnessError, match="distinct"):
+        wit.fit_power_law(points)
+    with pytest.raises(wit.WitnessError, match="distinct"):
+        wit.fit_sweep(wit.C0_MODULATED, points)
+
+
+def test_fit_sweep_rejects_scales_whose_inverses_repeat():
+    s = 1.5617  # 1 / s == 1 / nextafter(s, inf)
+    points = [(s, 1.0), (math.nextafter(s, math.inf), 2.0), (4.0, 2.0)]
+    wit.fit_power_law(points)
+    with pytest.raises(wit.WitnessError, match="distinct"):
+        wit.fit_sweep(wit.C0_MODULATED, points)
+
+
 def test_synthetic_sweep_slope():
     pts = [(s, s**0.5) for s in (1 / 8, 1 / 4, 1 / 2)]
     fit = wit.fit_power_law(pts)

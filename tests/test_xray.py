@@ -71,7 +71,7 @@ def test_transform_rejects_imaginary_input():
     net = build_net(2, delta)
     f = ball_function(2, delta)  # real values stored as complex
     assert xray.kakeya_ratio(f, net, 2, 2) > 0
-    imaginary = GridFunction(f.dims, f.origin, f.spacing, 1j * f.samples)
+    imaginary = GridFunction(f.origin, f.spacing, 1j * f.samples)
     with pytest.raises(xray.XrayError):
         xray.xray_transform(imaginary, net)
     with pytest.raises(xray.XrayError):
@@ -105,7 +105,7 @@ def test_transform_matches_tube_contains(n):
     dims = (int(5.0 / h),) * (n - 1) + (int(2.6 / h),)
     origin = (-2.5 + 0.37 * h,) * (n - 1) + (-1.3 + 0.21 * h,)
     live = rng.random(dims) < (1.0 if n == 2 else 0.01)
-    f = GridFunction(dims, origin, (h,) * n, live * rng.uniform(0.1, 2.0, dims))
+    f = GridFunction(origin, (h,) * n, live * rng.uniform(0.1, 2.0, dims))
     xv = xray.xray_transform(f, net).values
     got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
     centers = f.centers()[live.reshape(-1)]
@@ -131,7 +131,7 @@ def test_transform_sums_a_row_of_any_range():
     dims = (16, 64, 4)
     samples = np.zeros(dims)
     samples[8, 2, 1], samples[8, 60, 1] = math.pi * 1e300, 0.7
-    f = GridFunction(dims, (-0.5, -1.0, 0.2), (delta / 4,) * 3, samples)
+    f = GridFunction((-0.5, -1.0, 0.2), (delta / 4,) * 3, samples)
     xv = xray.xray_transform(f, net).values
     got = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
     live = samples.reshape(-1) > 0
@@ -168,8 +168,8 @@ def test_transform_of_an_input_with_no_live_cell_skips_the_kernel(monkeypatch):
     delta = 1 / 8
     net = build_net(3, delta)
     f = ball_function(3, delta)
-    zero = GridFunction(f.dims, f.origin, f.spacing, 0 * f.samples)
-    high = GridFunction(f.dims, f.origin[:-1] + (5.0,), f.spacing, f.samples)
+    zero = GridFunction(f.origin, f.spacing, 0 * f.samples)
+    high = GridFunction(f.origin[:-1] + (5.0,), f.spacing, f.samples)
     monkeypatch.setattr(xray, "_tube_sums", forbidden)
     for g in (zero, high):
         assert xray.xray_transform(g, net).values.values.size == 0
@@ -253,7 +253,7 @@ def test_transform_matches_the_splat_reference(n, grid, weighted):
     rng = np.random.default_rng(n)
     live = rng.random(dims) < 0.3
     live[(4,) + (0,) * (n - 1)] = True  # x0 + 4 h = x0 + delta (dyadic grids)
-    f = GridFunction(dims, tuple(origin), (h,) * n,  # weights over twelve decades
+    f = GridFunction(tuple(origin), (h,) * n,  # weights over twelve decades
                      live * (10.0 ** rng.uniform(-6, 6, dims) if weighted else 1.0))
     heights = f.axis_centers(n - 1)
     assert heights[0] < 1 < heights[-1] and heights[0] > 0.4
@@ -421,7 +421,7 @@ def test_kakeya_ratio_homogeneity():
     net = build_net(2, delta)
     f = ball_function(2, delta)
     r1 = xray.kakeya_ratio(f, net, 2, 2)
-    f7 = GridFunction(f.dims, f.origin, f.spacing, 7 * f.samples)
+    f7 = GridFunction(f.origin, f.spacing, 7 * f.samples)
     r2 = xray.kakeya_ratio(f7, net, 2, 2)
     assert r1 == pytest.approx(r2, rel=1e-9)
 
@@ -442,7 +442,7 @@ def test_kakeya_ratio_checks_before_the_transform(monkeypatch, q, factor, match)
     monkeypatch.setattr(xray, "xray_transform", forbidden)
     delta = 1 / 8
     f = ball_function(2, delta)
-    f = GridFunction(f.dims, f.origin, f.spacing, factor * f.samples.real)
+    f = GridFunction(f.origin, f.spacing, factor * f.samples.real)
     with pytest.raises(TubelabError, match=match):
         xray.kakeya_ratio(f, build_net(2, delta), 2, q)
 
@@ -876,7 +876,7 @@ def grids(draw, centre, delta):
     h = delta / draw(st.sampled_from([4, 4 / 0.9, 8]))
     dims = tuple(draw(st.integers(1, 32)) for _ in centre)
     origin = tuple(c - m * h * draw(st.floats(0.0, 1.0)) for c, m in zip(centre, dims))
-    return GridFunction(dims, origin, (h,) * len(dims), np.zeros(dims))
+    return GridFunction(origin, (h,) * len(dims), np.zeros(dims))
 
 
 @st.composite
@@ -905,7 +905,7 @@ def test_transform_and_adjoint_are_adjoint_on_random_inputs(case, data):
     # <Xf, g> with the delta^{n-1} direction measure is <f, X* g> with the cell measure
     g, grid = case
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-    f = GridFunction(grid.dims, grid.origin, grid.spacing,
+    f = GridFunction(grid.origin, grid.spacing,
                      (rng.random(grid.dims) < 0.3) * rng.uniform(0.1, 2.0, grid.dims))
     xv = xray.xray_transform(f, g.net).values
     xf = dict(zip(zip(xv.omega.tolist(), xv.base.tolist()), xv.values.tolist()))
@@ -927,7 +927,7 @@ def transform_cases(draw):
     live = rng.random(grid.dims) < draw(st.sampled_from([0.02, 0.3]))
     weighted = draw(st.booleans())
     values = live * (10.0 ** rng.uniform(-6, 6, grid.dims) if weighted else 1.0)
-    return GridFunction(grid.dims, grid.origin, grid.spacing, values), net, weighted
+    return GridFunction(grid.origin, grid.spacing, values), net, weighted
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
