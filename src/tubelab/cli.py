@@ -467,7 +467,7 @@ def _suite_lemmas(seed: int) -> dict:
     ok = True
     for k in range(50):
         om2 = lemmas.random_omega_set(3, 4, seed + 3000 + k)
-        sub = lemmas.OmegaSet(3, 4, om2.mask & (rng.random(om2.mask.shape) < 0.7))
+        sub = lemmas.OmegaSet(om2.mask & (rng.random(om2.mask.shape) < 0.7))
         if not sub.mask.any():
             continue
         ok &= lemmas.xr_norm(sub, 2.0).value <= lemmas.xr_norm(om2, 2.0).value + 1e-12

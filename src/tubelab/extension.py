@@ -235,15 +235,7 @@ def _axis_cover(lo: float, hi: float, spacing: float) -> np.ndarray:
 
 @dataclass
 class LocalizedRatio:
-    p: float
-    q: float
-    R: float
     value: float
-    bilinear: bool
-
-    def __post_init__(self):
-        if self.value < 0 or self.R < 1:
-            raise ExtensionError("bad localized ratio")
 
 
 def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
@@ -346,13 +338,12 @@ def local_ratio(f: CapFunction, g: Optional[CapFunction], phi: EllipticPhase,
     """Localized estimate ratio over the ball B(0, R); a bilinear pair
     must have supports at least 1/2 apart."""
     _check_R(R)
-    bilinear = g is not None
-    if bilinear:
+    if g is not None:
         gap = _support_gap(f, g)
         if gap < 0.5 - 1e-9:
             raise ExtensionError(f"cap supports separated by {gap} < required 0.5")
     ratio, _stats = domain_norm_ratio(f, g, phi, p, q, Ball((0.0,) * (f.dim + 1), float(R)))
-    return LocalizedRatio(p=p, q=q, R=float(R), value=ratio, bilinear=bilinear)
+    return LocalizedRatio(ratio)
 
 
 def _support_gap(f: CapFunction, g: CapFunction) -> float:

@@ -30,17 +30,25 @@ class LemmaError(TubelabError):
 
 @dataclass
 class OmegaSet:
-    """Subset of Q stored as a boolean mask on cells of side 2^-resolution_j."""
+    """Subset of Q stored as a boolean mask on cells of side 2^-resolution_j:
+    an (n-1)-cube of 2^(resolution_j + 1) cells per axis, which gives both."""
 
-    n: int
-    resolution_j: int
     mask: np.ndarray
 
     def __post_init__(self):
-        side = 2 ** (self.resolution_j + 1)
-        if self.mask.shape != (side,) * (self.n - 1):
-            raise LemmaError(f"mask shape {self.mask.shape} wrong for J={self.resolution_j}")
-        self.mask = self.mask.astype(bool)
+        self.mask = np.array(self.mask, dtype=bool)
+        side = self.mask.shape[0] if self.mask.ndim else 0
+        if self.mask.shape != (side,) * self.mask.ndim or side < 2 or side & (side - 1):
+            raise LemmaError(f"mask shape {self.mask.shape}: need a cube of side "
+                             "2^(J+1) cells with J >= 0")
+
+    @property
+    def n(self) -> int:
+        return self.mask.ndim + 1
+
+    @property
+    def resolution_j(self) -> int:
+        return self.mask.shape[0].bit_length() - 2
 
     @property
     def cell_measure(self) -> Fraction:
@@ -86,7 +94,7 @@ def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
         mask[sel] = True
     if not mask.any():
         mask.flat[int(rng.integers(0, mask.size))] = True
-    return OmegaSet(n, resolution_j, mask)
+    return OmegaSet(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -247,7 +255,6 @@ class CZDecomposition:
 
     def validate(self, omega: OmegaSet):
         """Replay the defining inequalities exactly (integer cell counts)."""
-        n = omega.n
         J = omega.resolution_j
         good = self.good_set
         # selected cubes are pairwise disjoint and inside Omega's grid
@@ -339,7 +346,7 @@ def cz_decompose(omega: OmegaSet, thresholds: Dict[int, Fraction]) -> CZDecompos
                 continue  # inside an earlier selection
             blocked[sel] = True
             bad.append((DyadicCube(j, idx), Fraction(int(counts[idx])) * omega.cell_measure))
-    good = OmegaSet(omega.n, J, omega.mask & ~blocked)
+    good = OmegaSet(omega.mask & ~blocked)
     return CZDecomposition(good_set=good, bad_cubes=bad, thresholds=thresholds)
 
 

@@ -40,8 +40,7 @@ class XrayField:
     def __post_init__(self):
         if abs(self.delta - self.net.delta) > 1e-12:
             raise XrayError("delta does not match the net")
-        if self.values.net is not self.net and not np.array_equal(
-                self.values.net.points, self.net.points):
+        if self.values.net != self.net:
             raise XrayError("values are indexed on a different net")
 
     def tubes(self):
@@ -82,10 +81,7 @@ def xray_transform(f: GridFunction, net: DirectionNet) -> XrayField:
     n = f.ndim
     if n - 1 != net.dim:
         raise XrayError("grid dimension does not match net")
-    axes = [np.unique(net.points[:, a]) for a in range(net.dim)]
-    if not np.array_equal(geometry.product_grid(axes), net.points):
-        raise XrayError("net points are not the full product of their axes "
-                        "in lexicographic order")
+    axes = [net.axis] * net.dim
     slabs = []  # (t, live box x-axes, its values with one zero column after each row)
     for t, v in zip(f.axis_centers(n - 1), np.moveaxis(_real_samples(f), -1, 0)):
         if abs(t) <= 1.0 and v.any():

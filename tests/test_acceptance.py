@@ -304,7 +304,7 @@ def test_criterion_11_cz_decomposition():
         sub_mask = om.mask & (rng.random(om.mask.shape) < 0.6)
         if not sub_mask.any():
             continue
-        sub = lemmas.OmegaSet(3, 4, sub_mask)
+        sub = lemmas.OmegaSet(sub_mask)
         ok &= lemmas.xr_norm(sub, 2.0).value <= lemmas.xr_norm(om, 2.0).value + 1e-12
         checked += 1
         if checked >= 50:

@@ -326,7 +326,6 @@ def test_trace_growth_and_flat_l2():
     rows = []
     for R in (8, 16, 32):
         ratio = ext.local_ratio(*witnesses.trace_caps(3, R), PHI3, 2, 1, R)
-        assert ratio.bilinear
         rows.append((R, ratio.value))
     fit = witnesses.fit_power_law(rows)
     assert 0.8 <= fit.slope <= 1.2

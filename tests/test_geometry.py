@@ -1,5 +1,6 @@
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -111,6 +112,43 @@ def test_whitney_locate_errors():
         geo.whitney_locate([0.3001], [0.3001 + 2**-20], 10)
     with pytest.raises(geo.DegenerateInputError):
         geo.whitney_locate([0.5], [0.9], 10)
+
+
+@st.composite
+def dyadic_pairs(draw):
+    """(max_level, x, y): dyadic coordinates k/2^m (m <= max_level + 2), some
+    moved by +-2^-(max_level+4) off the lattice, some pairs closer than the
+    max-level resolution."""
+    max_level = draw(st.integers(1, 24))
+    d, rows = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+
+    def coord():
+        m = draw(st.integers(0, max_level + 2))
+        v = draw(st.integers(-2**m, 2**m)) / 2**m
+        v += draw(st.sampled_from([1, -1, 0])) * 2.0 ** -(max_level + 4)
+        return min(max(v, -1.0), 1.0)
+
+    x = np.array([[coord() for _ in range(d)] for _ in range(rows)])
+    y = np.array([[coord() for _ in range(d)] for _ in range(rows)])
+    for r in range(rows):
+        if draw(st.booleans()):  # within 2^-max_level of x along every axis
+            steps = [draw(st.integers(-3, 3)) for _ in range(d)]
+            y[r] = np.clip(x[r] + np.array(steps) * 2.0 ** -(max_level + 2), -1, 1)
+    return max_level, x, y
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(case=dyadic_pairs())
+def test_whitney_levels_match_the_oracle_on_dyadic_points(case):
+    # -1 exactly on a level-max_level hyperplane; else the oracle's one hit, or 0
+    max_level, x, y = case
+    levels = geo.whitney_levels(x, y, max_level)
+    for xr, yr, level in zip(x, y, levels.tolist()):
+        on_plane = any(((Fraction(v) + 1) * 2**max_level).denominator == 1
+                       for v in [*xr, *yr])
+        assert (level == -1) == on_plane
+        if level != -1:
+            assert whitney_scan_oracle(xr, yr, max_level) == ([level] if level else [])
 
 
 def test_whitney_levels_match_scalar_location_and_oracle():
@@ -418,6 +456,27 @@ def test_build_net_rejects_bad_delta():
         geo.build_net(2, 0.5)
 
 
+@pytest.mark.parametrize("dim, delta, message", [
+    (0, 1 / 8, "need n >= 2, got n = 1"), (-1, 1 / 8, "need n >= 2, got n = 0"),
+    (2, 0.0, "need 0 < delta <= 1/4"), (2, 0.3, "need 0 < delta <= 1/4"),
+    (2, -1 / 8, "need 0 < delta <= 1/4"), (2, math.nan, "need 0 < delta <= 1/4"),
+])
+def test_a_hand_built_net_is_validated(dim, delta, message):
+    with pytest.raises(geo.GeometryError, match=message) as err:
+        geo.DirectionNet(dim, delta)
+    assert err.value.exit_code == 2
+
+
+def test_a_net_is_the_value_of_its_dim_and_delta():
+    net = geo.DirectionNet(2, 1 / 8)
+    assert net == geo.build_net(3, 1 / 8) and hash(net) == hash(geo.build_net(3, 1 / 8))
+    assert net != geo.build_net(3, 1 / 4) and net != geo.build_net(2, 1 / 8)
+    assert np.array_equal(net.axis, np.arange(-8, 9) / 8)
+    assert np.array_equal(net.points, geo.product_grid([net.axis] * 2))
+    with pytest.raises(TypeError):
+        geo.DirectionNet(2, 1 / 8, points=net.points)
+
+
 @pytest.mark.parametrize("call", [
     lambda n: geo.build_net(n, 1 / 8),
     lambda n: xray.kakeya_witness(xray.K0_DELTAS, n, 1 / 8),
@@ -474,6 +533,19 @@ def test_parabolic_rescale_refuses_j_outside_the_double_range(j):
     with pytest.raises(geo.GeometryError, match="bad j") as err:
         geo.parabolic_rescale(geo.quadratic_phase(2), j, [0.0, 0.0])
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("j", [11, 15, 20])
+def test_parabolic_rescale_refuses_j_where_the_difference_cancels(j):
+    # exact value 0.065 at every j; relative error 1.3e-10 at j = 11, 5.4e-5 at 20
+    with pytest.raises(geo.GeometryError, match=r"bad j .*\[-511, 10\]") as err:
+        geo.parabolic_rescale(geo.quadratic_phase(2), j, [0.1, 0.2])
+    assert err.value.exit_code == 2
+
+
+def test_parabolic_rescale_keeps_ten_digits_at_the_largest_j():
+    resc = geo.parabolic_rescale(geo.quadratic_phase(2), 10, [0.1, 0.2])
+    assert abs(float(resc([[0.3, -0.2]])[0]) - 0.065) <= 1e-10 * 0.065
 
 
 def test_parabolic_rescale_preserves_band():

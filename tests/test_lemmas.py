@@ -48,6 +48,21 @@ def test_quasi_rejects_overlapping_doubles():
 # dyadic mass bounds
 
 
+@pytest.mark.parametrize("shape, n, resolution_j", [
+    ((2,), 2, 0), ((32,), 2, 4), ((8, 8), 3, 2), ((4, 4, 4), 4, 1)])
+def test_omega_set_reads_n_and_resolution_off_its_mask(shape, n, resolution_j):
+    om = lemmas.OmegaSet(np.ones(shape, dtype=int))
+    assert (om.n, om.resolution_j, om.mask.dtype) == (n, resolution_j, bool)
+    assert om.measure == 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("shape", [(), (0,), (1,), (1, 1), (6,), (12, 12), (8, 4), (8, 8, 16)])
+def test_omega_set_refuses_a_mask_that_is_not_a_dyadic_cube(shape):
+    with pytest.raises(lemmas.LemmaError, match="need a cube of side") as err:
+        lemmas.OmegaSet(np.zeros(shape, dtype=bool))
+    assert err.value.exit_code == 2
+
+
 def test_xr_bounds_p1_identity():
     om = lemmas.random_omega_set(2, 5, 7)
     lhs, rhs_big, _ = lemmas.xr_bounds_check(om, 3, 1.0, F(1))
@@ -59,7 +74,7 @@ def test_xr_bounds_single_cube():
     side = 2 ** (4 + 1)
     mask = np.zeros((side,), dtype=bool)
     mask[4:6] = True  # one level-4 cube at resolution 4 (two cells)
-    om = lemmas.OmegaSet(2, 4, mask)
+    om = lemmas.OmegaSet(mask)
     lhs, rhs_big, _ = lemmas.xr_bounds_check(om, 3, 2.0, F(1))
     # a single level-3 cube holds everything: lhs = |Omega|^2
     assert lhs == pytest.approx(float(om.measure) ** 2)
@@ -125,7 +140,7 @@ def test_cz_single_cube_selection():
     side = 2 ** (4 + 1)
     mask = np.zeros((side, side), dtype=bool)
     mask[4:6, 8:10] = True  # an aligned 2x2 cell block: one level-3 cube
-    om = lemmas.OmegaSet(3, 4, mask)
+    om = lemmas.OmegaSet(mask)
     dec = lemmas.cz_decompose(om, {j: F(1, 2) for j in range(5)})
     assert dec.validate(om)
     assert len(dec.bad_cubes) == 1
@@ -157,7 +172,7 @@ def test_cz_flags_max_level():
     side = 2 ** (2 + 1)
     mask = np.zeros((side,), dtype=bool)
     mask[3] = True  # a single cell
-    om = lemmas.OmegaSet(2, 2, mask)
+    om = lemmas.OmegaSet(mask)
     dec = lemmas.cz_decompose(om, {j: F(1, 2) for j in range(3)})
     assert dec.flagged_max_level
     assert dec.validate(om)
@@ -196,14 +211,14 @@ def test_stopping_thresholds_window():
 
 
 def test_xr_norm_empty():
-    om = lemmas.OmegaSet(3, 3, np.zeros((16, 16), dtype=bool))
+    om = lemmas.OmegaSet(np.zeros((16, 16), dtype=bool))
     res = lemmas.xr_norm(om, 2.0)
     assert res.value == 0.0 and res.tail_fourth == 0.0
 
 
 def test_xr_norm_full_cube_closed_form():
     for J in (2, 3, 4):
-        om = lemmas.OmegaSet(3, J, np.ones((2 ** (J + 1),) * 2, dtype=bool))
+        om = lemmas.OmegaSet(np.ones((2 ** (J + 1),) * 2, dtype=bool))
         res = lemmas.xr_norm(om, 2.0)
         # geometric series: total fourth power is exactly 16/3
         assert res.value**4 + res.tail_fourth == pytest.approx(16 / 3, rel=1e-12)
@@ -216,7 +231,7 @@ def test_xr_norm_monotone():
         sub_mask = om.mask & (rng.random(om.mask.shape) < 0.6)
         if not sub_mask.any():
             continue
-        sub = lemmas.OmegaSet(3, 4, sub_mask)
+        sub = lemmas.OmegaSet(sub_mask)
         for r in (1.0, 2.0, 4.0):
             assert lemmas.xr_norm(sub, r).value <= lemmas.xr_norm(om, r).value + 1e-12
 
@@ -243,6 +258,6 @@ def test_level_from_measure():
     side = 2 ** (3 + 1)
     mask = np.zeros((side, side), dtype=bool)
     mask[0:2, 0:2] = True  # measure 4 * 2^{-6} = 1/16 -> j0 = 2 at n = 3
-    om = lemmas.OmegaSet(3, 3, mask)
+    om = lemmas.OmegaSet(mask)
     assert om.measure == F(1, 16)
     assert lemmas.level_from_measure(om) == 2

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubelab import witnesses as wit, xray
 from tubelab.extension import (CapFunction, OscillationGuardError,
@@ -280,6 +282,53 @@ def test_modulation_search_matches_the_exhaustive_search(monkeypatch, kind, n,
         assert (got.support_lo, got.support_hi) == (want.support_lo, want.support_hi)
         assert (np.array(got.modulation).tobytes()
                 == np.array(want.modulation).tobytes())
+
+
+@st.composite
+def modulated_witnesses(draw):
+    """(kind, n, scale, box_constant): c0 at n in {2, 3} and R in {4, 8, 16},
+    or c2 at n = 3 and delta in {1/4, 1/8}; the box constant moves the c2
+    probes, rho and seeds."""
+    if draw(st.booleans()):
+        kind, n, scale = (wit.C0_MODULATED, draw(st.sampled_from([2, 3])),
+                          draw(st.sampled_from([4.0, 8.0, 16.0])))
+    else:
+        kind, n, scale = wit.C2_STRETCHED, 3, draw(st.sampled_from([1 / 4, 1 / 8]))
+    return kind, n, scale, draw(st.floats(4.0, 16.0))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(case=modulated_witnesses())
+def test_modulation_search_matches_the_exhaustive_search_on_drawn_witnesses(case):
+    # the same modulation bytes from both searches, or both refuse
+    kind, n, scale, box_constant = case
+    searched, pairs = wit._modulated, []
+
+    def both(*args, **kwargs):
+        try:
+            got = searched(*args, **kwargs)
+        except wit.ModulationSearchError:
+            got = None
+        try:
+            want = _exhaustive_modulated(*args, **kwargs)
+        except wit.ModulationSearchError:
+            want = None
+        pairs.append((got, want))
+        if got is None:
+            raise wit.ModulationSearchError("refused")
+        return got
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wit, "_modulated", both)
+        try:
+            wit.build_witness(kind, n, scale, box_constant=box_constant)
+        except wit.ModulationSearchError:
+            pass
+    assert pairs
+    for got, want in pairs:
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert (np.array(got.modulation).tobytes()
+                    == np.array(want.modulation).tobytes())
 
 
 def test_modulation_search_keeps_the_first_of_tied_maxima(monkeypatch):

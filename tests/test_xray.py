@@ -148,18 +148,6 @@ def test_transform_sums_a_row_of_any_range():
     assert all(abs(got[key] - v) <= 1e-12 * v for key, v in expect.items())
 
 
-def test_transform_refuses_a_net_that_is_not_a_product_lattice():
-    # a point left out, the order reversed, a point moved off the lattice
-    delta = 1 / 8
-    net = build_net(3, delta)
-    f = ball_function(3, delta)
-    moved = net.points.copy()
-    moved[5, 0] += delta / 2
-    for points in (net.points[1:], net.points[::-1], moved):
-        with pytest.raises(xray.XrayError, match="product"):
-            xray.xray_transform(f, dataclasses.replace(net, points=points))
-
-
 def test_transform_of_an_input_with_no_live_cell_skips_the_kernel(monkeypatch):
     # all zero, or mass only above |x_n| = 1: the empty field at once
     def forbidden(*args):
@@ -781,6 +769,19 @@ def test_pair_sum_skips_only_pairs_that_never_meet(n, seed, monkeypatch):
     assert sum(v > 0 for v in volumes) == sum(v > 0 for v in every)
 
 
+@dataclasses.dataclass
+class ShiftedField(xray.XrayField):
+    """A field whose tubes' bases are moved by shift along axis."""
+    axis: int = 0
+    shift: float = 0.0
+
+    def tubes(self):
+        omegas, bases, values = super().tubes()
+        bases = bases.copy()
+        bases[:, self.axis] += self.shift
+        return omegas, bases, values
+
+
 @pytest.mark.parametrize("shift", [0.0, 1e-12, -1e-12, -2e-9, 2e-9])
 @pytest.mark.parametrize("where", ["end-n2", "end-n3", "middle-n3"])
 def test_pair_sum_at_the_touching_distance(where, shift, monkeypatch):
@@ -797,10 +798,7 @@ def test_pair_sum_at_the_touching_distance(where, shift, monkeypatch):
         (b1, b2), axis = (net.nearest_index([x] + rest) for x in (0.625, -0.625)), 0
     else:
         (b1, b2), axis = (net.nearest_index([0.0, x]) for x in (delta, -delta)), 1
-    points = net.points.copy()
-    points[b1, axis] += shift
-    net = dataclasses.replace(net, points=points)
-    F = xray.XrayField(net, delta, NetFunction(net, {(w1, b1): 0.5}))
+    F = ShiftedField(net, delta, NetFunction(net, {(w1, b1): 0.5}), axis, shift)
     G = xray.XrayField(net, delta, NetFunction(net, {(w2, b2): 3.0}))
     got, volumes = pair_value_and_volumes(F, G, monkeypatch)
     want, every = unfiltered_pair_volumes(F, G)
