@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -295,6 +296,28 @@ def test_tube_intersection_volume_matches_the_two_mask_reference(n):
     assert hits >= 10
 
 
+@pytest.mark.parametrize("mc_samples", [geo.MC_CHUNK, geo.MC_CHUNK + 1,
+                                        2 * geo.MC_CHUNK + 1001])
+@pytest.mark.parametrize("n", [2, 3])
+def test_chunked_draws_match_the_single_draw_reference(n, mc_samples):
+    t1 = geo.Tube((0.25,) + (0.0,) * (n - 2), (0.0,) * (n - 1), 1 / 16)
+    t2 = geo.Tube((-0.25,) + (0.1,) * (n - 2), (0.05,) * (n - 1), 1 / 16)
+    got = geo.tube_intersection_volume(t1, t2, n, mc_samples, 7)
+    assert got[0] > 0
+    assert got == two_mask_volume(t1, t2, n, mc_samples, 7)
+
+
+def test_monte_carlo_memory_is_one_chunk():
+    t1, t2 = geo.Tube((0.25,), (0.0,), 1 / 16), geo.Tube((-0.25,), (0.05,), 1 / 16)
+    tracemalloc.start()
+    try:
+        assert geo.tube_intersection_volume(t1, t2, 2, 200_000, 3)[0] > 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_tube_volume_values():
     assert geo.tube_volume(geo.Tube((0.0,), (0.0,), 1 / 8), 2) == pytest.approx(0.5)
     assert geo.tube_volume(geo.Tube((0.0, 0.0), (0.0, 0.0), 1 / 8), 3) == (
@@ -338,6 +361,32 @@ def test_tube_intersection_strip_example():
     assert exact <= 4.5 * delta**2 / (0.5 + delta)
     est, err = geo.tube_intersection_volume(t1, t2, 2, 200000, 3)
     assert abs(est - exact) <= 0.02 * exact + 3 * err
+
+
+GOOD = geo.Tube((0.1, 0.2), (0.0, 0.05), 1 / 8)
+
+
+@pytest.mark.parametrize("bad", [
+    geo.Tube((0.1, 0.2), (0.0, 0.05), math.nan),
+    geo.Tube((0.1, 0.2), (0.0, 0.05), math.inf),
+    geo.Tube((0.1, 0.2), (0.0, 0.05), -0.1),
+    geo.Tube((0.1, 0.2), (0.0, 0.05), 0.0),
+    geo.Tube((math.nan, 0.2), (0.0, 0.05), 1 / 8),
+    geo.Tube((0.1, -math.inf), (0.0, 0.05), 1 / 8),
+    geo.Tube((0.1, 0.2), (0.0, math.nan), 1 / 8),
+    geo.Tube((0.1, 0.2), (math.inf, 0.05), 1 / 8),
+], ids=["nan-delta", "inf-delta", "negative-delta", "zero-delta", "nan-direction",
+        "inf-direction", "nan-base", "inf-base"])
+@pytest.mark.parametrize("kernel", [
+    lambda a, b: geo.tube_intersection_exact(a, b, 3),
+    lambda a, b: geo.tube_intersection_volume(a, b, 3, 2000, 0),
+], ids=["exact", "monte-carlo"])
+def test_tube_pairs_refuse_a_non_finite_or_non_positive_tube(kernel, bad):
+    same_delta = geo.Tube(GOOD.direction_omega, GOOD.base_i, bad.delta)
+    for a, b in ((bad, same_delta), (same_delta, bad), (bad, bad)):
+        with pytest.raises(geo.GeometryError, match="finite") as err:
+            kernel(a, b)
+        assert err.value.exit_code == 2
 
 
 def test_tube_intersection_mc_rejects_small_samples():
@@ -460,11 +509,20 @@ def test_build_net_rejects_bad_delta():
     (0, 1 / 8, "need n >= 2, got n = 1"), (-1, 1 / 8, "need n >= 2, got n = 0"),
     (2, 0.0, "need 0 < delta <= 1/4"), (2, 0.3, "need 0 < delta <= 1/4"),
     (2, -1 / 8, "need 0 < delta <= 1/4"), (2, math.nan, "need 0 < delta <= 1/4"),
+    (1.5, 1 / 8, "need an integer dim"), (2.0, 1 / 8, "need an integer dim"),
+    (True, 1 / 8, "need an integer dim"), ("2", 1 / 8, "need an integer dim"),
 ])
 def test_a_hand_built_net_is_validated(dim, delta, message):
     with pytest.raises(geo.GeometryError, match=message) as err:
         geo.DirectionNet(dim, delta)
     assert err.value.exit_code == 2
+
+
+def test_build_net_refuses_a_dimension_that_is_not_an_integer():
+    with pytest.raises(geo.GeometryError, match="need an integer dim") as err:
+        geo.build_net(2.5, 1 / 8)
+    assert err.value.exit_code == 2
+    assert geo.build_net(np.int64(2), 1 / 8) == geo.build_net(2, 1 / 8)
 
 
 def test_a_net_is_the_value_of_its_dim_and_delta():
