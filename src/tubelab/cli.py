@@ -514,7 +514,7 @@ def _suite_geometry(seed: int) -> dict:
                 t1 = geometry.Tube(tuple(w1), tuple(i1), delta)
                 t2 = geometry.Tube(tuple(w2), tuple(i2), delta)
                 est, err = geometry.tube_intersection_volume(
-                    t1, t2, n, 20000, int(rng.integers(0, 2**31)))
+                    t1, t2, 20000, int(rng.integers(0, 2**31)))
                 bound = (est + 3 * err) * (np.linalg.norm(w1 - w2) + delta) / delta**n
                 worst = max(worst, bound)
                 ok &= bound <= 64.0

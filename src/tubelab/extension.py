@@ -56,7 +56,7 @@ class OscillationGuardError(ExtensionError):
 @dataclass
 class CapFunction:
     """Indicator of a sub-box of Q, optionally modulated by
-    e^{-2 pi i x0 . (y, Phi(y))} with x0 in R^n."""
+    e^{-2 pi i x0 . (y, Phi(y))} with x0 finite in R^n, n = dim + 1."""
 
     support_lo: tuple
     support_hi: tuple
@@ -69,9 +69,10 @@ class CapFunction:
             raise ExtensionError("bad support box")
         if np.any(lo < -1.0 - 1e-12) or np.any(hi > 1.0 + 1e-12):
             raise ExtensionError("support must lie inside Q = [-1,1]^{n-1}")
-        if self.modulation is not None and not np.all(
-                np.isfinite(np.asarray(self.modulation, dtype=float))):
-            raise ExtensionError("modulation must be finite")
+        if self.modulation is not None:
+            x0 = np.asarray(self.modulation, dtype=float)
+            if x0.shape != (self.dim + 1,) or not np.all(np.isfinite(x0)):
+                raise ExtensionError(f"modulation must be a finite vector in R^{self.dim + 1}")
 
     @property
     def dim(self) -> int:
@@ -81,13 +82,10 @@ class CapFunction:
     def measure(self) -> float:
         return float(np.prod(np.asarray(self.support_hi) - np.asarray(self.support_lo)))
 
-    def modulation_vector(self, n: int) -> np.ndarray:
+    def modulation_vector(self) -> np.ndarray:
         if self.modulation is None:
-            return np.zeros(n)
-        x0 = np.asarray(self.modulation, dtype=float)
-        if x0.shape != (n,):
-            raise ExtensionError(f"modulation must be a vector in R^{n}")
-        return x0
+            return np.zeros(self.dim + 1)
+        return np.asarray(self.modulation, dtype=float)
 
     def nodes(self, grid_counts):
         """Per-axis midpoint nodes and steps; the cell weight is the steps'
@@ -118,11 +116,15 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     one row per point set of a stack (..., m, n): ceil(4 L_a max(f_a, F)) on
     an axis of length L_a, with g_a = max|d_a Phi| (sampled at 5 points per
     axis), f_a = max|x_a| + max|x_n| g_a and F = max(max|x_|, max|x_n| |g|).
-    A need, or a count, above MAX_GRID_NODES raises OscillationGuardError."""
+    A need, or a count, above MAX_GRID_NODES raises OscillationGuardError;
+    a phase or points of another dimension than the cap's, ExtensionError."""
     if not _is_int(min_nodes) or min_nodes < 1:
         raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    eff = pts + cap.modulation_vector(pts.shape[-1])
+    if not phi.dim == cap.dim == pts.shape[-1] - 1:
+        raise ExtensionError(f"a cap of dimension {cap.dim} with a phase of dimension "
+                             f"{phi.dim} at {pts.shape[-1]}-D points")
+    eff = pts + cap.modulation_vector()
     xmax = np.max(np.abs(eff[..., :-1]), axis=-2)
     tmax = np.max(np.abs(eff[..., -1]), axis=-1)[..., None]
     mesh = product_grid([np.linspace(lo, hi, 5)
@@ -150,7 +152,7 @@ class _CapQuadrature:
 
     def __init__(self, cap: CapFunction, phi: EllipticPhase, counts):
         self.y_axes, self.steps = cap.nodes(counts)
-        self.x0 = cap.modulation_vector(cap.dim + 1)
+        self.x0 = cap.modulation_vector()
         self.separable = phi.tag == "quadratic"
         if not self.separable:
             self.mesh = product_grid(self.y_axes)
@@ -210,8 +212,6 @@ def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     the per-axis oscillation guard at the points (required_grid_counts with
     min_nodes=1) or above MAX_GRID_NODES."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if pts.shape[1] - 1 != f.dim:
-        raise ExtensionError("point dimension does not match cap dimension")
     if not np.all(np.isfinite(pts)):
         raise ExtensionError("evaluation points must be finite")
     given = np.asarray(grid_n, dtype=object)
@@ -414,7 +414,9 @@ def rotational_curvature(phi: EllipticPhase, y, w) -> float:
     """
     y = np.asarray(y, dtype=float).reshape(1, -1)
     w = np.asarray(w, dtype=float).reshape(1, -1)
-    d = y.shape[1]
+    d = phi.dim
+    if y.shape[1] != d or w.shape[1] != d:
+        raise ExtensionError(f"y and w need {d} coordinates, got {y.shape[1]} and {w.shape[1]}")
     val = float(phi(y)[0] - phi(y - w)[0] - phi(w)[0])
     phi_y = (phi.grad(y) - phi.grad(y - w))[0]
     phi_w = (phi.grad(y - w) - phi.grad(w))[0]

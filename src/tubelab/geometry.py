@@ -273,6 +273,8 @@ def perturbed_phase(dim: int, eps0: float) -> EllipticPhase:
     psi has psi(0) = 0, grad psi(0) = 0 and Hessian operator norm <= 1 on Q,
     so the Hessian eigenvalues stay in [1-eps0, 1+eps0].
     """
+    if not _is_int(dim) or dim not in _BUMP_CENTERS or not 0 <= eps0 < 1:  # NaN fails too
+        raise GeometryError(f"need dim in {{1, 2}} and 0 <= eps0 < 1, got {dim!r}, {eps0!r}")
     centers = np.array(_BUMP_CENTERS[dim], dtype=float)
     weights = np.array(_BUMP_WEIGHTS[dim], dtype=float)
     sig2 = _BUMP_SIGMA**2
@@ -422,11 +424,17 @@ def build_net(n: int, delta: float) -> DirectionNet:
 
 @dataclass(frozen=True)
 class Tube:
-    """T = {(y_, y_n): |y_n| <= 1, ||y_ - y_n omega - i|| <= delta}."""
+    """T = {(y_, y_n): |y_n| <= 1, ||y_ - y_n omega - i|| <= delta} in R^{dim + 1}."""
 
     direction_omega: tuple
     base_i: tuple
     delta: float
+
+    def __post_init__(self):
+        if not (1 <= self.dim == len(self.base_i) and 0 < self.delta < math.inf  # NaN fails
+                and all(map(math.isfinite, (*self.direction_omega, *self.base_i)))):
+            raise GeometryError(f"a tube needs a finite direction and base of one dimension "
+                                f">= 1 and a finite delta > 0, got {self}")
 
     @property
     def dim(self) -> int:
@@ -436,9 +444,8 @@ class Tube:
         """Vectorized membership for an (m, n) array of points: the cell
         test of X and X*, summed column by column in axis order."""
         pts = np.atleast_2d(pts)
-        if pts.shape[1] != self.dim + 1 or len(self.base_i) != self.dim:
-            raise GeometryError(f"a tube of dimension {self.dim} with base "
-                                f"{self.base_i} cannot test {pts.shape[1]}-D points")
+        if pts.shape[1] != self.dim + 1:
+            raise GeometryError(f"a tube in R^{self.dim + 1} cannot test {pts.shape[1]}-D points")
         yn = pts[:, -1]
         d2 = 0.0
         for a, (w, i) in enumerate(zip(self.direction_omega, self.base_i)):
@@ -447,9 +454,9 @@ class Tube:
         return (np.abs(yn) <= 1.0) & (d2 <= self.delta**2)
 
 
-def tube_volume(t: Tube, n: int) -> float:
+def tube_volume(t: Tube) -> float:
     """2 v_{n-1} delta^{n-1}; the shear does not change cross-sections."""
-    return 2.0 * unit_ball_volume(n - 1) * t.delta ** (n - 1)
+    return 2.0 * unit_ball_volume(t.dim) * t.delta ** t.dim
 
 
 def _axis_distance(t1: Tube, t2: Tube):
@@ -495,28 +502,24 @@ def _lens_area(d: np.ndarray, r: float) -> np.ndarray:
     return out
 
 
-def _check_pair(t1: Tube, t2: Tube, n: int):
-    if not t1.dim == t2.dim == len(t1.base_i) == len(t2.base_i) == n - 1:
-        raise GeometryError(f"tubes of dimensions {t1.dim} and {t2.dim} (bases "
-                            f"{t1.base_i}, {t2.base_i}) do not both live in n = {n}")
-    if not (0 < t1.delta < math.inf and 0 < t2.delta < math.inf):  # NaN fails too
-        raise GeometryError(f"need finite tube deltas > 0, got {t1.delta!r} and {t2.delta!r}")
-    if not all(map(math.isfinite, (*t1.direction_omega, *t1.base_i,
-                                   *t2.direction_omega, *t2.base_i))):
-        raise GeometryError(f"tubes need finite directions and bases, got {t1} and {t2}")
+def _check_pair(t1: Tube, t2: Tube) -> int:
+    """The n both tubes live in; they must share it and delta."""
+    if t1.dim != t2.dim:
+        raise GeometryError(f"tubes of dimensions {t1.dim} and {t2.dim}")
     if t1.delta != t2.delta:
         raise GeometryError("tubes must share delta")
+    return t1.dim + 1
 
 
-def tube_intersection_exact(t1: Tube, t2: Tube, n: int) -> float:
-    """|T1 cap T2| via cross-section overlap.
+def tube_intersection_exact(t1: Tube, t2: Tube) -> float:
+    """|T1 cap T2| via cross-section overlap, in the tubes' R^n.
 
     n=2: closed-form integral of the interval overlap max(0, 2 delta - |d(t)|).
     n=3: fixed-order quadrature of the two-disc lens area (d(t) is smooth and
     the integrand is piecewise smooth; 4096 midpoint nodes on the overlap
     interval keep the error far below the tolerances used by callers).
     """
-    _check_pair(t1, t2, n)
+    n = _check_pair(t1, t2)
     iv = _overlap_interval(t1, t2)
     if iv is None:
         return 0.0
@@ -554,8 +557,8 @@ def tube_intersection_exact(t1: Tube, t2: Tube, n: int) -> float:
 MC_CHUNK = 1 << 14  # Monte-Carlo rows drawn and tested at a time
 
 
-def tube_intersection_volume(t1: Tube, t2: Tube, n: int, mc_samples: int, seed: int):
-    """Monte-Carlo |T1 cap T2| with standard error.
+def tube_intersection_volume(t1: Tube, t2: Tube, mc_samples: int, seed: int):
+    """Monte-Carlo |T1 cap T2| with standard error, in the tubes' R^n.
 
     Samples uniformly from a tight axis-aligned box that contains the
     intersection (the y_n overlap interval crossed with the T1 slab there),
@@ -566,7 +569,7 @@ def tube_intersection_volume(t1: Tube, t2: Tube, n: int, mc_samples: int, seed: 
         raise GeometryError(f"mc_samples must be an integer >= 1000, not {mc_samples!r}")
     if not _is_int(seed) or seed < 0:
         raise GeometryError(f"seed must be a non-negative integer, not {seed!r}")
-    _check_pair(t1, t2, n)
+    n = _check_pair(t1, t2)
     iv = _overlap_interval(t1, t2)
     if iv is None:
         return 0.0, 0.0

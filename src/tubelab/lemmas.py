@@ -17,7 +17,7 @@ import numpy as np
 
 from . import TubelabError
 from .fields import GridFunction, conjugate, lp, lp_norm
-from .geometry import DyadicCube
+from .geometry import DyadicCube, _is_int
 
 
 class LemmaError(TubelabError):
@@ -81,6 +81,8 @@ class OmegaSet:
 
 def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
     """Seeded random dyadic subset: scattered cells joined with random boxes."""
+    if not _is_int(n) or n < 2:
+        raise LemmaError(f"need n >= 2, an integer, got n = {n!r}")
     rng = np.random.default_rng(seed)
     side = 2 ** (resolution_j + 1)
     shape = (side,) * (n - 1)
@@ -91,9 +93,7 @@ def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
         sizes = rng.integers(1, max(2, side // 3), size=n - 1)
         sel = tuple(slice(int(c), int(min(side, c + s)))
                     for c, s in zip(corner, sizes))
-        mask[sel] = True
-    if not mask.any():
-        mask.flat[int(rng.integers(0, mask.size))] = True
+        mask[sel] = True  # at least one non-empty box: the mask is never empty
     return OmegaSet(mask)
 
 

@@ -19,7 +19,7 @@ from . import TubelabError, xray
 from .extension import (CapFunction, EllipticPhase, domain_norm_ratio,
                         evaluate_extension, required_grid_counts)
 from .fields import Box, CylinderDomain
-from .geometry import product_grid, quadratic_phase
+from .geometry import _is_int, product_grid, quadratic_phase
 
 C0_MODULATED = "c0-modulated"
 C1_SQUASHED = "c1-squashed"
@@ -151,8 +151,8 @@ def _cap_pair(half1: float, n: int, half_rest: float):
 
 def predicted_exponent(kind: str, n: int, p: float, q: float) -> float:
     """Scale exponent of the family's witness ratio (see Family), n >= 2."""
-    if n < 2:
-        raise WitnessError("need n >= 2")
+    if not _is_int(n) or n < 2:
+        raise WitnessError(f"need n >= 2, an integer, got n = {n!r}")
     return _family(kind).predicted(n, p, q)
 
 
@@ -201,8 +201,8 @@ def build_witness(kind: str, n: int, scale: float,
     The single-cap family returns g = None."""
     if _family(kind).tubes:
         raise WitnessError(f"{kind!r} is a tube family (see xray.kakeya_witness)")
-    if n < 2:
-        raise WitnessError("need n >= 2")
+    if not _is_int(n) or n < 2:
+        raise WitnessError(f"need n >= 2, an integer, got n = {n!r}")
     if not 0 < scale < math.inf:
         raise WitnessError("need a positive finite scale")
     phi = quadratic_phase(n - 1)
@@ -279,8 +279,8 @@ def witness_ratio(kind: str, n: int, scale: float, p: float, q: float,
 def trace_caps(n: int, R: float) -> Tuple[CapFunction, CapFunction]:
     """Shrinking separated caps of half-side 1/R: the pair that drives the
     localized bilinear L^2 x L^2 -> L^1 growth at its full rate R."""
-    if n < 2 or not 4 <= R < math.inf:
-        raise WitnessError(f"need n >= 2 and 4 <= R < inf, got n = {n}, R = {R}")
+    if not _is_int(n) or n < 2 or not 4 <= R < math.inf:
+        raise WitnessError(f"need n >= 2 and 4 <= R < inf, an integer n, got n = {n!r}, R = {R}")
     return _cap_pair(1.0 / R, n, 1.0 / R)
 
 

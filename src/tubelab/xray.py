@@ -325,7 +325,7 @@ def prop111_constant(F: XrayField, G: XrayField,
     pair_sum = 0.0
     for f, g in zip(*np.nonzero(meet)):  # in F-major order, as the full double loop
         pair_sum += float(v1[f] * v2[g] * tube_intersection_exact(
-            Tube(tuple(w1[f]), tuple(b1[f]), delta), Tube(tuple(w2[g]), tuple(b2[g]), delta), n))
+            Tube(tuple(w1[f]), tuple(b1[f]), delta), Tube(tuple(w2[g]), tuple(b2[g]), delta)))
     return Prop111Result(inner / denom, pair_sum / denom)
 
 

@@ -77,12 +77,12 @@ def test_criterion_2_cordoba_geometry():
             for _ in range(200):
                 t1, t2, sep = _random_tube_pair(rng, net, delta, n)
                 est, err = geo.tube_intersection_volume(
-                    t1, t2, n, samples, int(rng.integers(2**31)))
+                    t1, t2, samples, int(rng.integers(2**31)))
                 bound = (est + 3 * err) * (sep + delta) / delta**n
                 worst_bound = max(worst_bound, bound)
                 ok &= bound <= 64.0
                 if n == 2:
-                    exact = geo.tube_intersection_exact(t1, t2, n)
+                    exact = geo.tube_intersection_exact(t1, t2)
                     ok &= abs(est - exact) <= 0.02 * exact + 3 * err
                     if exact > 0:
                         worst_rel = max(worst_rel, abs(est - exact) / exact)

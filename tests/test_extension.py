@@ -34,7 +34,7 @@ def midpoint_sum(cap, phi, pts, m):
     axes = [lo + (np.arange(m) + 0.5) * (hi - lo) / m
             for lo, hi in zip(cap.support_lo, cap.support_hi)]
     y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, cap.dim)
-    x = np.asarray(pts, dtype=float) + cap.modulation_vector(cap.dim + 1)
+    x = np.asarray(pts, dtype=float) + cap.modulation_vector()
     return np.exp(-2j * np.pi * x @ np.column_stack([y, phi(y)]).T).sum(axis=1) \
         * cap.measure / m**cap.dim
 
@@ -254,6 +254,34 @@ def test_non_finite_extension_input_is_a_usage_error(make):
     with pytest.raises(ext.ExtensionError) as err:
         f = make()
         ext.local_ratio(f, None, PHI3, 2, 2, 4)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("modulation", [(0.1, 0.2), (0.1, 0.2, 0.3, 0.4), (), 0.5,
+                                        ((0.1, 0.2, 0.3),)])
+def test_a_modulation_outside_r_n_is_refused_where_the_cap_is_built(modulation):
+    with pytest.raises(ext.ExtensionError, match=r"vector in R\^3") as err:
+        ext.CapFunction((-0.5, 0.0), (0.5, 0.5), modulation=modulation)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("call", [
+    lambda: ext.evaluate_extension(ext.CapFunction((-0.5,), (0.5,)),
+                                   perturbed_phase(2, 0.05), [[0.0, 0.0]], 64),
+    lambda: ext.evaluate_extension(ext.CapFunction((-0.5, 0.0), (0.5, 0.5)), PHI2,
+                                   [[0.0, 0.0, 0.0]], 64),
+    lambda: ext.domain_norm_ratio(ext.CapFunction((-0.5, 0.0), (0.5, 0.5)), None, PHI2,
+                                  2, 2, Ball((0.0, 0.0, 0.0), 4.0)),
+    lambda: ext.local_ratio(*witnesses.trace_caps(3, 8), quadratic_phase(3), 2, 1, 8),
+    lambda: ext.required_grid_counts(ext.CapFunction((-0.5,), (0.5,)), PHI3, [[0.0, 0.0]]),
+    lambda: ext.required_grid_counts(ext.CapFunction((-0.5,), (0.5,)), PHI2,
+                                     [[0.0, 0.0, 0.0]]),
+], ids=["evaluate-1d-cap-2d-phase", "evaluate-2d-cap-1d-phase", "domain-norm",
+        "local-ratio", "grid-counts-phase", "grid-counts-points"])
+def test_a_phase_or_points_of_another_dimension_than_the_cap_are_refused(call):
+    # the mismatch raised numpy's matmul ValueError, or sized a grid for the wrong phase
+    with pytest.raises(ext.ExtensionError, match="dimension") as err:
+        call()
     assert err.value.exit_code == 2
 
 
@@ -510,6 +538,15 @@ def test_rotational_curvature_quadratic():
         w = rng.uniform(-1, 1, 2)
         det = ext.rotational_curvature(PHI3, y, w)
         assert abs(det - w @ w) <= 1e-8
+
+
+@pytest.mark.parametrize("y, w", [([0.1], [0.2]), ([0.1, 0.2], [0.2]),
+                                  ([0.1], [0.1, 0.2]), ([0.1, 0.2, 0.3], [0.1, 0.2, 0.3])])
+def test_rotational_curvature_refuses_points_of_another_dimension(y, w):
+    # ([0.1], [0.2]) under the 2-D phase once gave 0.04 without complaint
+    with pytest.raises(ext.ExtensionError, match="need 2 coordinates") as err:
+        ext.rotational_curvature(PHI3, y, w)
+    assert err.value.exit_code == 2
 
 
 def test_rotational_curvature_perturbed_band():

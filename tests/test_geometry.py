@@ -290,7 +290,7 @@ def test_tube_intersection_volume_matches_the_two_mask_reference(n):
         i2 = net.points[net.nearest_index(i1 + rng.uniform(-0.5, 0.5) * (w1 - w2))]
         t1 = geo.Tube(tuple(w1), tuple(i1), delta)
         t2 = geo.Tube(tuple(w2), tuple(i2), delta)
-        got = geo.tube_intersection_volume(t1, t2, n, 4000, seed)
+        got = geo.tube_intersection_volume(t1, t2, 4000, seed)
         assert got == two_mask_volume(t1, t2, n, 4000, seed)
         hits += got[0] > 0
     assert hits >= 10
@@ -302,7 +302,7 @@ def test_tube_intersection_volume_matches_the_two_mask_reference(n):
 def test_chunked_draws_match_the_single_draw_reference(n, mc_samples):
     t1 = geo.Tube((0.25,) + (0.0,) * (n - 2), (0.0,) * (n - 1), 1 / 16)
     t2 = geo.Tube((-0.25,) + (0.1,) * (n - 2), (0.05,) * (n - 1), 1 / 16)
-    got = geo.tube_intersection_volume(t1, t2, n, mc_samples, 7)
+    got = geo.tube_intersection_volume(t1, t2, mc_samples, 7)
     assert got[0] > 0
     assert got == two_mask_volume(t1, t2, n, mc_samples, 7)
 
@@ -311,7 +311,7 @@ def test_monte_carlo_memory_is_one_chunk():
     t1, t2 = geo.Tube((0.25,), (0.0,), 1 / 16), geo.Tube((-0.25,), (0.05,), 1 / 16)
     tracemalloc.start()
     try:
-        assert geo.tube_intersection_volume(t1, t2, 2, 200_000, 3)[0] > 0
+        assert geo.tube_intersection_volume(t1, t2, 200_000, 3)[0] > 0
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -319,9 +319,19 @@ def test_monte_carlo_memory_is_one_chunk():
 
 
 def test_tube_volume_values():
-    assert geo.tube_volume(geo.Tube((0.0,), (0.0,), 1 / 8), 2) == pytest.approx(0.5)
-    assert geo.tube_volume(geo.Tube((0.0, 0.0), (0.0, 0.0), 1 / 8), 3) == (
+    assert geo.tube_volume(geo.Tube((0.0,), (0.0,), 1 / 8)) == pytest.approx(0.5)
+    assert geo.tube_volume(geo.Tube((0.0, 0.0), (0.0, 0.0), 1 / 8)) == (
         pytest.approx(2 * math.pi / 64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_tube_volume_reads_n_off_the_tube(n):
+    # 2 v_{n-1} delta^{n-1}; passing n = 5 for an n = 3 tube once gave 9.87e-4,
+    # not its 2 pi delta^2
+    delta = 0.1
+    t = geo.Tube((0.3,) * (n - 1), (-0.2,) * (n - 1), delta)
+    v = {1: 2.0, 2: math.pi, 3: 4 * math.pi / 3, 4: math.pi**2 / 2}[n - 1]
+    assert geo.tube_volume(t) == pytest.approx(2 * v * delta ** (n - 1), rel=1e-15)
 
 
 def test_tube_volume_monte_carlo():
@@ -333,20 +343,20 @@ def test_tube_volume_monte_carlo():
     pts = rng.uniform(lo, hi, size=(10**6, 3))
     frac = np.count_nonzero(t.contains(pts)) / len(pts)
     est = frac * float(np.prod(hi - lo))
-    assert abs(est - geo.tube_volume(t, 3)) <= 0.01 * geo.tube_volume(t, 3)
+    assert abs(est - geo.tube_volume(t)) <= 0.01 * geo.tube_volume(t)
 
 
 def test_tube_intersection_self():
     t = geo.Tube((0.25, 0.0), (0.0, 0.0), 1 / 16)
-    assert geo.tube_intersection_exact(t, t, 3) == pytest.approx(
-        geo.tube_volume(t, 3), rel=1e-6)
+    assert geo.tube_intersection_exact(t, t) == pytest.approx(
+        geo.tube_volume(t), rel=1e-6)
 
 
 def test_tube_intersection_disjoint():
     t1 = geo.Tube((0.5,), (0.0,), 1 / 16)
     t2 = geo.Tube((0.5,), (0.5,), 1 / 16)
-    assert geo.tube_intersection_exact(t1, t2, 2) == 0.0
-    est, err = geo.tube_intersection_volume(t1, t2, 2, 2000, 0)
+    assert geo.tube_intersection_exact(t1, t2) == 0.0
+    est, err = geo.tube_intersection_volume(t1, t2, 2000, 0)
     assert est == 0.0
 
 
@@ -355,63 +365,78 @@ def test_tube_intersection_strip_example():
     delta = 1 / 16
     t1 = geo.Tube((0.0,), (0.0,), delta)
     t2 = geo.Tube((0.5,), (0.0,), delta)
-    exact = geo.tube_intersection_exact(t1, t2, 2)
+    exact = geo.tube_intersection_exact(t1, t2)
     assert exact == pytest.approx(8 * delta**2, rel=1e-12)
     # overlap bound with the oracle-calibrated constant
     assert exact <= 4.5 * delta**2 / (0.5 + delta)
-    est, err = geo.tube_intersection_volume(t1, t2, 2, 200000, 3)
+    est, err = geo.tube_intersection_volume(t1, t2, 200000, 3)
     assert abs(est - exact) <= 0.02 * exact + 3 * err
 
 
 GOOD = geo.Tube((0.1, 0.2), (0.0, 0.05), 1 / 8)
+BAD_TUBES = {  # (direction, base, delta) of tubes a kernel can never be handed
+    "nan-delta": ((0.1, 0.2), (0.0, 0.05), math.nan),
+    "inf-delta": ((0.1, 0.2), (0.0, 0.05), math.inf),
+    "negative-delta": ((0.1, 0.2), (0.0, 0.05), -0.1),
+    "zero-delta": ((0.1, 0.2), (0.0, 0.05), 0.0),
+    "nan-direction": ((math.nan, 0.2), (0.0, 0.05), 1 / 8),
+    "inf-direction": ((0.1, -math.inf), (0.0, 0.05), 1 / 8),
+    "nan-base": ((0.1, 0.2), (0.0, math.nan), 1 / 8),
+    "inf-base": ((0.1, 0.2), (math.inf, 0.05), 1 / 8),
+}
 
 
-@pytest.mark.parametrize("bad", [
-    geo.Tube((0.1, 0.2), (0.0, 0.05), math.nan),
-    geo.Tube((0.1, 0.2), (0.0, 0.05), math.inf),
-    geo.Tube((0.1, 0.2), (0.0, 0.05), -0.1),
-    geo.Tube((0.1, 0.2), (0.0, 0.05), 0.0),
-    geo.Tube((math.nan, 0.2), (0.0, 0.05), 1 / 8),
-    geo.Tube((0.1, -math.inf), (0.0, 0.05), 1 / 8),
-    geo.Tube((0.1, 0.2), (0.0, math.nan), 1 / 8),
-    geo.Tube((0.1, 0.2), (math.inf, 0.05), 1 / 8),
-], ids=["nan-delta", "inf-delta", "negative-delta", "zero-delta", "nan-direction",
-        "inf-direction", "nan-base", "inf-base"])
+@pytest.mark.parametrize("bad", BAD_TUBES.values(), ids=BAD_TUBES.keys())
 @pytest.mark.parametrize("kernel", [
-    lambda a, b: geo.tube_intersection_exact(a, b, 3),
-    lambda a, b: geo.tube_intersection_volume(a, b, 3, 2000, 0),
+    lambda a, b: geo.tube_intersection_exact(a, b),
+    lambda a, b: geo.tube_intersection_volume(a, b, 2000, 0),
 ], ids=["exact", "monte-carlo"])
 def test_tube_pairs_refuse_a_non_finite_or_non_positive_tube(kernel, bad):
-    same_delta = geo.Tube(GOOD.direction_omega, GOOD.base_i, bad.delta)
-    for a, b in ((bad, same_delta), (same_delta, bad), (bad, bad)):
-        with pytest.raises(geo.GeometryError, match="finite") as err:
-            kernel(a, b)
-        assert err.value.exit_code == 2
+    # the bad tube is refused where it is built, before the kernel runs
+    with pytest.raises(geo.GeometryError, match="finite") as err:
+        kernel(geo.Tube(*bad), GOOD)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("args", [
+    *BAD_TUBES.values(),
+    ((0.1, 0.2), (0.0,), 1 / 8),  # a 1-D base for a 2-D direction
+    ((0.1,), (0.0, 0.0), 1 / 8),
+    ((), (), 1 / 8),  # n = 1
+    ((0.1, 0.2), (0.0, 0.05), -math.inf),
+    ((0.1, math.nan), (math.inf, 0.05), math.nan),
+], ids=[*BAD_TUBES.keys(), "short-base", "short-direction", "empty", "minus-inf-delta",
+        "all-bad"])
+def test_a_bad_tube_is_refused_where_it_is_built(args):
+    with pytest.raises(geo.GeometryError, match="a tube needs a finite direction and base "
+                                                "of one dimension") as err:
+        geo.Tube(*args)
+    assert err.value.exit_code == 2
 
 
 def test_tube_intersection_mc_rejects_small_samples():
     t = geo.Tube((0.0,), (0.0,), 1 / 8)
     with pytest.raises(geo.GeometryError):
-        geo.tube_intersection_volume(t, t, 2, 500, 0)
+        geo.tube_intersection_volume(t, t, 500, 0)
 
 
 def test_tube_intersection_input_contract():
     t2 = geo.Tube((0.1,), (0.0,), 1 / 8)
     t3 = geo.Tube((0.1, 0.2), (0.0, 0.0), 1 / 8)
-    short = geo.Tube((0.1, 0.2), (0.0,), 1 / 8)  # a 1-D base for a 2-D direction
-    for a, b, n in ((t3, t3, 2), (t3, t3, 4), (t2, t2, 3), (t2, t3, 2), (t2, t3, 3),
-                    (short, t3, 3), (t3, short, 3)):
+    with pytest.raises(geo.GeometryError, match="dimension"):
+        geo.Tube((0.1, 0.2), (0.0,), 1 / 8)  # a 1-D base for a 2-D direction
+    for a, b in ((t2, t3), (t3, t2)):
         with pytest.raises(geo.GeometryError, match="dimension"):
-            geo.tube_intersection_exact(a, b, n)
+            geo.tube_intersection_exact(a, b)
         with pytest.raises(geo.GeometryError, match="dimension"):
-            geo.tube_intersection_volume(a, b, n, 2000, 0)
+            geo.tube_intersection_volume(a, b, 2000, 0)
     for samples in (2000.5, 2000.0, "2000", True):
         with pytest.raises(geo.GeometryError, match="mc_samples"):
-            geo.tube_intersection_volume(t3, t3, 3, samples, 0)
+            geo.tube_intersection_volume(t3, t3, samples, 0)
     for seed in (-1, 1.5, None, False):
         with pytest.raises(geo.GeometryError, match="seed"):
-            geo.tube_intersection_volume(t3, t3, 3, 2000, seed)
-    assert geo.tube_intersection_volume(t3, t3, 3, np.int64(2000), np.int64(0))[0] > 0
+            geo.tube_intersection_volume(t3, t3, 2000, seed)
+    assert geo.tube_intersection_volume(t3, t3, np.int64(2000), np.int64(0))[0] > 0
 
 
 def test_cordoba_style_bound_sample():
@@ -425,7 +450,7 @@ def test_cordoba_style_bound_sample():
         i2 = net.points[rng.integers(0, len(net.points))]
         t1 = geo.Tube(tuple(w1), tuple(i1), delta)
         t2 = geo.Tube(tuple(w2), tuple(i2), delta)
-        vol = geo.tube_intersection_exact(t1, t2, 3)
+        vol = geo.tube_intersection_exact(t1, t2)
         sep = float(np.linalg.norm(w1 - w2)) + delta
         assert vol * sep / delta**3 <= 64.0
 
@@ -566,6 +591,16 @@ def test_perturbed_phase_band():
     assert 0.95 - 1e-9 <= lo and hi <= 1.05 + 1e-9
     # the perturbation is genuinely there
     assert hi - lo > 0.01
+
+
+@pytest.mark.parametrize("dim, eps0", [
+    (3, 0.05), (0, 0.05), (1.0, 0.05), (True, 0.05), ("2", 0.05),
+    (2, math.nan), (2, -0.01), (2, 1.0), (2, math.inf)])
+def test_perturbed_phase_refuses_a_dimension_or_eps0_it_has_no_bumps_for(dim, eps0):
+    # dim = 3 raised a bare KeyError, and eps0 = NaN validated to (nan, nan)
+    with pytest.raises(geo.GeometryError, match=r"need dim in \{1, 2\} and 0 <= eps0 < 1") as err:
+        geo.perturbed_phase(dim, eps0)
+    assert err.value.exit_code == 2
 
 
 def test_parabolic_rescale_quadratic_fixed_point():

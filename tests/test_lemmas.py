@@ -63,6 +63,14 @@ def test_omega_set_refuses_a_mask_that_is_not_a_dyadic_cube(shape):
     assert err.value.exit_code == 2
 
 
+@pytest.mark.parametrize("n", [1, 0, 2.5, 3.0, True, "3"])
+def test_random_omega_set_refuses_n_below_two_or_not_an_integer(n):
+    with pytest.raises(lemmas.LemmaError, match="need n >= 2, an integer") as err:
+        lemmas.random_omega_set(n, 3, 0)
+    assert err.value.exit_code == 2
+    assert lemmas.random_omega_set(np.int64(3), 3, 0).n == 3
+
+
 def test_xr_bounds_p1_identity():
     om = lemmas.random_omega_set(2, 5, 7)
     lhs, rhs_big, _ = lemmas.xr_bounds_check(om, 3, 1.0, F(1))

@@ -112,6 +112,19 @@ def test_predicted_exponent_refuses_n_below_two(kind, n):
         wit.predicted_exponent(kind, n, 2, 4)
 
 
+@pytest.mark.parametrize("call", [
+    lambda n: wit.build_witness(wit.C1_SQUASHED, n, 0.125),
+    lambda n: wit.predicted_exponent(wit.C1_SQUASHED, n, 2, 2),
+    lambda n: wit.witness_ratio(wit.C1_SQUASHED, n, 0.125, 2, 2),
+], ids=["build_witness", "predicted_exponent", "witness_ratio"])
+@pytest.mark.parametrize("n", [2.5, 3.0, "3"])
+def test_a_dimension_that_is_not_an_integer_is_refused(call, n):
+    # n = 2.5 raised a bare TypeError, or gave an exponent of 0.25
+    with pytest.raises(wit.WitnessError, match="need n >= 2, an integer") as err:
+        call(n)
+    assert err.value.exit_code == 2
+
+
 def test_witness_support_measures():
     for delta in (1 / 8, 1 / 16):
         f, g, _ = wit.build_witness(wit.C1_SQUASHED, 3, delta)
@@ -201,7 +214,7 @@ def test_trace_caps_shrink():
     assert f.measure == pytest.approx((2 / 16) ** 2)
     assert f.support_hi[0] <= -0.25 and g.support_lo[0] >= 0.25
     for n, R in ((3, 2.0), (3, 0.0), (3, -8.0), (3, math.nan), (3, math.inf),
-                 (1, 16.0), (0, 16.0)):
+                 (1, 16.0), (0, 16.0), (2.5, 16.0), (3.0, 16.0), (True, 16.0)):
         with pytest.raises(wit.WitnessError, match="need n >= 2 and 4 <= R < inf"):
             wit.trace_caps(n, R)
     f, g = wit.trace_caps(2, 4.0)
@@ -338,7 +351,7 @@ def test_modulation_search_keeps_the_first_of_tied_maxima(monkeypatch):
     # and 2 nearer.  So d = 0 and d = 1/2 tie at 1, at mirrored probes: the
     # tied trial is not screened out, and the first in lattice order wins.
     def fake(cap, phi, pts, gn):
-        eff = np.atleast_2d(pts) + cap.modulation_vector(np.shape(pts)[-1])
+        eff = np.atleast_2d(pts) + cap.modulation_vector()
         inside = (eff[:, 0] > -12.9) & (eff[:, 0] < -10.6)
         near = np.abs(eff[:, 0] + 11.75) < 0.7
         return np.where(inside, np.where(near, 2.0, 1.0), 0.5).astype(complex)

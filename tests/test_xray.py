@@ -516,7 +516,7 @@ def test_single_tube_pair_value_matches_rasterization():
     # hand value: the pair sum is 6 |T cap T'| over the normalization
     t1 = Tube(tuple(net.points[w1]), tuple(net.points[i0]), delta)
     t2 = Tube(tuple(net.points[w2]), tuple(net.points[i0]), delta)
-    vol = tube_intersection_exact(t1, t2, 3)
+    vol = tube_intersection_exact(t1, t2)
     denom = delta ** (-1) * (delta**2 * 2.0) * (delta**2 * 3.0)
     assert res.pair_value == pytest.approx(6.0 * vol / denom, rel=1e-9)
 
@@ -729,11 +729,11 @@ def test_bush_witness_value_at_origin():
 def unfiltered_pair_volumes(F, G):
     """(sum F G |T cap T'|, |T cap T'| of each pair) over every tube pair in
     F-major order: the loop before the pairs whose axes never meet were left out."""
-    n, total, volumes = F.net.dim + 1, 0.0, []
+    total, volumes = 0.0, []
     for w1, b1, v1 in zip(*F.tubes()):
         t1 = Tube(tuple(w1), tuple(b1), F.delta)
         for w2, b2, v2 in zip(*G.tubes()):
-            volumes.append(tube_intersection_exact(t1, Tube(tuple(w2), tuple(b2), G.delta), n))
+            volumes.append(tube_intersection_exact(t1, Tube(tuple(w2), tuple(b2), G.delta)))
             total += float(v1 * v2 * volumes[-1])
     return total, volumes
 
@@ -743,8 +743,8 @@ def pair_value_and_volumes(F, G, monkeypatch):
     exact intersection volumes it computed."""
     volumes = []
 
-    def counted(t1, t2, n):
-        volumes.append(tube_intersection_exact(t1, t2, n))
+    def counted(t1, t2):
+        volumes.append(tube_intersection_exact(t1, t2))
         return volumes[-1]
 
     monkeypatch.setattr(xray, "_adjoint_product_norms", lambda *args: {1.0: 0.0})
