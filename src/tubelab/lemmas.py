@@ -83,6 +83,8 @@ def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
     """Seeded random dyadic subset: scattered cells joined with random boxes."""
     if not _is_int(n) or n < 2:
         raise LemmaError(f"need n >= 2, an integer, got n = {n!r}")
+    if not _is_int(resolution_j) or resolution_j < 0:
+        raise LemmaError(f"need resolution_j >= 0, an integer, got {resolution_j!r}")
     rng = np.random.default_rng(seed)
     side = 2 ** (resolution_j + 1)
     shape = (side,) * (n - 1)

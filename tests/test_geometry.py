@@ -251,6 +251,19 @@ def test_tube_contains_matches_the_broadcast_expression(n):
             assert np.array_equal(got, broadcast_contains(t, pts))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tube_contains_reads_a_strided_view_like_its_contiguous_copy(n):
+    rng = np.random.default_rng(30 + n)
+    t = geo.Tube(tuple(rng.uniform(-1, 1, n - 1)), tuple(rng.uniform(-0.5, 0.5, n - 1)),
+                 1 / 4)
+    wide = rng.uniform(-1.5, 1.5, (3000, 2 * n + 1))
+    for view in (wide[:, 1:n + 1], wide[:, 1::2]):
+        assert view.shape == (3000, n) and not view.flags.c_contiguous
+        got = t.contains(view)
+        assert got.any() and not got.all()
+        assert np.array_equal(got, t.contains(np.ascontiguousarray(view)))
+
+
 def test_tube_contains_refuses_points_of_another_dimension():
     with pytest.raises(geo.GeometryError):
         geo.Tube((0.1, 0.2), (0.0, 0.0), 1 / 8).contains(np.zeros((4, 4)))
@@ -277,7 +290,7 @@ def two_mask_volume(t1, t2, n, mc_samples, seed):
     return p_hat * vol_box, vol_box * math.sqrt(p_err * (1 - p_hat) / mc_samples)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [2, 3, 4])
 def test_tube_intersection_volume_matches_the_two_mask_reference(n):
     rng = np.random.default_rng(20 + n)
     delta = 1 / 16
@@ -305,6 +318,23 @@ def test_chunked_draws_match_the_single_draw_reference(n, mc_samples):
     got = geo.tube_intersection_volume(t1, t2, mc_samples, 7)
     assert got[0] > 0
     assert got == two_mask_volume(t1, t2, n, mc_samples, 7)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tube_intersection_volume_matches_the_reference_at_both_ends_of_the_hit_fraction(n):
+    delta = 1 / 16
+    t1 = geo.Tube((0.0,) * (n - 1), (0.0,) * (n - 1), delta)
+    # the same vertical tube twice: T1 fills its box up to the ball's share
+    same = geo.tube_intersection_volume(t1, t1, 4000, 5)
+    assert same == two_mask_volume(t1, t1, n, 4000, 5)
+    assert same[0] == pytest.approx(geo.tube_volume(t1), rel=0.05)
+    # parallel tubes touching along a line: the overlap interval is all of
+    # [-1, 1], yet no sample lies in both
+    t2 = geo.Tube(t1.direction_omega, (2 * delta,) + (0.0,) * (n - 2), delta)
+    assert geo._overlap_interval(t1, t2) == (-1.0, 1.0)
+    touch = geo.tube_intersection_volume(t1, t2, 4000, 5)
+    assert touch == two_mask_volume(t1, t2, n, 4000, 5)
+    assert touch[0] == 0.0 < touch[1]
 
 
 def test_monte_carlo_memory_is_one_chunk():
@@ -412,6 +442,16 @@ def test_a_bad_tube_is_refused_where_it_is_built(args):
                                                 "of one dimension") as err:
         geo.Tube(*args)
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_tube_intersection_exact_refuses_n_outside_two_and_three_for_every_pair(n):
+    t = geo.Tube((0.1,) * (n - 1), (0.0,) * (n - 1), 0.1)
+    far = geo.Tube((0.1,) * (n - 1), (0.9,) * (n - 1), 0.1)  # axes never within 2 delta
+    for pair in ((t, far), (t, t)):
+        with pytest.raises(geo.GeometryError, match=r"n in \{2, 3\}") as err:
+            geo.tube_intersection_exact(*pair)
+        assert err.value.exit_code == 2
 
 
 def test_tube_intersection_mc_rejects_small_samples():
@@ -548,6 +588,17 @@ def test_build_net_refuses_a_dimension_that_is_not_an_integer():
         geo.build_net(2.5, 1 / 8)
     assert err.value.exit_code == 2
     assert geo.build_net(np.int64(2), 1 / 8) == geo.build_net(2, 1 / 8)
+
+
+@pytest.mark.parametrize("x", [[0.5], [0.1, 0.2, 0.3], [[0.5, 0.5]], 0.5,
+                               [math.nan, 0.0], [0.0, math.inf]],
+                         ids=["short", "long", "2-d", "scalar", "nan", "inf"])
+def test_nearest_index_refuses_a_point_that_is_not_a_finite_net_vector(x):
+    net = geo.build_net(3, 1 / 4)
+    with pytest.raises(geo.GeometryError, match="need a finite point of 2 coordinates") as err:
+        net.nearest_index(x)
+    assert err.value.exit_code == 2
+    assert net.points[net.nearest_index(np.array([0.45, 0.55]))].tolist() == [0.5, 0.5]
 
 
 def test_a_net_is_the_value_of_its_dim_and_delta():

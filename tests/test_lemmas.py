@@ -71,6 +71,14 @@ def test_random_omega_set_refuses_n_below_two_or_not_an_integer(n):
     assert lemmas.random_omega_set(np.int64(3), 3, 0).n == 3
 
 
+@pytest.mark.parametrize("j", [1.5, 2.0, -1, True, "2", None])
+def test_random_omega_set_refuses_a_resolution_that_is_not_an_integer_at_least_zero(j):
+    with pytest.raises(lemmas.LemmaError, match="need resolution_j >= 0, an integer") as err:
+        lemmas.random_omega_set(3, j, 0)
+    assert err.value.exit_code == 2
+    assert lemmas.random_omega_set(3, np.int64(0), 0).resolution_j == 0
+
+
 def test_xr_bounds_p1_identity():
     om = lemmas.random_omega_set(2, 5, 7)
     lhs, rhs_big, _ = lemmas.xr_bounds_check(om, 3, 1.0, F(1))
