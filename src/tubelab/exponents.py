@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from . import TubelabError
+from . import TubelabError, check_int
 
 LINEAR = "linear"
 BILINEAR = "bilinear"
@@ -28,11 +28,6 @@ class ExponentDomainError(TubelabError):
 
 def rational_json(x: Fraction) -> dict:
     return {"num": x.numerator, "den": x.denominator}
-
-
-def _check_dimension(n: int):
-    if n < 2:
-        raise ExponentDomainError(f"need n >= 2, got n = {n}")
 
 
 def conjugate(p: Fraction) -> Fraction:
@@ -128,7 +123,7 @@ class Region:
 
 def sharp_line(n: int, q: Fraction) -> Fraction:
     """The p with p' = ((n-1)/(n+1)) q, scale-critical for dimension n."""
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     q = Fraction(q)
     p_prime = Fraction(n - 1, n + 1) * q
     if p_prime <= 1:
@@ -140,7 +135,7 @@ def sharp_line(n: int, q: Fraction) -> Fraction:
 
 def sharp_line_inverse(n: int, p: Fraction) -> Fraction:
     """The q paired with p on the scale-critical line."""
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     return Fraction(n + 1, n - 1) * conjugate(Fraction(p))
 
 
@@ -154,7 +149,7 @@ def region(kind: str, n: int) -> Region:
 
     Accepts the full kind names or the same without the -conjecture suffix.
     """
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     if not kind.endswith("-conjecture"):
         kind = kind + "-conjecture"
     F = Fraction
@@ -263,7 +258,7 @@ def lemma_alpha(p: Fraction, q: Fraction, alpha: Fraction, n: int):
     2 + q/((n+1)/2 - alpha q), and the supremum of q-tilde/p-tilde,
     1 + (q/p)/((n+1)/2 - alpha q).  The p-tilde bound is q_tilde/ratio.
     """
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     p, q, alpha = Fraction(p), Fraction(q), Fraction(alpha)
     if p <= 0 or q <= 0:
         raise ExponentDomainError("need p, q > 0")
@@ -292,8 +287,7 @@ MAX_BOOTSTRAP_STEPS = 1000
 
 def bootstrap_iterate(alpha0: Fraction, steps: int) -> list:
     """Iterates of bootstrap_map starting from alpha0 (list of length steps+1)."""
-    if not 0 <= steps <= MAX_BOOTSTRAP_STEPS:
-        raise ExponentDomainError(f"need 0 <= steps <= {MAX_BOOTSTRAP_STEPS}, got {steps}")
+    check_int("steps", steps, 0, MAX_BOOTSTRAP_STEPS, ExponentDomainError)
     out = [Fraction(alpha0)]
     for _ in range(steps):
         out.append(bootstrap_map(out[-1]))
@@ -302,7 +296,7 @@ def bootstrap_iterate(alpha0: Fraction, steps: int) -> list:
 
 def modest_threshold(n: int) -> Fraction:
     """Smallest p with a symmetric bilinear L^2 product estimate: 4n/(3n-2)."""
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     return Fraction(4 * n, 3 * n - 2)
 
 
@@ -313,7 +307,7 @@ def whitney_exponent_check(n: int, p: Fraction, p_tilde: Fraction, q: Fraction):
     inequality families behind the close-pair summation argument, and returns
     (feasible, epsilon) with epsilon the largest admissible decay rate.
     """
-    _check_dimension(n)
+    check_int("n", n, 2, error=ExponentDomainError)
     p, p_tilde, q = Fraction(p), Fraction(p_tilde), Fraction(q)
     zero = Fraction(0)
     if not (1 < p_tilde < p):

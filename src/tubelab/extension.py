@@ -26,10 +26,10 @@ from typing import Optional
 
 import numpy as np
 
-from . import TubelabError
+from . import TubelabError, check_int, is_int
 from .fields import (Ball, GridFunction, LpAccumulator, lp, lp_norm,
                      row_intervals)
-from .geometry import EllipticPhase, _is_int, product_grid, quadratic_phase
+from .geometry import EllipticPhase, product_grid, quadratic_phase
 
 TWO_PI = 2.0 * math.pi
 
@@ -118,8 +118,7 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     axis), f_a = max|x_a| + max|x_n| g_a and F = max(max|x_|, max|x_n| |g|).
     A need, or a count, above MAX_GRID_NODES raises OscillationGuardError;
     a phase or points of another dimension than the cap's, ExtensionError."""
-    if not _is_int(min_nodes) or min_nodes < 1:
-        raise ExtensionError(f"min_nodes must be an integer >= 1, got {min_nodes!r}")
+    check_int("min_nodes", min_nodes, 1, error=ExtensionError)
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not phi.dim == cap.dim == pts.shape[-1] - 1:
         raise ExtensionError(f"a cap of dimension {cap.dim} with a phase of dimension "
@@ -215,7 +214,7 @@ def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     if not np.all(np.isfinite(pts)):
         raise ExtensionError("evaluation points must be finite")
     given = np.asarray(grid_n, dtype=object)
-    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(_is_int, given.flat)):
+    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(is_int, given.flat)):
         raise ExtensionError(f"grid_n must be an integer or {f.dim} integers, got {grid_n!r}")
     counts = np.broadcast_to(given, (f.dim,))  # Python ints until checked: no overflow
     need = required_grid_counts(f, phi, pts, min_nodes=1)

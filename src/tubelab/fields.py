@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import TubelabError
-from .geometry import DirectionNet, _is_int, product_grid
+from . import TubelabError, is_int
+from .geometry import DirectionNet, product_grid
 
 
 class FieldError(TubelabError):
@@ -159,7 +159,7 @@ class CylinderDomain:
             raise FieldError(f"rest bounds of lengths {len(self.rest_lo)} and {len(self.rest_hi)}")
         axes, dim = tuple(self.disc_axes), 2 + len(self.rest_lo)
         if (len(axes) != 2 or axes[0] == axes[1]
-                or not all(_is_int(a) and 0 <= a < dim for a in axes)):
+                or not all(is_int(a) and 0 <= a < dim for a in axes)):
             raise FieldError(f"disc axes {axes} must be two distinct axes in [0, {dim})")
         if len(self.disc_center) != 2:
             raise FieldError(f"disc centre {self.disc_center} must have 2 coordinates")

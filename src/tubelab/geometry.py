@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import TubelabError
+from . import TubelabError, check_int, is_int
 
 _BALL_VOLUME = {0: 1.0, 1: 2.0, 2: math.pi, 3: 4 * math.pi / 3}
 
@@ -47,8 +47,7 @@ class DyadicCube:
     index_k: tuple
 
     def __post_init__(self):
-        if self.level_j < 0:
-            raise GeometryError(f"negative level {self.level_j}")
+        check_int("level_j", self.level_j, 0, error=GeometryError)
         top = 2 ** (self.level_j + 1)
         if not all(0 <= k < top for k in self.index_k):
             raise GeometryError(f"index {self.index_k} out of range at level {self.level_j}")
@@ -75,8 +74,8 @@ class DyadicCube:
 
 def dyadic_cubes(n: int, j: int) -> list:
     """All level-j cubes partitioning [-1,1]^{n-1}."""
-    if j < 0:
-        raise GeometryError("need j >= 0")
+    check_int("n", n, 2, error=GeometryError)
+    check_int("j", j, 0, error=GeometryError)
     top = 2 ** (j + 1)
     return [DyadicCube(j, idx) for idx in itertools.product(range(top), repeat=n - 1)]
 
@@ -104,9 +103,9 @@ def cubes_close(c1: DyadicCube, c2: DyadicCube) -> bool:
 
 
 def close_pairs(n: int, j: int) -> list:
-    """All ordered close pairs at level j."""
-    if j < 1:
-        raise GeometryError("close pairs need j >= 1 (parents must exist)")
+    """All ordered close pairs at level j >= 1 (the parents must exist)."""
+    check_int("n", n, 2, error=GeometryError)
+    check_int("j", j, 1, error=GeometryError)
     out = []
     top = 2 ** (j + 1)
     for k1 in itertools.product(range(top), repeat=n - 1):
@@ -122,10 +121,6 @@ def close_pairs(n: int, j: int) -> list:
     return out
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-
-
 def _locate_index(x: float, j: int) -> int:
     return int(math.floor((x + 1.0) * 2 ** j))
 
@@ -137,8 +132,7 @@ def whitney_levels(x, y, max_level: int) -> np.ndarray:
     pair whitney_locate refuses is marked -1 when a coordinate lies on a
     dyadic hyperplane of level max_level, and 0 when the points are still
     adjacent at max_level."""
-    if not _is_int(max_level) or not 1 <= max_level <= 1023:  # 2.0**1024 = inf
-        raise GeometryError(f"bad max_level {max_level!r}: need an integer in [1, 1023]")
+    check_int("max_level", max_level, 1, 1023, GeometryError)  # 2.0**1024 = inf
     x, y = np.asarray(x), np.asarray(y)
     if (x.ndim != 2 or x.shape != y.shape or x.shape[1] == 0
             or x.dtype.kind not in "iuf" or y.dtype.kind not in "iuf"):
@@ -249,6 +243,7 @@ def product_grid(axes) -> np.ndarray:
 
 def quadratic_phase(dim: int) -> EllipticPhase:
     """The model phase |x|^2 / 2."""
+    check_int("dim", dim, 0, error=GeometryError)  # dim 0: R^1, for 1-D annulus grids
     return EllipticPhase(
         evaluator=lambda p: 0.5 * np.sum(p * p, axis=-1),
         gradient=lambda p: p.copy(),
@@ -273,7 +268,7 @@ def perturbed_phase(dim: int, eps0: float) -> EllipticPhase:
     psi has psi(0) = 0, grad psi(0) = 0 and Hessian operator norm <= 1 on Q,
     so the Hessian eigenvalues stay in [1-eps0, 1+eps0].
     """
-    if not _is_int(dim) or dim not in _BUMP_CENTERS or not 0 <= eps0 < 1:  # NaN fails too
+    if not is_int(dim) or dim not in _BUMP_CENTERS or not 0 <= eps0 < 1:  # NaN fails too
         raise GeometryError(f"need dim in {{1, 2}} and 0 <= eps0 < 1, got {dim!r}, {eps0!r}")
     centers = np.array(_BUMP_CENTERS[dim], dtype=float)
     weights = np.array(_BUMP_WEIGHTS[dim], dtype=float)
@@ -333,8 +328,7 @@ def parabolic_rescale(phi: EllipticPhase, j: int, center) -> EllipticPhase:
     difference, which cancels to rounding as j grows, keeps about 11 digits
     (the quadratic phase errs by 1e-9 relative at j = 12 and 5e-5 at 20).
     """
-    if not _is_int(j) or not -511 <= j <= 10:
-        raise GeometryError(f"bad j {j!r}: need an integer in [-511, 10]")
+    check_int("j", j, -511, 10, GeometryError)
     center = np.asarray(center, dtype=float).reshape(1, -1)
     if center.shape[1] != phi.dim:
         raise GeometryError("center dimension mismatch")
@@ -383,10 +377,7 @@ class DirectionNet:
     e2_indices: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        if not _is_int(self.dim):
-            raise GeometryError(f"need an integer dim = n - 1, not {self.dim!r}")
-        if self.dim < 1:
-            raise GeometryError(f"need n >= 2, got n = {self.dim + 1}")
+        check_int("dim", self.dim, 1, error=GeometryError)  # n - 1
         if not (0 < self.delta <= 0.25):
             raise GeometryError("need 0 < delta <= 1/4")
         kmax = int(math.floor(1.0 / self.delta + 1e-9))
@@ -421,6 +412,7 @@ class DirectionNet:
 
 def build_net(n: int, delta: float) -> DirectionNet:
     """The DirectionNet of Q in R^n at spacing delta."""
+    check_int("n", n, 2, error=GeometryError)
     return DirectionNet(n - 1, float(delta))
 
 
@@ -573,10 +565,8 @@ def tube_intersection_volume(t1: Tube, t2: Tube, mc_samples: int, seed: int):
     so the estimate stays informative for small delta.  Both tubes are
     tested in place on every sample of a chunk with Tube.axis_d2.
     """
-    if not _is_int(mc_samples) or mc_samples < 1000:
-        raise GeometryError(f"mc_samples must be an integer >= 1000, not {mc_samples!r}")
-    if not _is_int(seed) or seed < 0:
-        raise GeometryError(f"seed must be a non-negative integer, not {seed!r}")
+    check_int("mc_samples", mc_samples, 1000, error=GeometryError)
+    check_int("seed", seed, 0, error=GeometryError)
     n = _check_pair(t1, t2)
     iv = _overlap_interval(t1, t2)
     if iv is None:

@@ -15,9 +15,9 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from . import TubelabError
+from . import TubelabError, check_int
 from .fields import GridFunction, conjugate, lp, lp_norm
-from .geometry import DyadicCube, _is_int
+from .geometry import DyadicCube
 
 
 class LemmaError(TubelabError):
@@ -64,8 +64,7 @@ class OmegaSet:
 
     def cube_counts(self, j: int) -> np.ndarray:
         """Integer array over level-j cube indices of |Omega cap cube| in cells."""
-        if not 0 <= j <= self.resolution_j:
-            raise LemmaError(f"level {j} outside [0, {self.resolution_j}]")
+        check_int("j", j, 0, self.resolution_j, LemmaError)
         b = 2 ** (self.resolution_j - j)
         counts = self.mask.astype(np.int64)
         d = self.n - 1
@@ -81,10 +80,8 @@ class OmegaSet:
 
 def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
     """Seeded random dyadic subset: scattered cells joined with random boxes."""
-    if not _is_int(n) or n < 2:
-        raise LemmaError(f"need n >= 2, an integer, got n = {n!r}")
-    if not _is_int(resolution_j) or resolution_j < 0:
-        raise LemmaError(f"need resolution_j >= 0, an integer, got {resolution_j!r}")
+    check_int("n", n, 2, error=LemmaError)
+    check_int("resolution_j", resolution_j, 0, error=LemmaError)
     rng = np.random.default_rng(seed)
     side = 2 ** (resolution_j + 1)
     shape = (side,) * (n - 1)
@@ -308,6 +305,8 @@ def stopping_thresholds(j0: int, r: float, m: int = 4, max_level: int = 16) -> D
     are floored to integers so the thresholds stay exact dyadic rationals
     (the decomposition invariants hold for any thresholds, so the rounding
     only shifts which cubes get selected)."""
+    for name, value in (("j0", j0), ("m", m), ("max_level", max_level)):
+        check_int(name, value, 0, error=LemmaError)
     if not 0 < r < 4:
         raise LemmaError("need 0 < r < 4")
     out = {}

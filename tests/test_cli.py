@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelab import cli, exponents, witnesses
+from tubelab import cli, exponents, extension, fields, geometry, witnesses
 
 
 def run_cli(capsys, *argv):
@@ -441,6 +441,24 @@ def test_witness_command(capsys):
     assert code == 0
     assert out["f"]["support_lo"][0] == pytest.approx(-0.5 - 0.125**2)
     assert out["g"]["support_lo"][0] >= 0.25
+
+
+def test_witness_dump_reads_back_as_the_extension_fields(tmp_path, capsys):
+    code, out = run_cli(capsys, "witness", "--family", "c2-stretched", "--n", "3",
+                        "--scale", "0.125", "--dump-dir", str(tmp_path))
+    assert code == cli.EXIT_PASS
+    assert out["artifacts"] == ["field_f.bin", "field_f.json", "field_g.bin", "field_g.json"]
+    assert sorted(os.listdir(tmp_path)) == out["artifacts"]
+    f, g, _box = witnesses.build_witness("c2-stretched", 3, 0.125)
+    phi = geometry.quadratic_phase(2)
+    for stem, cap in (("field_f", f), ("field_g", g)):
+        grid = fields.GridFunction.from_binary((tmp_path / f"{stem}.bin").read_bytes(),
+                                               json.loads((tmp_path / f"{stem}.json").read_text()))
+        pts = grid.centers()
+        want = extension.evaluate_extension(
+            cap, phi, pts, extension.required_grid_counts(cap, phi, pts).max())
+        assert grid.dims == (17, 17, 17)
+        assert np.array_equal(grid.samples.reshape(-1), want)
 
 
 def test_verify_unknown_suite(capsys):

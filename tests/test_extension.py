@@ -181,7 +181,7 @@ def test_node_floors_and_refinements_must_be_integers_from_one(bad):
                                         grid_n=bad),
     ]
     for call in calls:
-        with pytest.raises(ext.ExtensionError, match="must be an integer >= 1") as err:
+        with pytest.raises(ext.ExtensionError, match="need min_nodes >= 1, an integer") as err:
             call()
         assert err.value.exit_code == 2
 

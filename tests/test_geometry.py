@@ -199,7 +199,7 @@ def test_whitney_input_contract(x, y, max_level):
 
 
 def test_dyadic_cube_refuses_a_negative_level():
-    with pytest.raises(geo.GeometryError, match="negative level"):
+    with pytest.raises(geo.GeometryError, match="need level_j >= 0, an integer"):
         geo.DyadicCube(-1, (0,))
 
 
@@ -479,6 +479,26 @@ def test_tube_intersection_input_contract():
     assert geo.tube_intersection_volume(t3, t3, np.int64(2000), np.int64(0))[0] > 0
 
 
+def test_tube_kernels_refuse_tubes_of_different_delta():
+    t, thin = geo.Tube((0.1,), (0.0,), 1 / 8), geo.Tube((0.1,), (0.0,), 1 / 16)
+    for a, b in ((t, thin), (thin, t)):
+        with pytest.raises(geo.GeometryError, match="tubes must share delta") as err:
+            geo.tube_intersection_exact(a, b)
+        assert err.value.exit_code == 2
+        with pytest.raises(geo.GeometryError, match="tubes must share delta"):
+            geo.tube_intersection_volume(a, b, 2000, 0)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1 / 32, 1 / 8, 7 / 32, 1 / 4, 5 / 16, 1.0])
+def test_parallel_tubes_in_the_plane_overlap_by_the_shifted_band(shift):
+    # equal directions: the cross-sections overlap by 2 delta - |di| on all
+    # of |y_n| <= 1, and the closed form takes its branch for dw = 0
+    delta = 1 / 8
+    t1 = geo.Tube((0.25,), (0.0,), delta)
+    t2 = geo.Tube((0.25,), (shift,), delta)
+    assert geo.tube_intersection_exact(t1, t2) == max(0.0, 2 * delta - shift) * 2.0
+
+
 def test_cordoba_style_bound_sample():
     rng = np.random.default_rng(7)
     delta = 1 / 16
@@ -571,11 +591,15 @@ def test_build_net_rejects_bad_delta():
 
 
 @pytest.mark.parametrize("dim, delta, message", [
-    (0, 1 / 8, "need n >= 2, got n = 1"), (-1, 1 / 8, "need n >= 2, got n = 0"),
+    # the dim cases keep the ids they had under the earlier wording
+    pytest.param(0, 1 / 8, "need dim >= 1, an integer, got dim = 0",
+                 id="0-0.125-need n >= 2, got n = 1"),
+    pytest.param(-1, 1 / 8, "need dim >= 1, an integer, got dim = -1",
+                 id="-1-0.125-need n >= 2, got n = 0"),
     (2, 0.0, "need 0 < delta <= 1/4"), (2, 0.3, "need 0 < delta <= 1/4"),
     (2, -1 / 8, "need 0 < delta <= 1/4"), (2, math.nan, "need 0 < delta <= 1/4"),
-    (1.5, 1 / 8, "need an integer dim"), (2.0, 1 / 8, "need an integer dim"),
-    (True, 1 / 8, "need an integer dim"), ("2", 1 / 8, "need an integer dim"),
+    *(pytest.param(dim, 1 / 8, "need dim >= 1, an integer", id=f"{dim}-0.125-need an integer dim")
+      for dim in (1.5, 2.0, True, "2")),
 ])
 def test_a_hand_built_net_is_validated(dim, delta, message):
     with pytest.raises(geo.GeometryError, match=message) as err:
@@ -584,7 +608,7 @@ def test_a_hand_built_net_is_validated(dim, delta, message):
 
 
 def test_build_net_refuses_a_dimension_that_is_not_an_integer():
-    with pytest.raises(geo.GeometryError, match="need an integer dim") as err:
+    with pytest.raises(geo.GeometryError, match="need n >= 2, an integer") as err:
         geo.build_net(2.5, 1 / 8)
     assert err.value.exit_code == 2
     assert geo.build_net(np.int64(2), 1 / 8) == geo.build_net(2, 1 / 8)
@@ -674,7 +698,7 @@ def test_parabolic_rescale_recenters():
 def test_parabolic_rescale_refuses_j_outside_the_double_range(j):
     # the values scale by 4^j: j = 512 and 1030 raised a bare OverflowError,
     # and 2.0**-2000 = 0 made every value NaN
-    with pytest.raises(geo.GeometryError, match="bad j") as err:
+    with pytest.raises(geo.GeometryError, match=r"need j in \[-511, 10\], an integer") as err:
         geo.parabolic_rescale(geo.quadratic_phase(2), j, [0.0, 0.0])
     assert err.value.exit_code == 2
 
@@ -682,7 +706,7 @@ def test_parabolic_rescale_refuses_j_outside_the_double_range(j):
 @pytest.mark.parametrize("j", [11, 15, 20])
 def test_parabolic_rescale_refuses_j_where_the_difference_cancels(j):
     # exact value 0.065 at every j; relative error 1.3e-10 at j = 11, 5.4e-5 at 20
-    with pytest.raises(geo.GeometryError, match=r"bad j .*\[-511, 10\]") as err:
+    with pytest.raises(geo.GeometryError, match=r"need j in \[-511, 10\], an integer, got j = ") as err:
         geo.parabolic_rescale(geo.quadratic_phase(2), j, [0.1, 0.2])
     assert err.value.exit_code == 2
 

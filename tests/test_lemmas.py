@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction as F
 
 import numpy as np
@@ -198,6 +199,46 @@ def test_cz_threshold_validation():
     om = lemmas.random_omega_set(2, 3, 9)
     with pytest.raises(lemmas.LemmaError):
         lemmas.cz_decompose(om, {j: F(0) for j in range(4)})
+
+
+def _break_cz(dec, om, fault):
+    """dec with one of the seven faults its validate refuses."""
+    (cube, trapped), *rest = dec.bad_cubes
+    if fault == "duplicate":
+        return dataclasses.replace(dec, bad_cubes=dec.bad_cubes + [(cube, trapped)])
+    if fault == "trapped":
+        return dataclasses.replace(dec, bad_cubes=[(cube, trapped + om.cell_measure), *rest])
+    if fault == "below":
+        return dataclasses.replace(dec, thresholds={**dec.thresholds, cube.level_j: F(1)})
+    if fault == "above-parent":  # 4 alpha_parent |cube| / |cell| = 1/16 < 1 cell
+        return dataclasses.replace(dec, thresholds={**dec.thresholds, cube.level_j - 1: F(1, 1024)})
+    if fault == "dense-good":
+        return dataclasses.replace(dec, good_set=om)
+    sel = lemmas._cube_slices(cube.level_j, cube.index_k, om.resolution_j)
+    if fault == "meets":  # one of the cube's cells: no level's density bound fails
+        mask = dec.good_set.mask.copy()
+        mask[sel][np.unravel_index(np.argmax(om.mask[sel]), om.mask[sel].shape)] = True
+        return dataclasses.replace(dec, good_set=lemmas.OmegaSet(mask))
+    assert fault == "misses"
+    return dataclasses.replace(dec, bad_cubes=rest)
+
+
+@pytest.mark.parametrize("fault, message", [
+    ("duplicate", "selected cubes overlap"),
+    ("trapped", "trapped measure mismatch"),
+    ("below", "selected cube below threshold"),
+    ("above-parent", "selected cube exceeds the parent bound"),
+    ("dense-good", "good-set density bound fails at level 1"),
+    ("meets", "good set meets a selected cube"),
+    ("misses", "good set plus trapped parts do not cover Omega"),
+])
+def test_cz_validate_refuses_each_fault(fault, message):
+    om = lemmas.random_omega_set(3, 3, 0)
+    dec = lemmas.cz_decompose(om, {0: F(1), 1: F(1, 4), 2: F(1, 2), 3: F(1)})
+    assert dec.validate(om) and dec.bad_cubes[0][0].level_j == 1
+    with pytest.raises(lemmas.LemmaError, match=message) as err:
+        _break_cz(dec, om, fault).validate(om)
+    assert err.value.exit_code == 2
 
 
 def test_cz_with_density_schedule():

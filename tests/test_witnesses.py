@@ -1,11 +1,13 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubelab import witnesses as wit, xray
+from tubelab import exponents, witnesses as wit, xray
 from tubelab.extension import (CapFunction, OscillationGuardError,
                                domain_norm_ratio, required_grid_counts)
 from tubelab.geometry import quadratic_phase
@@ -94,6 +96,29 @@ def test_predicted_exponents_at_key_points():
     assert wit.predicted_exponent(xray.DELTA_BALL, 3, 5 / 2, 10 / 3) == 0.0
     with pytest.raises(wit.WitnessError):
         wit.predicted_exponent("nonsense", 3, 2, 2)
+
+
+@pytest.mark.parametrize("kind, region, plane, n_min", [
+    (wit.C0_MODULATED, "bilinear-restriction", 0, 2),
+    (wit.C1_SQUASHED, "bilinear-restriction", 1, 2),
+    (wit.C2_STRETCHED, "bilinear-restriction", 2, 3),
+    (wit.KNAPP_CLASSIC, "restriction", 1, 2),
+    (xray.K0_DELTAS, "kakeya-bilinear", 0, 2),
+    (xray.K1_SLAB, "kakeya-bilinear", 1, 2),
+])
+def test_each_family_exponent_has_the_sign_of_its_exact_halfplane_slack(kind, region, plane,
+                                                                        n_min):
+    # on the 1/24 lattice of (1/p, 1/q): the float exponent is >= 0 exactly
+    # where the exact region's halfplane admits the point, and 0 on its edge
+    for n in range(n_min, 7):
+        h = exponents.region(region, n).halfplanes[plane]
+        for a, b in itertools.product(range(1, 25), repeat=2):
+            slack = h.c - h.a * Fraction(a, 24) - h.b * Fraction(b, 24)
+            got = wit.predicted_exponent(kind, n, 24 / a, 24 / b)
+            if slack == 0:
+                assert abs(got) <= 1e-12, (n, a, b, got)
+            else:
+                assert (got > 0) == (slack > 0) and got != 0, (n, a, b, got, slack)
 
 
 def test_one_table_of_tube_kinds():
@@ -215,7 +240,7 @@ def test_trace_caps_shrink():
     assert f.support_hi[0] <= -0.25 and g.support_lo[0] >= 0.25
     for n, R in ((3, 2.0), (3, 0.0), (3, -8.0), (3, math.nan), (3, math.inf),
                  (1, 16.0), (0, 16.0), (2.5, 16.0), (3.0, 16.0), (True, 16.0)):
-        with pytest.raises(wit.WitnessError, match="need n >= 2 and 4 <= R < inf"):
+        with pytest.raises(wit.WitnessError, match=r"need (n >= 2, an integer|4 <= R < inf)"):
             wit.trace_caps(n, R)
     f, g = wit.trace_caps(2, 4.0)
     assert (f.support_lo, g.support_hi) == ((-0.75,), (0.75,))

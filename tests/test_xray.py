@@ -666,6 +666,33 @@ def test_xray_field_refuses_values_of_another_net(base):
     xray.XrayField(build_net(3, 1 / 8), 1 / 8, values)  # an equal net is the same net
 
 
+def test_xray_field_refuses_a_delta_that_is_not_its_nets():
+    net = build_net(3, 1 / 8)
+    with pytest.raises(xray.XrayError, match="delta does not match the net") as err:
+        xray.XrayField(net, 1 / 16, NetFunction(net, {}))
+    assert err.value.exit_code == 2
+
+
+def test_transform_and_adjoint_refuse_a_grid_of_another_dimension():
+    net = build_net(3, 1 / 8)
+    f = box_function(2, 1 / 8)  # a 2-D grid for a net of R^3
+    with pytest.raises(xray.XrayError, match="grid dimension does not match net") as err:
+        xray.xray_transform(f, net)
+    assert err.value.exit_code == 2
+    g = xray.XrayField(net, 1 / 8, NetFunction(net, {}))
+    with pytest.raises(xray.XrayError, match="grid dimension does not match net") as err:
+        xray.xray_adjoint(g, f)
+    assert err.value.exit_code == 2
+
+
+def test_kakeya_sweeps_refuse_an_unknown_kind():
+    for call in (lambda: xray.run_kakeya_sweep_multi("k2-nonsense", 3, [(2.0, 2.0)], [1 / 8]),
+                 lambda: xray.run_kakeya_sweep("k2-nonsense", 3, 2.0, 2.0, [1 / 8])):
+        with pytest.raises(xray.XrayError, match="unknown witness kind 'k2-nonsense'") as err:
+            call()
+        assert err.value.exit_code == 2
+
+
 def test_prop111_random_constant_bound():
     rng = np.random.default_rng(11)
     delta = 1 / 16
