@@ -87,6 +87,12 @@ class CapFunction:
             return np.zeros(self.dim + 1)
         return np.asarray(self.modulation, dtype=float)
 
+    @functools.cached_property
+    def slope_sample(self) -> np.ndarray:
+        """The 5-per-axis mesh of the support box where the slope is sampled."""
+        return product_grid([np.linspace(lo, hi, 5)
+                             for lo, hi in zip(self.support_lo, self.support_hi)])
+
     def nodes(self, grid_counts):
         """Per-axis midpoint nodes and steps; the cell weight is the steps'
         product."""
@@ -103,7 +109,7 @@ class CapFunction:
 
 
 def _refuse_above_cap(nodes):
-    if not np.all(nodes <= MAX_GRID_NODES):  # also refuses NaN
+    if not all(v <= MAX_GRID_NODES for v in nodes):  # also refuses NaN
         raise OscillationGuardError(
             f"quadrature needs {[f'{v:.6g}' for v in nodes]} nodes per support "
             f"axis, above the {MAX_GRID_NODES} cap; shrink the scale range")
@@ -126,9 +132,7 @@ def required_grid_counts(cap: CapFunction, phi: EllipticPhase, points,
     eff = pts + cap.modulation_vector()
     xmax = np.max(np.abs(eff[..., :-1]), axis=-2)
     tmax = np.max(np.abs(eff[..., -1]), axis=-1)[..., None]
-    mesh = product_grid([np.linspace(lo, hi, 5)
-                         for lo, hi in zip(cap.support_lo, cap.support_hi)])
-    gmax = np.max(np.abs(phi.grad(mesh)), axis=0)
+    gmax = np.max(np.abs(phi.grad(cap.slope_sample)), axis=0)
     lengths = np.subtract(cap.support_hi, cap.support_lo, dtype=float)
     with np.errstate(over="ignore"):  # an overflow to inf is refused below
         freq_global = np.maximum(np.max(xmax, axis=-1, keepdims=True),
@@ -160,20 +164,28 @@ class _CapQuadrature:
             self.weights = np.full(len(self.mesh), math.prod(self.steps), dtype=complex)
 
     def at_points(self, pts: np.ndarray) -> np.ndarray:
-        """Field values at scattered points (m, n)."""
+        """Field values at scattered points (m, n), each computed alike
+        whatever the other points (no in-place complex product, no matrix
+        product: numpy and BLAS round those by size).  Under the quadratic
+        phase axis a's factor is formed once per distinct (x_a, x_n), held
+        exactly as x_a + i x_n, except in a one-point call (no gain there)."""
         eff = pts + self.x0
         if self.separable:
             out = np.ones(pts.shape[0], dtype=complex)
             for a, (y, h) in enumerate(zip(self.y_axes, self.steps)):
-                phase = np.outer(eff[:, a], y) + 0.5 * np.outer(eff[:, -1], y * y)
-                out *= np.exp(-TWO_PI * 1j * phase).sum(axis=1) * h
+                pair = eff[:, a] + 1j * eff[:, -1]
+                pair, back = np.unique(pair, return_inverse=True) if len(pair) > 1 else (pair, ...)
+                phase = np.outer(pair.real, y) + 0.5 * np.outer(pair.imag, y * y)
+                out = out * (np.exp(-TWO_PI * 1j * phase).sum(axis=1) * h)[back]
             return out
         out = np.empty(pts.shape[0], dtype=complex)
         chunk = max(1, (1 << 23) // max(1, self.mesh.shape[0]))
         for s in range(0, pts.shape[0], chunk):
             blk = eff[s:s + chunk]
-            ph = blk[:, :-1] @ self.mesh.T + np.outer(blk[:, -1], self.phase_vals)
-            out[s:s + chunk] = np.exp(-TWO_PI * 1j * ph) @ self.weights
+            ph = np.outer(blk[:, -1], self.phase_vals)
+            for a in range(blk.shape[1] - 1):
+                ph += np.outer(blk[:, a], self.mesh[:, a])
+            out[s:s + chunk] = (np.exp(-TWO_PI * 1j * ph) * self.weights).sum(axis=1)
         return out
 
     def factors(self, x_axes, xn_axis):
@@ -213,17 +225,18 @@ def evaluate_extension(f: CapFunction, phi: EllipticPhase, points, grid_n):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise ExtensionError("evaluation points must be finite")
-    given = np.asarray(grid_n, dtype=object)
-    if given.ndim > 1 or given.size not in (1, f.dim) or not all(map(is_int, given.flat)):
+    given = np.asarray(grid_n, dtype=object).tolist()  # numpy's shapes, then a list
+    given = given if isinstance(given, list) else [given]
+    if len(given) not in (1, f.dim) or not all(map(is_int, given)):
         raise ExtensionError(f"grid_n must be an integer or {f.dim} integers, got {grid_n!r}")
-    counts = np.broadcast_to(given, (f.dim,))  # Python ints until checked: no overflow
-    need = required_grid_counts(f, phi, pts, min_nodes=1)
+    counts = given * (f.dim // len(given))  # compared as integers: no overflow
+    need = required_grid_counts(f, phi, pts, min_nodes=1).tolist()
     _refuse_above_cap(counts)
-    if np.any(counts < need):
+    if any(c < m for c, m in zip(counts, need)):
         raise OscillationGuardError(
-            f"grid_n = {counts.tolist()} per support axis violates the "
-            f"oscillation guard; need grid_n >= {need.tolist()}")
-    return _CapQuadrature(f, phi, counts.astype(int)).at_points(pts)
+            f"grid_n = {counts} per support axis violates the "
+            f"oscillation guard; need grid_n >= {need}")
+    return _CapQuadrature(f, phi, counts).at_points(pts)
 
 
 def _axis_cover(lo: float, hi: float, spacing: float) -> np.ndarray:
@@ -315,9 +328,13 @@ def domain_norm_ratio(f: CapFunction, g: Optional[CapFunction],
             lo, hi = (v[tuple(box)].reshape(-1) - cols.start for v in (lo, hi))
             return np.ones(len(vals)), vals, np.arange(len(vals)), lo, hi
     cells = 0
+    span = block * max(1, (1 << 16) // (per_slab * block))  # slabs per row_intervals call
     for s in range(0, len(xn_axis), block):
         sl = slice(s, s + block)
-        run_lo, run_hi = row_intervals(domain, x_axes, xn_axis[sl], row)
+        if s % span == 0:
+            found = row_intervals(domain, x_axes, xn_axis[s:s + span], row)
+        k = (s % span) * per_slab
+        run_lo, run_hi = (v[k:k + block * per_slab] for v in found)
         if np.any(run_hi > run_lo):
             cells += int(np.sum(run_hi - run_lo))
             acc.add_rows(*runs(sl, run_lo, run_hi))

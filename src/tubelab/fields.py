@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import TubelabError, is_int
+from . import TubelabError, check_int, is_int
 from .geometry import DirectionNet, product_grid
 
 
@@ -296,11 +296,13 @@ class GridFunction:
 
 
 def grid_from_sampler(sampler, lo, hi, dims) -> GridFunction:
-    """Midpoint grid over the box [lo, hi] with the given cell counts (at
-    most MAX_GRID_POINTS cells: geometry.product_grid)."""
+    """Midpoint grid over the box [lo, hi] with the given cell counts, each
+    an integer >= 1 (at most MAX_GRID_POINTS cells: geometry.product_grid)."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    dims = tuple(int(d) for d in np.atleast_1d(dims))
+    dims = np.atleast_1d(np.asarray(dims, dtype=object)).tolist()
+    for d in dims:
+        check_int("dims", d, 1, error=FieldError)
     spacing = tuple((h - l) / d for l, h, d in zip(lo, hi, dims))
     origin = tuple(l + s / 2 for l, s in zip(lo, spacing))
     pts = product_grid([o + s * np.arange(d) for o, s, d in zip(origin, spacing, dims)])

@@ -82,6 +82,7 @@ def random_omega_set(n: int, resolution_j: int, seed: int) -> OmegaSet:
     """Seeded random dyadic subset: scattered cells joined with random boxes."""
     check_int("n", n, 2, error=LemmaError)
     check_int("resolution_j", resolution_j, 0, error=LemmaError)
+    check_int("seed", seed, 0, error=LemmaError)
     rng = np.random.default_rng(seed)
     side = 2 ** (resolution_j + 1)
     shape = (side,) * (n - 1)
@@ -136,6 +137,7 @@ def quasi_orthogonality_ratio(rects: List[FreqRect], seed: int, p: float) -> flo
     Pieces are synthesized on a periodic QUASI_GRID_M-point grid per axis
     (integer frequencies, raised cosine taper times random Gaussian coefficients),
     so disjoint support is exact and the p = 2 case is Plancherel on the nose."""
+    check_int("seed", seed, 0, error=LemmaError)
     if not p >= 1:
         raise LemmaError(f"need p >= 1, got p = {p}")
     if not rects:

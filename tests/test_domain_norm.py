@@ -350,3 +350,29 @@ def test_domain_cap_bounds_the_work_each_path_does():
     with pytest.raises(ext.OscillationGuardError, match="rows"):
         ext.local_ratio(f, g, PHI3, 2, 1, 8192)
 
+
+
+@pytest.mark.parametrize("name", ["perturbed-R16", "c1-delta1/16"])
+def test_runs_found_for_many_slabs_at_once_match_one_call_per_slab(name, monkeypatch):
+    # domain_norm_ratio finds the runs of up to 2^16 rows in one row_intervals
+    # call and slices them per slab block; finding them one slab at a time
+    # gives the same ratio and stats, bit for bit
+    calls = []
+
+    def counted(domain, x_axes, t, axis):
+        calls.append(len(t))
+        return row_intervals(domain, x_axes, t, axis)
+
+    def per_slab(domain, x_axes, t, axis):
+        runs = [counted(domain, x_axes, t[i:i + 1], axis) for i in range(len(t))]
+        return tuple(np.concatenate(v) for v in zip(*runs))
+
+    q = PINNED[name][0]
+    got = {}
+    for finder in (counted, per_slab):
+        monkeypatch.setattr(ext, "row_intervals", finder)
+        got[finder] = [(ratio.hex(), stats) for ratio, stats in
+                       (_pinned_call(name, s) for s in (q, np.inf))]
+    assert got[per_slab] == got[counted]
+    slabs = calls[0]  # every slab's runs in one call at the batched pass
+    assert calls[:2] == [slabs, slabs] and calls[2:] == [1] * (2 * slabs)

@@ -82,6 +82,28 @@ def test_stationary_decay_and_oracle_agreement():
     assert abs(fit.slope - (-1.0)) <= 0.1
 
 
+@pytest.mark.parametrize("n, phi", [(3, PHI3), (3, perturbed_phase(2, 0.05)),
+                                    (4, quadratic_phase(3))],
+                         ids=["n3-quadratic", "n3-perturbed", "n4-quadratic"])
+def test_a_multi_point_call_equals_its_points_one_at_a_time(n, phi):
+    # the c2 search's probe lattice (27 points at n = 3, 81 at n = 4, with 9
+    # distinct (x_a, x_n) pairs per axis), taken by each built, modulated cap
+    # and shifted by its modulation for the plain cap: the values of one call
+    # are those of its points one at a time, bit for bit (the perturbed phase
+    # has no n = 4 form)
+    f, g, box = witnesses.build_witness(witnesses.C2_STRETCHED, n, 1 / 8)
+    probes = witnesses._probe_points(box)
+    assert len(probes) == 3**n
+    for cap in (f, g):
+        plain = ext.CapFunction(cap.support_lo, cap.support_hi)
+        shifted = probes + cap.modulation_vector()
+        grid_n = ext.required_grid_counts(cap, phi, probes).max()
+        many = ext.evaluate_extension(cap, phi, probes, grid_n)
+        one = [ext.evaluate_extension(cap, phi, pt, grid_n) for pt in probes]
+        assert many.tobytes() == np.concatenate(one).tobytes()
+        assert ext.evaluate_extension(plain, phi, shifted, grid_n).tobytes() == many.tobytes()
+
+
 def test_oscillation_guard_raises_with_required_size():
     f = ext.CapFunction((-1, -1), (1, 1))
     with pytest.raises(ext.OscillationGuardError) as err:
@@ -110,6 +132,15 @@ def test_grids_must_be_integers(grid_n):
     with pytest.raises(ext.ExtensionError, match="grid_n must be an integer or 2 integers") as err:
         ext.evaluate_extension(f, PHI3, [[0, 0, 0]], grid_n)
     assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("grid_n", [np.int64(16), np.array(16), (16, 16), np.array([16, 16])],
+                         ids=["numpy-int", "0-d-array", "tuple", "int-array"])
+def test_grids_given_as_integers_are_taken(grid_n):
+    # every accepted form of grid_n gives the field of the plain int
+    f = ext.CapFunction((-1, -1), (1, 1))
+    want = ext.evaluate_extension(f, PHI3, [[0.5, 0.25, 1.0]], 16)
+    assert ext.evaluate_extension(f, PHI3, [[0.5, 0.25, 1.0]], grid_n).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("grid_n", [0, -2, [16, 0]])

@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 import tubelab
-from tubelab import exponents, geometry, lemmas
+from tubelab import exponents, fields, geometry, lemmas
 
 EXP, GEO, LEM = exponents.ExponentDomainError, geometry.GeometryError, lemmas.LemmaError
+FLD = fields.FieldError
 OMEGA = lemmas.random_omega_set(3, 3, 7)
 
 # (entry point, its module's error, a call taking the bad value, bad values);
@@ -41,6 +42,14 @@ ENTRY_POINTS = [
      lambda v: lemmas.stopping_thresholds(3, 2.0, max_level=v), (2.5, True, "3")),
     ("xr_bounds_check", LEM, lambda v: lemmas.xr_bounds_check(OMEGA, v, 2.0, F(1)),
      (1.5, True, "3")),
+    ("random_omega_set-seed", LEM, lambda v: lemmas.random_omega_set(3, 3, v),
+     (2.5, -1, True, "3")),
+    ("quasi_orthogonality_ratio-seed", LEM,
+     lambda v: lemmas.quasi_orthogonality_ratio([lemmas.FreqRect((0,), (4,))], v, 2.0),
+     (2.5, -1, True, "3")),
+    ("grid_from_sampler", FLD,
+     lambda v: fields.grid_from_sampler(lambda P: np.ones(len(P)), [0.0], [1.0], [v]),
+     (4.7, True, 0, "4")),
 ]
 
 
