@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import exponents as expm
-from . import TubelabError, extension, fields, geometry, lemmas, witnesses, xray
+from . import TubelabError, check_int, extension, fields, geometry, lemmas, witnesses, xray
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -587,8 +587,7 @@ SUITES = {"lemmas": _suite_lemmas, "geometry": _suite_geometry,
 
 
 def cmd_verify(suite: str, seed: int) -> int:
-    if seed < 0:
-        raise ConfigError(f"bad seed {seed}: need a non-negative integer")
+    check_int("seed", seed, 0, error=ConfigError)
     results = {name: SUITES[name](seed)
                for name in (SUITES if suite == "all" else [suite])}
     all_pass = all(check["pass"] for suite_out in results.values()

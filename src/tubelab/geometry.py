@@ -49,8 +49,8 @@ class DyadicCube:
     def __post_init__(self):
         check_int("level_j", self.level_j, 0, error=GeometryError)
         top = 2 ** (self.level_j + 1)
-        if not all(0 <= k < top for k in self.index_k):
-            raise GeometryError(f"index {self.index_k} out of range at level {self.level_j}")
+        if not self.index_k or not all(is_int(k) and 0 <= k < top for k in self.index_k):
+            raise GeometryError(f"need index_k of 1+ integers in [0, {top}), got {self.index_k!r}")
 
     @property
     def sidelength(self) -> float:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -243,6 +244,11 @@ def young_check(a, p: float, fs: Optional[List[GridFunction]] = None,
 # density stopping time
 
 
+def _children(levels: np.ndarray) -> np.ndarray:
+    """A per-cube array of one level repeated onto the next level's cubes."""
+    return np.kron(levels, np.ones((2,) * levels.ndim, dtype=levels.dtype))
+
+
 @dataclass
 class CZDecomposition:
     good_set: OmegaSet
@@ -255,48 +261,44 @@ class CZDecomposition:
         return any(cube.level_j == self.good_set.resolution_j for cube, _t in self.bad_cubes)
 
     def validate(self, omega: OmegaSet):
-        """Replay the defining inequalities exactly (integer cell counts)."""
-        J = omega.resolution_j
+        """Replay the defining inequalities exactly, level by level (integer cell counts)."""
+        J, dim = omega.resolution_j, omega.mask.ndim
         good = self.good_set
-        # selected cubes are pairwise disjoint and inside Omega's grid
-        seen = np.zeros_like(omega.mask, dtype=bool)
-        covered = np.zeros_like(omega.mask, dtype=bool)
-        for cube, trapped in self.bad_cubes:
-            sel = _cube_slices(cube.level_j, cube.index_k, J)
-            if seen[sel].any():
-                raise LemmaError("selected cubes overlap")
-            seen[sel] = True
-            block = omega.mask[sel]
-            count = int(np.count_nonzero(block))
-            if Fraction(count) * omega.cell_measure != trapped:
+        if good.mask.shape != omega.mask.shape or any(
+                cube.level_j > J or len(cube.index_k) != dim for cube, _t in self.bad_cubes):
+            raise LemmaError(f"good set or a selected cube off Omega's {dim}-axis levels 0..{J}")
+        cell = omega.cell_measure
+        alpha = [self.thresholds.get(j, Fraction(1)) for j in range(J + 1)]
+        cover = np.zeros((1,) * dim, dtype=int)  # selections covering each cube
+        for j in range(J + 1):
+            cover = _children(cover)
+            selected = [(cube.index_k, t) for cube, t in self.bad_cubes if cube.level_j == j]
+            if not selected:
+                continue
+            index, trapped = zip(*selected)
+            index = tuple(np.array(index).T)
+            counts = omega.cube_counts(j)[index]
+            cells = omega.cube_cells_total(j)
+            if [c * cell for c in counts.tolist()] != list(trapped):
                 raise LemmaError("trapped measure mismatch")
-            cells = omega.cube_cells_total(cube.level_j)
-            alpha_j = self.thresholds[cube.level_j]
-            alpha_parent = self.thresholds.get(cube.level_j - 1, Fraction(1))
-            if not count > alpha_j * cells:
+            if counts.min() <= math.floor(alpha[j] * cells):
                 raise LemmaError("selected cube below threshold")
-            if cube.level_j > 0 and count > 4 * alpha_parent * cells:
+            if j > 0 and counts.max() > math.floor(4 * alpha[j - 1] * cells):
                 raise LemmaError("selected cube exceeds the parent bound")
-            covered[sel] |= block
+            np.add.at(cover, index, 1)
+        if cover.max() > 1:
+            raise LemmaError("selected cubes overlap")
         # good set density bound at every level, all cubes
-        for j in range(0, J + 1):
-            counts = good.cube_counts(j)
-            cells = good.cube_cells_total(j)
-            alpha_j = self.thresholds.get(j, Fraction(1))
-            if int(counts.max()) > alpha_j * cells:
+        for j in range(J + 1):
+            if good.cube_counts(j).max() > math.floor(alpha[j] * good.cube_cells_total(j)):
                 raise LemmaError(f"good-set density bound fails at level {j}")
         # exact cover
+        covered = omega.mask & (cover > 0)
         if np.any(good.mask & covered):
             raise LemmaError("good set meets a selected cube")
         if not np.array_equal(good.mask | covered, omega.mask):
             raise LemmaError("good set plus trapped parts do not cover Omega")
         return True
-
-
-def _cube_slices(level_j: int, index_k: tuple, resolution_j: int):
-    """The slices of the cells of the level-j cube with index k in a mask."""
-    b = 2 ** (resolution_j - level_j)
-    return tuple(slice(k * b, (k + 1) * b) for k in index_k)
 
 
 def stopping_thresholds(j0: int, r: float, m: int = 4, max_level: int = 16) -> Dict[int, Fraction]:
@@ -326,30 +328,27 @@ def stopping_thresholds(j0: int, r: float, m: int = 4, max_level: int = 16) -> D
 
 
 def cz_decompose(omega: OmegaSet, thresholds: Dict[int, Fraction]) -> CZDecomposition:
-    """Top-down maximal-cube selection: at each level take the not-yet-covered
-    cubes whose density exceeds alpha_j; the remainder is the good set."""
+    """Top-down maximal-cube selection: per level, the cubes outside every earlier selection
+    holding more than floor(alpha_j * cells) cells (alpha_j = 1 if missing); the rest is good."""
     J = omega.resolution_j
+    for j, alpha in thresholds.items():
+        check_int("threshold level", j, 0, error=LemmaError)
+        if isinstance(alpha, bool) or not isinstance(alpha, Real) or not 0 < alpha <= 1:
+            raise LemmaError("thresholds must lie in (0, 1]")  # also NaN, inf, None, str
     thresholds = {j: Fraction(t) for j, t in thresholds.items()}
-    for j in range(0, J + 1):
-        alpha = thresholds.get(j, Fraction(1))
-        if not 0 < alpha <= 1:
-            raise LemmaError("thresholds must lie in (0, 1]")
-        thresholds[j] = alpha
-    blocked = np.zeros_like(omega.mask, dtype=bool)
+    for j in range(J + 1):
+        thresholds.setdefault(j, Fraction(1))
+    cell = omega.cell_measure
+    free = np.ones((1,) * omega.mask.ndim, dtype=bool)  # cubes outside every selection
     bad: List = []
-    for j in range(0, J + 1):
-        alpha = thresholds[j]
+    for j in range(J + 1):
+        free = _children(free)
         counts = omega.cube_counts(j)
-        cells = omega.cube_cells_total(j)
-        over = counts * alpha.denominator > alpha.numerator * cells
-        for idx in np.argwhere(over):
-            idx = tuple(int(v) for v in idx)
-            sel = _cube_slices(j, idx, J)
-            if blocked[sel].any():
-                continue  # inside an earlier selection
-            blocked[sel] = True
-            bad.append((DyadicCube(j, idx), Fraction(int(counts[idx])) * omega.cell_measure))
-    good = OmegaSet(omega.mask & ~blocked)
+        over = free & (counts > math.floor(thresholds[j] * omega.cube_cells_total(j)))
+        bad += [(DyadicCube(j, tuple(idx)), counts[tuple(idx)].item() * cell)
+                for idx in np.argwhere(over).tolist()]
+        free &= ~over
+    good = OmegaSet(omega.mask & free)
     return CZDecomposition(good_set=good, bad_cubes=bad, thresholds=thresholds)
 
 

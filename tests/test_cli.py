@@ -510,6 +510,23 @@ def test_verify_geometry_suite_is_pinned(capsys):
         assert checks["overlap_bound"] == {"pass": True, "worst": worst}
 
 
+def test_verify_lemmas_suite_is_pinned(capsys):
+    # a change to the suite's draws, the lemma kernels or the stopping time moves these
+    quasi = {"1.0": 0.3732635922548219, "1.5": 0.7245209910241294, "2.0": 1.0,
+             "inf": 0.6999000407423354}
+    pinned = {0: 1.8103196511087274, 1: 1.8412974816102479}
+    for seed, worst_constant in pinned.items():
+        code, out = run_cli(capsys, "verify", "--suite", "lemmas", "--seed", str(seed))
+        assert code == 0 and out["pass"]
+        assert out["suites"]["lemmas"] == {
+            "young": {"pass": True, "trials": 100},
+            "quasi_orthogonality": {"pass": True, "worst": quasi},
+            "xr_est": {"pass": True, "worst_constant": worst_constant},
+            "cz": {"pass": True, "trials": 100},
+            "xr_norm_monotone": {"pass": True},
+        }
+
+
 def test_sweep_resource_guard_exit_code(tmp_path, capsys):
     path = tmp_path / "huge.cfg"
     path.write_text(

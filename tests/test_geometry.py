@@ -203,6 +203,14 @@ def test_dyadic_cube_refuses_a_negative_level():
         geo.DyadicCube(-1, (0,))
 
 
+@pytest.mark.parametrize("index", [(), (0.5, 1), (True, 1), (np.float64(1.0), 1), ("1", 1)],
+                         ids=["empty", "float", "bool", "numpy-float", "str"])
+def test_dyadic_cube_refuses_an_index_that_is_not_integers(index):
+    with pytest.raises(geo.GeometryError, match=r"need index_k of 1\+ integers in \[0, 4\), got "):
+        geo.DyadicCube(1, index)
+    assert geo.DyadicCube(1, (np.int64(1), 3)).bounds() == [(-0.5, 0.0), (0.5, 1.0)]
+
+
 def test_dyadic_cube_contains_refuses_a_point_of_another_dimension():
     cube = geo.DyadicCube(2, (1,))  # [-0.75, -0.5)
     assert cube.contains([-0.6]) and not cube.contains([0.6])
@@ -214,7 +222,7 @@ def test_dyadic_cube_contains_refuses_a_point_of_another_dimension():
 def test_cubes_close_refuses_cubes_of_different_dimensions():
     c1, c2 = geo.DyadicCube(2, (1,)), geo.DyadicCube(2, (3,))
     assert geo.cubes_close(c1, c2)
-    for other in (geo.DyadicCube(2, (3, 0)), geo.DyadicCube(1, (3, 0)), geo.DyadicCube(2, ())):
+    for other in (geo.DyadicCube(2, (3, 0)), geo.DyadicCube(1, (3, 0))):
         with pytest.raises(geo.GeometryError, match="cubes of dimensions"):
             geo.cubes_close(c1, other)
         with pytest.raises(geo.GeometryError, match="cubes of dimensions"):

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import numpy as np
 import pytest
 
-from tubelab import lemmas
+from tubelab import geometry, lemmas
 from tubelab.fields import grid_from_sampler
 
 
@@ -214,7 +214,8 @@ def _break_cz(dec, om, fault):
         return dataclasses.replace(dec, thresholds={**dec.thresholds, cube.level_j - 1: F(1, 1024)})
     if fault == "dense-good":
         return dataclasses.replace(dec, good_set=om)
-    sel = lemmas._cube_slices(cube.level_j, cube.index_k, om.resolution_j)
+    b = 2 ** (om.resolution_j - cube.level_j)
+    sel = tuple(slice(kk * b, (kk + 1) * b) for kk in cube.index_k)
     if fault == "meets":  # one of the cube's cells: no level's density bound fails
         mask = dec.good_set.mask.copy()
         mask[sel][np.unravel_index(np.argmax(om.mask[sel]), om.mask[sel].shape)] = True
@@ -238,6 +239,53 @@ def test_cz_validate_refuses_each_fault(fault, message):
     assert dec.validate(om) and dec.bad_cubes[0][0].level_j == 1
     with pytest.raises(lemmas.LemmaError, match=message) as err:
         _break_cz(dec, om, fault).validate(om)
+    assert err.value.exit_code == 2
+
+
+FULL = lemmas.OmegaSet(np.ones((16, 16), dtype=bool))  # n = 3, J = 3
+
+
+@pytest.mark.parametrize("thresholds, message", [
+    ({0: 1e-30}, None),  # alpha's denominator alone exceeds int64
+    (lemmas.stopping_thresholds(0, 3.99, max_level=3), None),  # alpha_0 = 2^-1596
+    ({j: 0.01 for j in range(4)}, None),  # 2^59 denominator: counts * 2^59 wraps int64
+    ({0: float("nan")}, r"thresholds must lie in \(0, 1\]"),
+    ({0: float("inf")}, r"thresholds must lie in \(0, 1\]"),
+    ({0: -float("inf")}, r"thresholds must lie in \(0, 1\]"),
+    ({0: None}, r"thresholds must lie in \(0, 1\]"),
+    ({0: "1/2"}, r"thresholds must lie in \(0, 1\]"),
+    ({0: True}, r"thresholds must lie in \(0, 1\]"),
+    ({"0": F(1, 2)}, "need threshold level >= 0, an integer"),
+    ({1.5: F(1, 2)}, "need threshold level >= 0, an integer"),
+    ({-1: F(1, 2)}, "need threshold level >= 0, an integer"),
+    ({True: F(1, 2)}, "need threshold level >= 0, an integer"),
+], ids=["tiny", "schedule-r-3.99", "float-wraps", "nan", "inf", "-inf", "None", "str",
+        "bool", "key-str", "key-float", "key-negative", "key-bool"])
+def test_cz_thresholds_follow_one_integer_rule(thresholds, message):
+    # a cube of c cells at alpha may hold floor(alpha c) cells; anything but a
+    # real number in (0, 1] at an integer level >= 0 is refused
+    if message is None:
+        dec = lemmas.cz_decompose(FULL, thresholds)
+        assert dec.validate(FULL)
+        assert [cube.level_j for cube, _t in dec.bad_cubes] == [0, 0, 0, 0]
+        return
+    with pytest.raises(lemmas.LemmaError, match=message) as err:
+        lemmas.cz_decompose(FULL, thresholds)
+    assert err.value.exit_code == 2
+
+
+@pytest.mark.parametrize("malformed", ["deeper-than-grid", "other-dimension", "good-set-grid"])
+def test_cz_validate_refuses_a_decomposition_off_the_grid(malformed):
+    om = lemmas.random_omega_set(3, 3, 0)
+    dec = lemmas.cz_decompose(om, {0: F(1), 1: F(1, 4), 2: F(1, 2), 3: F(1)})
+    if malformed == "good-set-grid":
+        dec = dataclasses.replace(dec, good_set=lemmas.OmegaSet(np.zeros((8, 8), dtype=bool)))
+    else:
+        cube = geometry.DyadicCube(5, (0, 0)) if malformed == "deeper-than-grid" \
+            else geometry.DyadicCube(1, (0, 0, 0))
+        dec = dataclasses.replace(dec, bad_cubes=dec.bad_cubes + [(cube, F(0))])
+    with pytest.raises(lemmas.LemmaError, match="selected cube off Omega's 2-axis levels 0..3") as err:
+        dec.validate(om)
     assert err.value.exit_code == 2
 
 
